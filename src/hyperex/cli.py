@@ -26,6 +26,7 @@ from .functionals import (
     q_ratio_closed,
     q_ratio_quadrature,
     mass_fraction,
+    trend_verdict,
 )
 from .measures import CLOSED_PAIRS, ConvClosedForm, conv_closed, conv_point_oracle
 from .verify import SUITES, run_checks
@@ -61,8 +62,19 @@ def _report(command, inputs, outputs, error_estimates, seed, started, no_meta):
     }
 
 
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither infinite nor NaN."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def _print_json(report) -> None:
-    print(json.dumps(report, sort_keys=True, indent=2))
+    print(json.dumps(report, sort_keys=True, indent=2, allow_nan=False))
 
 
 # ---------------------------------------------------------------- constants
@@ -156,13 +168,7 @@ def cmd_curve(args) -> int:
                 "ratio": q / limit_value,
             }
         )
-    steps = np.diff([r["q_value"] for r in rows])
-    if np.all(steps > 0):
-        verdict = "strictly-increasing"
-    elif np.all(steps < 0):
-        verdict = "strictly-decreasing"
-    else:
-        verdict = "not-strict"
+    verdict = trend_verdict([r["q_value"] for r in rows])
 
     csv_lines = ["a,q_value,limit_value,ratio"] + [
         ",".join(
@@ -212,9 +218,9 @@ def cmd_conv(args) -> int:
     if (args.d, args.n) not in CLOSED_PAIRS:
         raise SystemExit(f"hyperex conv: unsupported pair (d, n) = ({args.d}, {args.n})")
     try:
-        xi = np.array([float(v) for v in args.xi.split(",")], dtype=float)
-    except ValueError:
-        raise SystemExit(f"hyperex conv: could not parse --xi {args.xi!r}")
+        xi = np.array([_finite_float(v) for v in args.xi.split(",")], dtype=float)
+    except argparse.ArgumentTypeError:
+        raise SystemExit(f"hyperex conv: could not parse --xi {args.xi!r} as finite floats")
     if xi.shape != (args.d,):
         raise SystemExit(f"hyperex conv: --xi must have {args.d} components")
     if args.method == "oracle" and args.n != 2:
@@ -357,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("constants", help="sharp-constant table")
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--p", type=int, default=None)
-    p.add_argument("--s", type=float, default=1.0)
+    p.add_argument("--s", type=_finite_float, default=1.0)
     p.add_argument("--sheet", choices=("one", "two"), default="one")
     p.add_argument("--csv", action="store_true", help="emit the table as CSV")
     add_common(p)
@@ -366,9 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("curve", help="profile-ratio curve a -> Q(a)")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--s", type=float, default=1.0)
-    p.add_argument("--a-min", type=float, required=True)
-    p.add_argument("--a-max", type=float, required=True)
+    p.add_argument("--s", type=_finite_float, default=1.0)
+    p.add_argument("--a-min", type=_finite_float, required=True)
+    p.add_argument("--a-max", type=_finite_float, required=True)
     p.add_argument("--points", type=int, default=25)
     p.add_argument("--log-spacing", action="store_true")
     p.add_argument("--method", choices=("closed", "quadrature"), default=None)
@@ -379,9 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("conv", help="convolution density at a point")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--s", type=float, default=1.0)
+    p.add_argument("--s", type=_finite_float, default=1.0)
     p.add_argument("--xi", type=str, required=True, help='point as "v1,v2[,v3]"')
-    p.add_argument("--tau", type=float, required=True)
+    p.add_argument("--tau", type=_finite_float, required=True)
     p.add_argument("--method", choices=("closed", "oracle"), default="closed")
     add_common(p)
     p.set_defaults(func=cmd_conv)
@@ -402,9 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("concentrate", help="profile mass inside a ball")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--s", type=float, default=1.0)
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--radius", type=float, required=True)
+    p.add_argument("--s", type=_finite_float, default=1.0)
+    p.add_argument("--a", type=_finite_float, required=True)
+    p.add_argument("--radius", type=_finite_float, required=True)
     add_common(p)
     p.set_defaults(func=cmd_concentrate)
 
@@ -416,6 +422,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
+    except ValueError as exc:
+        # Library input validation: a usage error, not a failed verification.
+        print(f"hyperex: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     except SystemExit as exc:
         # Semantic usage errors carry a message; argparse passes codes through.
         if isinstance(exc.code, str):

@@ -33,11 +33,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad as _scipy_quad
 
 from .geometry import HyperboloidParams, energy
 from .measures import CLOSED_PAIRS, ConvClosedForm, conv_closed
-from .quadrature import BudgetError, QuadResult, QuadSpec, gl_nodes, gl_panels
+from .quadrature import (
+    BudgetError, QuadResult, QuadSpec, gl_nodes, gl_panels, two_resolution,
+)
 from .specfun import bessel_j0, exp_integral_ei, principal_sqrt
 
 
@@ -122,9 +123,27 @@ def extension_quadrature(
             vals = (4.0 * np.pi / x_norm) * osc * np.sin(x_norm * r)
         return complex(np.sum(w * vals))
 
-    coarse = evaluate(12)
-    fine = evaluate(24)
-    return fine, abs(fine - coarse)
+    result = two_resolution(evaluate, 12, 24)
+    return result.value, result.error
+
+
+# Gauss-Legendre nodes per panel of the fixed radial rules below.
+_RADIAL_NODES = 24
+
+
+def _d3_radial_mass(a: float, s: float, v_max: float) -> float:
+    """e^{2as} int_s^{s + v_max^2} e^{-2au} sqrt(u^2 - s^2) du for d = 3.
+
+    In u = s + v^2 the integrand 2 v^2 sqrt(2s + v^2) e^{-2a v^2} is analytic
+    in v; panels start at the smaller of its two scales, sqrt(s) and
+    1/sqrt(2a), and double out to v_max.
+    """
+    edges = [0.0, min(math.sqrt(s), 1.0 / math.sqrt(2.0 * a), v_max)]
+    while edges[-1] < v_max:
+        edges.append(min(2.0 * edges[-1], v_max))
+    v, w = gl_panels(np.asarray(edges), _RADIAL_NODES)
+    v2 = v * v
+    return float(np.sum(w * 2.0 * v2 * np.sqrt(2.0 * s + v2) * np.exp(-2.0 * a * v2)))
 
 
 def l2_norm_sq(profile: ExpProfile) -> float:
@@ -132,16 +151,14 @@ def l2_norm_sq(profile: ExpProfile) -> float:
 
     d = 2 closes to (pi / a) e^{-2 a s} (the measure is du d(theta) in
     u = psi); d = 3 is the radial integral 4 pi int_s^oo e^{-2au}
-    sqrt(u^2 - s^2) du, done by adaptive quadrature.
+    sqrt(u^2 - s^2) du, done by Gauss-Legendre panels (_d3_radial_mass)
+    truncated where e^{-2a(u - s)} = e^{-100}.
     """
     a, s = profile.a, profile.params.s
     if profile.params.d == 2:
         return np.pi / a * math.exp(-2.0 * a * s)
-    val, _ = _scipy_quad(
-        lambda u: math.exp(-2.0 * a * u) * math.sqrt(u * u - s * s),
-        s, s + 50.0 / a, epsabs=1e-300, epsrel=1e-12, limit=200,
-    )
-    return 4.0 * np.pi * val
+    mass = _d3_radial_mass(a, s, math.sqrt(50.0 / a))
+    return 4.0 * np.pi * math.exp(-2.0 * a * s) * mass
 
 
 def weighted_conv_closed(profile: ExpProfile, k: int, xi, tau):
@@ -195,30 +212,28 @@ def conv_power_l2_sq(
     sphere = 2.0 * np.pi if d == 2 else 4.0 * np.pi
     base = k * s
 
-    def inner_integral(tau: float, n_nodes: int) -> float:
-        rho_max = math.sqrt(max(tau * tau - base * base, 0.0))
-        if rho_max == 0.0:
-            return 0.0
-        rho, w = gl_nodes(0.0, rho_max, n_nodes)
-        xi = np.zeros((rho.size, d))
-        xi[:, 0] = rho
-        dens = conv_closed(form, xi, np.full(rho.size, tau))
-        return float(np.sum(w * dens * dens * rho ** (d - 1)))
+    # Outer nodes in w' on the panels (0, 1), (1, 5), (5, 15), (15, 60); the
+    # first runs in v = sqrt(w'), because the d = 3 inner integral grows like
+    # w'^{3/2} from the support vertex.
+    v, v_w = gl_nodes(0.0, 1.0, _RADIAL_NODES)
+    wp, wp_w = gl_panels(np.array([1.0, 5.0, 15.0, 60.0]), _RADIAL_NODES)
+    wp = np.concatenate([v * v, wp])
+    wp_w = np.concatenate([2.0 * v * v_w, wp_w])
+    tau = base + wp / (2.0 * a)
+    rho_max = np.sqrt(np.maximum(tau * tau - base * base, 0.0))
 
     def outer(n_nodes: int) -> float:
-        def f(wp: float) -> float:
-            tau = base + wp / (2.0 * a)
-            return math.exp(-wp) * inner_integral(tau, n_nodes)
-
-        total = 0.0
-        for lo, hi in ((0.0, 1.0), (1.0, 5.0), (5.0, 15.0), (15.0, 60.0)):
-            piece, _ = _scipy_quad(f, lo, hi, epsabs=1e-300, epsrel=1e-11, limit=200)
-            total += piece
+        # Inner integral over |xi| = rho in [0, rho_max(tau)], one row per tau.
+        r, r_w = gl_nodes(0.0, 1.0, n_nodes)
+        rho = rho_max[:, None] * r[None, :]
+        xi = np.zeros(rho.shape + (d,))
+        xi[..., 0] = rho
+        dens = conv_closed(form, xi, np.broadcast_to(tau[:, None], rho.shape))
+        inner = rho_max * np.sum(r_w * dens * dens * rho ** (d - 1), axis=1)
+        total = float(np.sum(wp_w * np.exp(-wp) * inner))
         return total * math.exp(-2.0 * a * base) / (2.0 * a) * sphere
 
-    coarse = outer(max(48, quad.n_radial // 2))
-    fine = outer(max(96, quad.n_radial))
-    return QuadResult(value=fine, error=abs(fine - coarse))
+    return two_resolution(outer, max(48, quad.n_radial // 2), max(96, quad.n_radial))
 
 
 def lp_norm_extension_via_conv(

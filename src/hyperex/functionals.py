@@ -22,9 +22,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad as _scipy_quad
 
-from .extension import ExpProfile, l2_norm_sq, lp_norm_extension_via_conv
+from .extension import (
+    ExpProfile, _d3_radial_mass, l2_norm_sq, lp_norm_extension_via_conv,
+)
 from .geometry import HyperboloidParams
 from .measures import ConvClosedForm, conv_sup_norm
 from .quadrature import QuadResult, QuadSpec
@@ -207,15 +208,17 @@ def monotonicity_scan(
                 method="quadrature")
             for a in grid
         ]
-    values = np.array([pt.q_value for pt in points])
-    steps = np.diff(values)
+    return points, trend_verdict([pt.q_value for pt in points])
+
+
+def trend_verdict(values) -> str:
+    """Trend of a sequence: strictly-increasing, strictly-decreasing or not-strict."""
+    steps = np.diff(np.asarray(values, dtype=float))
     if np.all(steps > 0):
-        verdict = "strictly-increasing"
-    elif np.all(steps < 0):
-        verdict = "strictly-decreasing"
-    else:
-        verdict = "not-strict"
-    return points, verdict
+        return "strictly-increasing"
+    if np.all(steps < 0):
+        return "strictly-decreasing"
+    return "not-strict"
 
 
 def scaling_check(d: int, p: int, s: float, profile: ExpProfile) -> float:
@@ -279,7 +282,8 @@ def mass_fraction(d: int, s: float, a: float, radius: float) -> float:
     """Share of ||f_a||^2 carried by the centered ball of the given radius.
 
     d = 2 closed: 1 - e^{-2a(sqrt(s^2 + R^2) - s)}; d = 3 by quadrature of
-    the radial density e^{-2au} sqrt(u^2 - s^2) in the energy variable.
+    the radial density e^{-2au} sqrt(u^2 - s^2) in the energy variable, over
+    the ball and over the whole sheet (truncated at e^{-2a(u - s)} = e^{-100}).
     Small for small a (mass escapes to spatial infinity), near 1 for large
     a (mass pins to the vertex).
     """
@@ -290,13 +294,10 @@ def mass_fraction(d: int, s: float, a: float, radius: float) -> float:
     u_ball = math.hypot(s, radius)
     if d == 2:
         return -math.expm1(-2.0 * a * (u_ball - s))
-
-    def dens(u: float) -> float:
-        return math.exp(-2.0 * a * u) * math.sqrt(u * u - s * s)
-
-    inner, _ = _scipy_quad(dens, s, u_ball, limit=200)
-    outer, _ = _scipy_quad(dens, u_ball, u_ball + 60.0 / a, limit=200)
-    return inner / (inner + outer)
+    # u_ball - s = R^2 / (u_ball + s), without the cancellation at small R.
+    v_total = math.sqrt(50.0 / a)
+    v_ball = min(math.sqrt(radius * (radius / (u_ball + s))), v_total)
+    return _d3_radial_mass(a, s, v_ball) / _d3_radial_mass(a, s, v_total)
 
 
 def richardson_limit(f, h: float) -> QuadResult:

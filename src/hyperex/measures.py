@@ -29,13 +29,15 @@ Two numerical oracles cross-check them without reusing their algebra:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .geometry import HyperboloidParams, SpacetimePoint, boost, energy, normal_form
-from .quadrature import BudgetError, QuadResult, QuadSpec, gl_nodes, trapezoid_angles
+from .quadrature import (
+    BudgetError, QuadResult, QuadSpec, gl_nodes, trapezoid_angles, two_resolution,
+)
 
 SHEETS = ("plus", "minus", "both")
 
@@ -126,25 +128,12 @@ def surface_integral(
     """
 
     def run(scale: int) -> tuple[float, float]:
-        q = QuadSpec(
-            rule=quad.rule,
-            radius=quad.radius,
-            n_radial=quad.n_radial * scale,
-            n_angular=quad.n_angular * scale,
-            samples=quad.samples,
-            seed=quad.seed,
-            rtol=quad.rtol,
-            atol=quad.atol,
-        )
+        q = replace(quad, n_radial=quad.n_radial * scale,
+                    n_angular=quad.n_angular * scale)
         xi, tau, w, tail = _sheet_nodes(spec.params, q)
-        total = 0.0
-        tail_part = 0.0
-        if spec.sheet in ("plus", "both"):
-            vals = w * np.asarray(f(xi, tau), dtype=float)
-            total += float(np.sum(vals))
-            tail_part += float(np.sum(np.abs(vals[tail])))
-        if spec.sheet in ("minus", "both"):
-            vals = w * np.asarray(f(xi, -tau), dtype=float)
+        total = tail_part = 0.0
+        for sign in {"plus": (1.0,), "minus": (-1.0,), "both": (1.0, -1.0)}[spec.sheet]:
+            vals = w * np.asarray(f(xi, sign * tau), dtype=float)
             total += float(np.sum(vals))
             tail_part += float(np.sum(np.abs(vals[tail])))
         return total, tail_part
@@ -312,9 +301,8 @@ def conv_point_oracle(
         integrand = np.longdouble(2.0 * t_star) * np.cos(phi.astype(np.longdouble))
         return float(np.sum(w.astype(np.longdouble) * integrand / np.sqrt(fac)))
 
-    coarse = chord_integral(max(32, quad.n_radial))
-    fine = chord_integral(2 * max(32, quad.n_radial))
-    return QuadResult(value=fine, error=abs(fine - coarse))
+    n = max(32, quad.n_radial)
+    return two_resolution(chord_integral, n, 2 * n)
 
 
 def conv_pairing_oracle(
@@ -349,14 +337,8 @@ def _pairing_tensor_pair(
     params: HyperboloidParams, g: Callable, quad: QuadSpec, flip: float
 ) -> QuadResult:
     def run(scale: int) -> float:
-        q = QuadSpec(
-            rule="tensor",
-            radius=quad.radius,
-            n_radial=max(4, quad.n_radial // 2 * scale),
-            n_angular=max(8, quad.n_angular // 2 * scale),
-            rtol=quad.rtol,
-            atol=quad.atol,
-        )
+        q = replace(quad, n_radial=max(4, quad.n_radial // 2 * scale),
+                    n_angular=max(8, quad.n_angular // 2 * scale))
         xi, tau, w, _ = _sheet_nodes(params, q)
         total = 0.0
         chunk = max(1, 2_000_000 // max(xi.shape[0], 1))
@@ -370,9 +352,7 @@ def _pairing_tensor_pair(
             total += float(np.sum(w[lo:hi, None] * w[None, :] * vals))
         return total
 
-    coarse = run(1)
-    fine = run(2)
-    return QuadResult(value=fine, error=abs(fine - coarse))
+    return two_resolution(run, 1, 2)
 
 
 def _pairing_montecarlo(

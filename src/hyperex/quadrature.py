@@ -93,11 +93,11 @@ def trapezoid_angles(n: int) -> tuple[np.ndarray, np.ndarray]:
     return theta, w
 
 
-def two_resolution(evaluate, n: int) -> QuadResult:
-    """Run `evaluate(n)` and `evaluate(2n)`; report the finer value.
+def two_resolution(evaluate, coarse, fine) -> QuadResult:
+    """Run `evaluate(coarse)` and `evaluate(fine)`; report the finer value.
 
     The coarse/fine difference is the (conservative) error estimate.
     """
-    coarse = evaluate(n)
-    fine = evaluate(2 * n)
-    return QuadResult(value=fine, error=abs(fine - coarse))
+    lo = evaluate(coarse)
+    hi = evaluate(fine)
+    return QuadResult(value=hi, error=abs(hi - lo))

@@ -1,8 +1,8 @@
 """Scalar special functions used by the closed-form layer.
 
 Everything here is authored locally so the test oracles (direct adaptive
-quadrature of the defining integrals) stay independent: scipy.special is
-deliberately not imported anywhere in this package.
+quadrature of the defining integrals) stay independent: the package imports
+no scipy at all, so scipy.special is not even loaded by `import hyperex`.
 
 exp_integral_ei
     The exponential integral Ei(x) = -PV int_{-x}^oo e^{-t}/t dt, computed in

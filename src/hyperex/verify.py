@@ -8,7 +8,7 @@ single seeded generator, so a fixed seed reproduces every number exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -95,16 +95,8 @@ def _scaled(spec: QuadSpec, grid: int | None) -> QuadSpec:
     if grid is None:
         return spec
     factor = grid / 100.0
-    return QuadSpec(
-        rule=spec.rule,
-        radius=spec.radius,
-        n_radial=max(8, round(spec.n_radial * factor)),
-        n_angular=max(4, round(spec.n_angular * factor)),
-        samples=spec.samples,
-        seed=spec.seed,
-        rtol=spec.rtol,
-        atol=spec.atol,
-    )
+    return replace(spec, n_radial=max(8, round(spec.n_radial * factor)),
+                   n_angular=max(4, round(spec.n_angular * factor)))
 
 
 def _check(suite, name, discrepancy, tolerance, note=""):

@@ -6,9 +6,14 @@ exactly as a shell would see them (argparse usage errors included).
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hyperex
 from hyperex.cli import main
 
 
@@ -75,6 +80,12 @@ class TestConstants:
         rc, _, err = run_cli(capsys, ["constants", "--d", "2", "--p", "5"])
         assert rc == 2
         assert "unsupported pair" in err
+
+    def test_library_value_errors_are_usage_errors(self, capsys):
+        for s in ("nan", "-1"):
+            rc, _, err = run_cli(capsys, ["constants", "--s", s])
+            assert rc == 2
+            assert "Traceback" not in err
 
     def test_unknown_flag_is_usage_error(self, capsys):
         rc, _, _ = run_cli(capsys, ["constants", "--bogus"])
@@ -174,6 +185,14 @@ class TestCurve:
         )
         assert rc == 2
 
+    def test_infinite_rate_is_usage_error(self, capsys):
+        rc, _, err = run_cli(
+            capsys,
+            ["curve", "--d", "2", "--p", "4", "--a-min", "1", "--a-max", "inf"],
+        )
+        assert rc == 2
+        assert "finite" in err
+
     def test_byte_identical_reruns(self, capsys):
         argv = ["curve", "--d", "2", "--p", "4", "--a-min", "0.7", "--a-max",
                 "2.9", "--points", "5", "--json", "--no-meta"]
@@ -250,6 +269,15 @@ class TestConv:
         )
         assert rc == 2
 
+    def test_non_finite_inputs_are_usage_errors(self, capsys):
+        for xi, tau in (("0,0", "nan"), ("0,nan", "4"), ("inf,0", "4")):
+            rc, out, _ = run_cli(
+                capsys,
+                ["conv", "--d", "2", "--n", "2", "--xi", xi, "--tau", tau, "--json"],
+            )
+            assert rc == 2
+            assert out == ""
+
 
 class TestVerify:
     def test_specfun_suite_passes(self, capsys):
@@ -291,6 +319,14 @@ class TestVerify:
                                       "--samples", "20000"])
         assert rc == 2
         assert "HYPEREX_SEED" in err
+
+    def test_library_value_error_is_usage_error(self, capsys):
+        rc, out, err = run_cli(
+            capsys, ["verify", "--suite", "sharp", "--samples", "0"]
+        )
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("hyperex: ")
 
     def test_unknown_suite_is_usage_error(self, capsys):
         rc, _, _ = run_cli(capsys, ["verify", "--suite", "nonsense"])
@@ -357,3 +393,14 @@ class TestTopLevel:
         rc, out, _ = run_cli(capsys, ["--help"])
         assert rc == 0
         assert "constants" in out and "concentrate" in out
+
+    def test_import_loads_numpy_only(self):
+        # scipy is a test-only dependency; the package must not pull it in.
+        src = str(Path(hyperex.__file__).resolve().parent.parent)
+        code = ("import sys, hyperex; "
+                "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.stdout.strip() == "[]"

@@ -1,9 +1,10 @@
 """Extension-operator tests: closed form, quadrature, and norm routes.
 
-The d = 3 reference values are frozen outputs of scipy.integrate.quad on the
-defining radial integral; the value at x = 0 also matches the Bessel-K
-identity int_1^oo e^{-u} sqrt(u^2 - 1) du = K_1(1), an independent check on
-the oracle itself.
+The package itself integrates with its own Gauss-Legendre rules; scipy is a
+test-only oracle here.  The d = 3 reference values are frozen outputs of
+scipy.integrate.quad on the defining radial integral; the value at x = 0 also
+matches the Bessel-K identity int_1^oo e^{-u} sqrt(u^2 - 1) du = K_1(1), and
+||f_a||^2 is checked against K_1 from its own defining integral.
 """
 
 import math
@@ -134,14 +135,16 @@ def test_l2_norm_sq_closed_d2():
 
 
 def test_l2_norm_sq_quadrature_d3():
-    # ||f_a||^2 = 4 pi int_s^oo e^{-2au} sqrt(u^2 - s^2) du, checked directly.
-    ref, _ = quad(
-        lambda u: 4.0 * math.pi * math.exp(-2.0 * u) * math.sqrt(u * u - 1.0),
-        1.0,
-        40.0,
-        limit=200,
-    )
-    assert l2_norm_sq(PROF3) == pytest.approx(ref, rel=1e-9)
+    # ||f_a||^2 = 4 pi int_s^oo e^{-2au} sqrt(u^2 - s^2) du = 2 pi s K_1(2as) / a,
+    # with K_1(z) = int_0^oo e^{-z cosh v} cosh v dv cut where z cosh v = 800.
+    for a in (1e-6, 1e-4, 1e-2, 1.0, 30.0):
+        z = 2.0 * a
+        k1, _ = quad(
+            lambda v: math.exp(-z * math.cosh(v)) * math.cosh(v),
+            0.0, math.acosh(1.0 + 800.0 / z), epsabs=0.0, epsrel=1e-13, limit=400,
+        )
+        prof = ExpProfile(a=a, params=P3)
+        assert l2_norm_sq(prof) == pytest.approx(2.0 * math.pi * k1 / a, rel=1e-12)
 
 
 def test_weighted_conv_matches_plain_conv():

@@ -251,6 +251,24 @@ def test_mass_fraction_closed_vs_quadrature_d2():
     assert mass_fraction(2, s, a, radius) == pytest.approx(inner / outer, rel=1e-9)
 
 
+def test_mass_fraction_quadrature_d3():
+    # Ball share of e^{-2au} sqrt(u^2 - s^2); the inner integral carries the
+    # (u - s)^{1/2} endpoint as an algebraic quadrature weight.
+    for s, a, radius in ((1.0, 0.3, 2.0), (1.0, 1e-2, 5.0), (0.5, 1e-4, 50.0),
+                         (1.0, 3.0, 1.0)):
+        u_ball = math.hypot(s, radius)
+        inner, _ = quad(
+            lambda u: math.exp(-2 * a * (u - s)) * math.sqrt(u + s), s, u_ball,
+            weight="alg", wvar=(0.5, 0.0), epsabs=0.0, epsrel=1e-13, limit=400,
+        )
+        outer, _ = quad(
+            lambda u: math.exp(-2 * a * (u - s)) * math.sqrt(u * u - s * s),
+            u_ball, u_ball + 60.0 / a, epsabs=0.0, epsrel=1e-13, limit=400,
+        )
+        got = mass_fraction(3, s, a, radius)
+        assert got == pytest.approx(inner / (inner + outer), rel=1e-12)
+
+
 def test_mass_fraction_limits():
     assert mass_fraction(2, 1.0, 100.0, 1.0) > 0.999
     assert mass_fraction(2, 1.0, 1e-6, 1.0) < 1e-5
