@@ -394,7 +394,7 @@ class TestTopLevel:
         assert rc == 0
         assert "constants" in out and "concentrate" in out
 
-    def test_import_loads_numpy_only(self):
+    def test_import_loads_no_scipy(self):
         # scipy is a test-only dependency; the package must not pull it in.
         src = str(Path(hyperex.__file__).resolve().parent.parent)
         code = ("import sys, hyperex; "
