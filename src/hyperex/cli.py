@@ -23,9 +23,9 @@ from .functionals import (
     SUPPORTED_PAIRS,
     best_constant,
     constant_expression,
-    q_ratio_closed,
-    q_ratio_quadrature,
     mass_fraction,
+    q_ratio,
+    q_route,
     trend_verdict,
 )
 from .measures import CLOSED_PAIRS, ConvClosedForm, conv_closed, conv_point_oracle
@@ -140,11 +140,7 @@ def cmd_curve(args) -> int:
         raise SystemExit("hyperex curve: need 0 < a-min < a-max")
     if args.points < 2:
         raise SystemExit("hyperex curve: need at least 2 points")
-    method = args.method
-    if method is None:
-        method = "closed" if args.d == 2 else "quadrature"
-    if method == "closed" and args.d == 3:
-        raise SystemExit("hyperex curve: no closed ratio for d = 3; use --method quadrature")
+    method = q_route(args.d, args.method)
     if args.log_spacing:
         grid = np.geomspace(args.a_min, args.a_max, args.points)
     else:
@@ -153,20 +149,16 @@ def cmd_curve(args) -> int:
     rows = []
     errors = []
     for a in grid:
-        if method == "closed":
-            q = q_ratio_closed(args.d, args.p, float(a), args.s)
-            errors.append(0.0)
-        else:
-            r = q_ratio_quadrature(args.d, args.p, float(a), args.s)
-            q = r.value
-            errors.append(r.error)
+        r = q_ratio(args.d, args.p, float(a), args.s, method)
+        ratio = r.value / limit_value
+        if ratio >= 1.0:
+            raise SystemExit(
+                f"hyperex curve: ratio {float(ratio)!r} >= 1 at a = {float(a)!r} "
+                "contradicts Q < H; Q is not resolved at this rate"
+            )
+        errors.append(r.error)
         rows.append(
-            {
-                "a": float(a),
-                "q_value": q,
-                "limit_value": limit_value,
-                "ratio": q / limit_value,
-            }
+            {"a": float(a), "q_value": r.value, "limit_value": limit_value, "ratio": ratio}
         )
     verdict = trend_verdict([r["q_value"] for r in rows])
 

@@ -36,10 +36,8 @@ import numpy as np
 
 from .geometry import HyperboloidParams, energy
 from .measures import CLOSED_PAIRS, ConvClosedForm, conv_closed
-from .quadrature import (
-    BudgetError, QuadResult, QuadSpec, gl_nodes, gl_panels, two_resolution,
-)
-from .specfun import bessel_j0, exp_integral_ei, principal_sqrt
+from .quadrature import BudgetError, QuadResult, gl_nodes, gl_panels, two_resolution
+from .specfun import bessel_j0, exp_integral_ei
 
 
 @dataclass(frozen=True)
@@ -65,21 +63,15 @@ def extension_closed(profile: ExpProfile, x, t):
     a, s = profile.a, profile.params.s
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
-    x_sq = np.sum(x * x, axis=-1)
     lam = a - 1j * t
-    arg = lam * lam + x_sq
-    if np.ndim(arg) == 0:
-        w = principal_sqrt(complex(arg))
-        return 2.0 * np.pi * np.exp(-s * w) / w
-    # Re(lam) = a > 0 keeps arg off the cut; numpy's sqrt takes the same
-    # principal branch as principal_sqrt away from it.
+    arg = lam * lam + np.sum(x * x, axis=-1)
+    # Re(lam) = a > 0 keeps arg off the cut, where numpy's sqrt is the
+    # principal branch.
     w = np.sqrt(arg.astype(complex))
     return 2.0 * np.pi * np.exp(-s * w) / w
 
 
-def extension_quadrature(
-    profile: ExpProfile, x, t: float, quad: QuadSpec = QuadSpec()
-) -> tuple[complex, float]:
+def extension_quadrature(profile: ExpProfile, x, t: float) -> tuple[complex, float]:
     """Radial-quadrature extension value at one point; returns (value, error).
 
     Panels sized to the oscillation frequency |t| + |x|, Gauss-Legendre inside
@@ -173,8 +165,7 @@ def weighted_conv_closed(profile: ExpProfile, k: int, xi, tau):
 
 
 def conv_power_l2_sq(
-    profile: ExpProfile, k: int, method: str = "quadrature",
-    quad: QuadSpec = QuadSpec(),
+    profile: ExpProfile, k: int, method: str = "quadrature"
 ) -> QuadResult:
     """||(f_a sigma)^{*k}||^2 in L^2(R^{d+1}).
 
@@ -233,12 +224,11 @@ def conv_power_l2_sq(
         total = float(np.sum(wp_w * np.exp(-wp) * inner))
         return total * math.exp(-2.0 * a * base) / (2.0 * a) * sphere
 
-    return two_resolution(outer, max(48, quad.n_radial // 2), max(96, quad.n_radial))
+    return two_resolution(outer, 48, 96)
 
 
 def lp_norm_extension_via_conv(
-    profile: ExpProfile, p: int, method: str = "quadrature",
-    quad: QuadSpec = QuadSpec(),
+    profile: ExpProfile, p: int, method: str = "quadrature"
 ) -> QuadResult:
     """||T f_a||_p through the convolution identity; p = 2k for k in {2, 3}.
 
@@ -248,7 +238,7 @@ def lp_norm_extension_via_conv(
         raise ValueError("p must be 4 or 6")
     k = p // 2
     d = profile.params.d
-    norm_sq = conv_power_l2_sq(profile, k, method=method, quad=quad)
+    norm_sq = conv_power_l2_sq(profile, k, method=method)
     value = ((2.0 * np.pi) ** (d + 1) * norm_sq.value) ** (1.0 / p)
     if norm_sq.value > 0:
         error = value * norm_sq.error / (p * norm_sq.value)
@@ -283,9 +273,7 @@ def _ridge_time_edges(rho: float, a: float, s: float) -> np.ndarray:
     return np.asarray(edges)
 
 
-def lp_norm_extension_direct(
-    profile: ExpProfile, p: int, quad: QuadSpec = QuadSpec()
-) -> QuadResult:
+def lp_norm_extension_direct(profile: ExpProfile, p: int) -> QuadResult:
     """||T f_a||_p by quadrature of |T|^p over spacetime; d = 2 only.
 
     Uses only closed extension values on a polar (rho, t) grid:
@@ -305,7 +293,7 @@ def lp_norm_extension_direct(
     if p not in (4, 6):
         raise ValueError("p must be 4 or 6")
     a, s = profile.a, profile.params.s
-    rho_max = max(2000.0, 50.0 * quad.radius) * max(1.0, 1.0 / (a * s * s))
+    rho_max = 2000.0 * max(1.0, 1.0 / (a * s * s))
 
     def radial_mass(rho: float, n_per: int) -> float:
         t_pos, w_t = gl_panels(_ridge_time_edges(rho, a, s), n_per)

@@ -28,7 +28,7 @@ from .extension import (
 )
 from .geometry import HyperboloidParams
 from .measures import ConvClosedForm, conv_sup_norm
-from .quadrature import QuadResult, QuadSpec
+from .quadrature import QuadResult
 
 SUPPORTED_PAIRS = ((2, 4), (2, 6), (3, 4))
 SHEET_LABELS = ("one", "two")
@@ -145,7 +145,7 @@ def q_ratio_closed(d: int, p: int, a: float, s: float) -> float:
 
     _require_pair(d, p)
     if d != 2:
-        raise ValueError("no closed ratio for d = 3; use q_ratio_quadrature")
+        raise ValueError("no closed ratio for d = 3; use the quadrature route")
     if not (a > 0 and s > 0):
         raise ValueError("a and s must be positive")
     z = a * s
@@ -156,9 +156,7 @@ def q_ratio_closed(d: int, p: int, a: float, s: float) -> float:
     return q6 ** (1.0 / 6.0)
 
 
-def q_ratio_quadrature(
-    d: int, p: int, a: float, s: float, quad: QuadSpec = QuadSpec()
-) -> QuadResult:
+def q_ratio_quadrature(d: int, p: int, a: float, s: float) -> QuadResult:
     """Profile ratio through the quadrature convolution route; any pair.
 
     For (3, 4) this is the only route.  The error estimate is propagated
@@ -166,9 +164,27 @@ def q_ratio_quadrature(
     """
     _require_pair(d, p)
     profile = ExpProfile(a=a, params=HyperboloidParams(d=d, s=s))
-    norm = lp_norm_extension_via_conv(profile, p, method="quadrature", quad=quad)
+    norm = lp_norm_extension_via_conv(profile, p, method="quadrature")
     f_norm = math.sqrt(l2_norm_sq(profile))
     return QuadResult(value=norm.value / f_norm, error=norm.error / f_norm)
+
+
+def q_route(d: int, method: str | None = None) -> str:
+    """Route of q_ratio: `method` if given, else closed (d = 2) or quadrature."""
+    if method not in (None, "closed", "quadrature"):
+        raise ValueError(f"method must be 'closed' or 'quadrature', got {method!r}")
+    return method or ("closed" if d == 2 else "quadrature")
+
+
+def q_ratio(d: int, p: int, a: float, s: float, method: str | None = None) -> QuadResult:
+    """Profile ratio Q(a) = ||T f_a||_p / ||f_a||_2 on the route of q_route.
+
+    The closed route reports error 0; the quadrature route its propagated
+    two-resolution estimate.
+    """
+    if q_route(d, method) == "closed":
+        return QuadResult(value=q_ratio_closed(d, p, a, s), error=0.0)
+    return q_ratio_quadrature(d, p, a, s)
 
 
 def expected_monotonicity(d: int, p: int) -> str | None:
@@ -195,19 +211,12 @@ def monotonicity_scan(
         raise ValueError("a_grid must be a 1-D grid with at least 2 points")
     if not np.all(np.diff(grid) > 0):
         raise ValueError("a_grid must be strictly increasing")
-    if d == 2:
-        points = [
-            FunctionalCurvePoint(a=float(a), q_value=q_ratio_closed(d, p, float(a), s),
-                                 method="closed")
-            for a in grid
-        ]
-    else:
-        points = [
-            FunctionalCurvePoint(
-                a=float(a), q_value=q_ratio_quadrature(d, p, float(a), s).value,
-                method="quadrature")
-            for a in grid
-        ]
+    method = q_route(d)
+    points = [
+        FunctionalCurvePoint(a=float(a), q_value=q_ratio(d, p, float(a), s, method).value,
+                             method=method)
+        for a in grid
+    ]
     return points, trend_verdict([pt.q_value for pt in points])
 
 
@@ -226,7 +235,7 @@ def scaling_check(d: int, p: int, s: float, profile: ExpProfile) -> float:
 
     The rescaled profile of rate a on the unit hyperboloid has rate a/s on
     the s-hyperboloid (the product a s is the scale-invariant coordinate).
-    Closed forms for d = 2, quadrature route for (3, 4).
+    Both sides come from q_ratio.
     """
     _require_pair(d, p)
     if profile.params.d != d:
@@ -235,12 +244,8 @@ def scaling_check(d: int, p: int, s: float, profile: ExpProfile) -> float:
         raise ValueError("s must be positive")
     a = profile.a
     factor = s ** scaling_exponent(d, p)
-    if d == 2:
-        lhs = q_ratio_closed(d, p, a / s, s)
-        rhs = factor * q_ratio_closed(d, p, a, 1.0)
-    else:
-        lhs = q_ratio_quadrature(d, p, a / s, s).value
-        rhs = factor * q_ratio_quadrature(d, p, a, 1.0).value
+    lhs = q_ratio(d, p, a / s, s).value
+    rhs = factor * q_ratio(d, p, a, 1.0).value
     return abs(lhs - rhs) / abs(rhs)
 
 

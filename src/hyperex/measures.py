@@ -76,44 +76,42 @@ class ConvClosedForm:
         return HyperboloidParams(d=self.d, s=self.s)
 
 
-def _sheet_nodes(params: HyperboloidParams, quad: QuadSpec):
-    """Quadrature nodes (xi, tau, w) for the upper sheet, radius-truncated.
+def _sphere_nodes(d: int, n_angular: int) -> tuple[np.ndarray, np.ndarray]:
+    """Directions (M, d) and weights (M,) of a rule on the unit sphere S^{d-1}.
 
-    Returned as flat arrays; the radial range is split at radius/2 so the
-    outer half doubles as a truncation-tail estimate.
+    The circle is the periodic trapezoid rule; for d = 3 it is crossed with
+    max(8, n_angular // 2) Gauss-Legendre nodes in the cosine of the polar
+    angle.
+    """
+    theta, wt = trapezoid_angles(n_angular)
+    circle = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    if d == 2:
+        return circle, wt
+    c, wc = gl_nodes(-1.0, 1.0, max(8, n_angular // 2))
+    sin_pol = np.sqrt(1.0 - c * c)
+    omega = np.column_stack([np.kron(sin_pol[:, None], circle), np.repeat(c, n_angular)])
+    return omega, np.outer(wc, wt).ravel()
+
+
+def _sheet_nodes(params: HyperboloidParams, quad: QuadSpec):
+    """Quadrature nodes (xi, tau, w, tail) for the upper sheet, radius-truncated.
+
+    A radial Gauss-Legendre rule times the sphere rule of _sphere_nodes, as
+    flat arrays (radius-major); d(sigma) = r^{d-1} dr d(omega) / psi(r).  The
+    radial range is split at radius/2 so the outer half doubles as a
+    truncation-tail estimate.
     """
     half = 0.5 * quad.radius
     r1, w1 = gl_nodes(0.0, half, quad.n_radial)
     r2, w2 = gl_nodes(half, quad.radius, quad.n_radial)
     r = np.concatenate([r1, r2])
     wr = np.concatenate([w1, w2])
-    outer = np.concatenate([np.zeros_like(w1, dtype=bool), np.ones_like(w2, dtype=bool)])
+    outer = np.arange(r.size) >= r1.size
     psi = energy(params, r)
-    if params.d == 2:
-        theta, wt = trapezoid_angles(quad.n_angular)
-        rr = np.repeat(r, theta.size)
-        ww = np.repeat((r / psi) * wr, theta.size) * np.tile(wt, r.size)
-        tt = np.tile(theta, r.size)
-        xi = np.stack([rr * np.cos(tt), rr * np.sin(tt)], axis=1)
-        tail = np.repeat(outer, theta.size)
-        return xi, energy(params, rr), ww, tail
-    n_polar = max(8, quad.n_angular // 2)
-    theta, wt = trapezoid_angles(quad.n_angular)
-    c, wc = gl_nodes(-1.0, 1.0, n_polar)  # cos of the polar angle
-    rr = np.repeat(r, c.size * theta.size)
-    cc = np.tile(np.repeat(c, theta.size), r.size)
-    tt = np.tile(theta, r.size * c.size)
-    sin_pol = np.sqrt(1.0 - cc**2)
-    xi = np.stack(
-        [rr * sin_pol * np.cos(tt), rr * sin_pol * np.sin(tt), rr * cc], axis=1
-    )
-    ww = (
-        np.repeat((r * r / psi) * wr, c.size * theta.size)
-        * np.tile(np.repeat(wc, theta.size), r.size)
-        * np.tile(wt, r.size * c.size)
-    )
-    tail = np.repeat(outer, c.size * theta.size)
-    return xi, energy(params, rr), ww, tail
+    omega, wo = _sphere_nodes(params.d, quad.n_angular)
+    xi = np.kron(r[:, None], omega)
+    w = np.outer(r ** (params.d - 1) / psi * wr, wo).ravel()
+    return xi, np.repeat(psi, wo.size), w, np.repeat(outer, wo.size)
 
 
 def surface_integral(

@@ -33,7 +33,9 @@ bessel_j0
     (1/N) sum_j cos(x cos(2 pi j / N)).  For periodic analytic integrands the
     trapezoid rule is spectrally accurate (the error is an aliasing term
     ~ 2 J_N(x), superexponentially small once N comfortably exceeds |x|);
-    N = max(64, ceil(1.6 |x|) + 48) rounded up to even.
+    N = max(64, ceil(1.6 max|x|) + 48) rounded up to even.  The (points x N)
+    product is evaluated in row blocks of at most max(N, 2^20) cells, so
+    memory stays near 8 MB per block whatever the number of points.
 
 principal_sqrt
     Principal branch of the complex square root with an explicit guard on the
@@ -151,6 +153,10 @@ def exp_scaled_ei(x: float) -> float:
     return -_lentz_e1_cf(x)
 
 
+# Cells of the (points x N) trapezoid product evaluated at once by bessel_j0.
+_J0_BLOCK_CELLS = 2**20
+
+
 def bessel_j0(x):
     """Bessel J0 via the periodic trapezoid rule; scalar or ndarray."""
     arr = np.asarray(x, dtype=float)
@@ -160,10 +166,15 @@ def bessel_j0(x):
     n = max(64, int(math.ceil(1.6 * scale)) + 48)
     if n % 2:
         n += 1
-    theta = np.arange(n) * (2.0 * np.pi / n)
-    # (1/N) sum cos(x cos theta_j); outer product keeps the array shape.
-    vals = np.cos(np.multiply.outer(arr, np.cos(theta))).mean(axis=-1)
-    return vals if arr.shape else float(vals)
+    cos_theta = np.cos(np.arange(n) * (2.0 * np.pi / n))
+    # (1/N) sum cos(x cos theta_j), a block of rows at a time.
+    flat = arr.ravel()
+    vals = np.empty(flat.size)
+    rows = max(1, _J0_BLOCK_CELLS // n)
+    for lo in range(0, flat.size, rows):
+        block = np.multiply.outer(flat[lo:lo + rows], cos_theta)
+        vals[lo:lo + rows] = np.cos(block, out=block).mean(axis=-1)
+    return vals.reshape(arr.shape) if arr.shape else float(vals[0])
 
 
 def principal_sqrt(z: complex) -> complex:

@@ -163,6 +163,18 @@ class TestCurve:
         for row in report["outputs"]["rows"]:
             assert 0.0 < row["ratio"] < 1.0
 
+    def test_saturated_ratio_is_refused(self, capsys):
+        # At a s = 1e299 the closed ratio rounds to exactly Q = H.
+        rc, out, err = run_cli(
+            capsys,
+            ["curve", "--d", "2", "--p", "4", "--a-min", "1e299", "--a-max",
+             "1e300", "--points", "2"],
+        )
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("hyperex curve: ratio 1.0 >= 1 at a = 1e+299")
+        assert len(err.strip().splitlines()) == 1
+
     def test_closed_method_for_d3_is_usage_error(self, capsys):
         rc, _, err = run_cli(
             capsys,
@@ -300,6 +312,17 @@ class TestVerify:
         assert report["outputs"]["failed_count"] == 0
         assert report["error_estimates"]["oracle/montecarlo-pairing-3sigma"] > 0.0
         assert report["seed"] == 3
+
+    def test_samples_sets_only_the_montecarlo_count_in_oracle(self, capsys):
+        # A quarter grid keeps this fast; it may honestly fail the tensor
+        # pairing check, which is not what is tested here.
+        _, out, _ = run_cli(
+            capsys, ["verify", "--suite", "oracle", "--samples", "2000",
+                     "--grid", "25", "--json", "--no-meta"]
+        )
+        notes = {c["name"]: c["note"] for c in json.loads(out)["outputs"]["checks"]}
+        assert notes["point-oracle-vs-closed"] == "30 random interior points"
+        assert notes["montecarlo-pairing-3sigma"] == "2000 samples"
 
     def test_env_seed_pickup(self, capsys, monkeypatch):
         monkeypatch.setenv("HYPEREX_SEED", "123")

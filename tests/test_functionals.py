@@ -25,6 +25,7 @@ from hyperex.functionals import (
     expected_monotonicity,
     mass_fraction,
     monotonicity_scan,
+    q_ratio,
     q_ratio_closed,
     q_ratio_quadrature,
     richardson_limit,
@@ -160,18 +161,29 @@ def test_q_ratio_quadrature_d3_limit():
     assert 0.95 <= q.value / h < 1.0
 
 
+def test_q_ratio_routes():
+    for p in (4, 6):
+        for a in (1e-3, 0.7, 40.0):
+            r = q_ratio(2, p, a, 1.3)
+            assert r.value == q_ratio_closed(2, p, a, 1.3)
+            assert r.error == 0.0
+    assert q_ratio(2, 4, 0.7, 1.0, "quadrature") == q_ratio_quadrature(2, 4, 0.7, 1.0)
+    assert q_ratio(3, 4, 0.2, 1.5) == q_ratio_quadrature(3, 4, 0.2, 1.5)
+    assert q_ratio(3, 4, 0.2, 1.5, "quadrature") == q_ratio_quadrature(3, 4, 0.2, 1.5)
+    with pytest.raises(ValueError):
+        q_ratio(2, 4, 1.0, 1.0, "montecarlo")
+    with pytest.raises(ValueError):
+        q_ratio(3, 4, 1.0, 1.0, "closed")
+
+
 def test_q_below_constant_everywhere():
     # The computational face of nonexistence of extremizers: strict gap at
-    # every finite rate, beyond the method error.
+    # every finite rate, beyond the method error (closed ratios: 1e-12).
     for d, p in SUPPORTED_PAIRS:
         h = best_constant(d, p).value
         for a in np.geomspace(1e-3, 1e2, 25):
-            if d == 2:
-                q, tol = q_ratio_closed(d, p, float(a), 1.0), 1e-12
-            else:
-                r = q_ratio_quadrature(d, p, float(a), 1.0)
-                q, tol = r.value, r.error
-            assert q < h - tol
+            r = q_ratio(d, p, float(a), 1.0)
+            assert r.value < h - max(r.error, 1e-12)
 
 
 def test_monotonicity_scans_200_points():

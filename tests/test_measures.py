@@ -85,6 +85,43 @@ def test_surface_integral_lorentz_invariance():
     assert moved.value == pytest.approx(base.value, rel=1e-9)
 
 
+def test_surface_integral_non_radial_d3():
+    # Over S^2, xi_1^2 + 2 xi_3^2 averages to |xi|^2, and in u = psi the
+    # measure |xi|^2 d|xi| / psi is sqrt(u^2 - s^2) du, so the integral is
+    # 4 pi int_s^oo (u^2 - s^2)^{3/2} e^{-2au} du.
+    a, s = 0.6, 1.3
+    ref = 4 * np.pi * quad(
+        lambda u: (u * u - s * s) ** 1.5 * math.exp(-2 * a * u), s, np.inf,
+        epsabs=0.0, epsrel=1e-13, limit=200,
+    )[0]
+    res = surface_integral(
+        MeasureSpec(HyperboloidParams(d=3, s=s)),
+        lambda xi, tau: (xi[:, 0] ** 2 + 2 * xi[:, 2] ** 2) * np.exp(-2 * a * tau),
+    )
+    assert res.value == pytest.approx(ref, rel=1e-10)
+
+
+def test_surface_integral_lorentz_invariance_d3():
+    # Boost along xi_3 composed with a rotation in the (xi_1, xi_2) plane.
+    c, s_ = math.cos(0.8), math.sin(0.8)
+    L = compose(
+        boost(3, 0.3, axis=2),
+        rotation_embed(np.array([[c, -s_, 0.0], [s_, c, 0.0], [0.0, 0.0, 1.0]])),
+    )
+
+    def f(xi, tau):
+        return np.exp(-tau) * (1.0 + (xi[:, 0] + xi[:, 2]) ** 2 / (1.0 + tau**2))
+
+    def f_moved(xi, tau):
+        vecs = np.column_stack([xi, tau]) @ L.matrix.T
+        return f(vecs[:, :3], vecs[:, 3])
+
+    q = QuadSpec(radius=70.0, n_radial=64, n_angular=48)
+    base = surface_integral(MeasureSpec(P3), f, q)
+    moved = surface_integral(MeasureSpec(P3), f_moved, q)
+    assert moved.value == pytest.approx(base.value, rel=1e-9)
+
+
 def test_surface_integral_sheets():
     a = 0.7
     plus = surface_integral(MeasureSpec(P2), lambda xi, tau: np.exp(-2 * a * tau))

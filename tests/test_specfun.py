@@ -18,6 +18,7 @@ E1(y) rigorously.
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -190,6 +191,23 @@ def test_j0_array_and_symmetry():
     d1 = (bessel_j0(xs + h) - bessel_j0(xs - h)) / (2 * h)
     d2 = (bessel_j0(xs + h) - 2 * bessel_j0(xs) + bessel_j0(xs - h)) / h**2
     assert np.allclose(d2 + d1 / xs + bessel_j0(xs), 0.0, atol=1e-6)
+
+
+def test_j0_memory_stays_bounded():
+    # The (points x N) trapezoid product is taken in blocks: 20,000 points at
+    # |x| <= 1000 (N = 1648) would need about 0.5 GB in one piece.
+    x = np.random.default_rng(1).uniform(0.0, 1000.0, 20_000)
+    tracemalloc.start()
+    try:
+        vals = bessel_j0(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert vals.shape == x.shape
+    # Values stay in line with their points across block boundaries.
+    idx = np.array([0, 636, 637, 19_999])
+    assert np.allclose(vals[idx], bessel_j0(x[idx]), rtol=0.0, atol=1e-12)
 
 
 def test_principal_sqrt_branch_and_errors():
