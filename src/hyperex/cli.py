@@ -10,6 +10,7 @@ to 0 so identical flags and seed produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -24,9 +25,7 @@ from .functionals import (
     best_constant,
     constant_expression,
     mass_fraction,
-    q_ratio,
-    q_route,
-    trend_verdict,
+    monotonicity_scan,
 )
 from .measures import CLOSED_PAIRS, ConvClosedForm, conv_closed, conv_point_oracle
 from .verify import SUITES, run_checks
@@ -38,28 +37,25 @@ def _fmt17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _default_seed(explicit: int | None) -> int | None:
+def _csv_lines(rows) -> list[str]:
+    """Header (the row keys) and rows; floats as _fmt17 so they round-trip."""
+    return [",".join(rows[0])] + [
+        ",".join(_fmt17(v) if isinstance(v, float) else str(v) for v in r.values())
+        for r in rows
+    ]
+
+
+def _default_seed(explicit: int | None) -> int:
+    """--seed, else HYPEREX_SEED, else 0."""
     if explicit is not None:
         return explicit
     env = os.environ.get("HYPEREX_SEED")
     if env is None:
-        return None
+        return 0
     try:
         return int(env)
     except ValueError:
         raise SystemExit(f"hyperex: HYPEREX_SEED must be an integer, got {env!r}")
-
-
-def _report(command, inputs, outputs, error_estimates, seed, started, no_meta):
-    wall = 0 if no_meta else int(round((time.monotonic() - started) * 1000.0))
-    return {
-        "command": command,
-        "inputs": inputs,
-        "outputs": outputs,
-        "error_estimates": error_estimates,
-        "seed": seed,
-        "wall_time_ms": wall,
-    }
 
 
 def _finite_float(text: str) -> float:
@@ -73,13 +69,30 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _print_json(report) -> None:
+def _emit(args, inputs, outputs, lines, error_estimates=None, seed=None) -> None:
+    """Print the six-key JSON report under --json, else the text lines.
+
+    wall_time_ms runs from args.started, which main sets after parsing.
+    """
+    if not args.json:
+        print("\n".join(lines))
+        return
+    wall = 0 if args.no_meta else int(round((time.monotonic() - args.started) * 1000.0))
+    report = {
+        "command": args.command,
+        "inputs": inputs,
+        "outputs": outputs,
+        "error_estimates": error_estimates or {},
+        "seed": seed,
+        "wall_time_ms": wall,
+    }
     print(json.dumps(report, sort_keys=True, indent=2, allow_nan=False))
 
 
 # ---------------------------------------------------------------- constants
 
-def _constants_rows(d, p, s, sheet):
+def cmd_constants(args) -> int:
+    d, p, s = args.d, args.p, args.s
     if (d is None) != (p is None):
         raise SystemExit("hyperex constants: give both --d and --p or neither")
     if d is None:
@@ -87,7 +100,7 @@ def _constants_rows(d, p, s, sheet):
     else:
         if (d, p) not in SUPPORTED_PAIRS:
             raise SystemExit(f"hyperex constants: unsupported pair (d, p) = ({d}, {p})")
-        pairs = [(d, p, sheet)]
+        pairs = [(d, p, args.sheet)]
     rows = []
     for dd, pp, sh in pairs:
         c = best_constant(dd, pp, s, sh)
@@ -101,77 +114,45 @@ def _constants_rows(d, p, s, sheet):
                 "value": c.value,
             }
         )
-    return rows
-
-
-def cmd_constants(args) -> int:
-    started = time.monotonic()
-    rows = _constants_rows(args.d, args.p, args.s, args.sheet)
-    inputs = {"d": args.d, "p": args.p, "s": args.s, "sheet": args.sheet}
-    report = _report(
-        "constants", inputs, {"rows": rows}, {}, None, started, args.no_meta
-    )
-    if args.json:
-        _print_json(report)
-    elif args.csv:
-        print("d,p,s,sheet,expression,value")
-        for r in rows:
-            print(
-                f"{r['d']},{r['p']},{_fmt17(r['s'])},{r['sheet']},"
-                f"{r['expression']},{_fmt17(r['value'])}"
-            )
+    if args.csv:
+        lines = _csv_lines(rows)
     else:
-        for r in rows:
-            label = "two-sheet" if r["sheet"] == "two" else "one-sheet"
-            print(
-                f"(d={r['d']}, p={r['p']}, s={r['s']:g}, {label})  "
-                f"{r['expression']}  =  {r['value']:.15g}"
-            )
+        lines = [
+            f"(d={r['d']}, p={r['p']}, s={r['s']:g}, {r['sheet']}-sheet)  "
+            f"{r['expression']}  =  {r['value']:.15g}"
+            for r in rows
+        ]
+    inputs = {"d": d, "p": p, "s": s, "sheet": args.sheet}
+    _emit(args, inputs, {"rows": rows}, lines)
     return 0
 
 
 # -------------------------------------------------------------------- curve
 
 def cmd_curve(args) -> int:
-    started = time.monotonic()
     if (args.d, args.p) not in SUPPORTED_PAIRS:
         raise SystemExit(f"hyperex curve: unsupported pair (d, p) = ({args.d}, {args.p})")
     if not (0.0 < args.a_min < args.a_max):
         raise SystemExit("hyperex curve: need 0 < a-min < a-max")
     if args.points < 2:
         raise SystemExit("hyperex curve: need at least 2 points")
-    method = q_route(args.d, args.method)
-    if args.log_spacing:
-        grid = np.geomspace(args.a_min, args.a_max, args.points)
-    else:
-        grid = np.linspace(args.a_min, args.a_max, args.points)
+    spacing = np.geomspace if args.log_spacing else np.linspace
+    grid = spacing(args.a_min, args.a_max, args.points)
     limit_value = best_constant(args.d, args.p, args.s).value
-    rows = []
-    errors = []
-    for a in grid:
-        r = q_ratio(args.d, args.p, float(a), args.s, method)
-        ratio = r.value / limit_value
-        if ratio >= 1.0:
+    points, verdict = monotonicity_scan(args.d, args.p, args.s, grid, args.method)
+    rows = [
+        {"a": pt.a, "q_value": pt.q_value, "limit_value": limit_value,
+         "ratio": pt.q_value / limit_value}
+        for pt in points
+    ]
+    for r in rows:
+        if r["ratio"] >= 1.0:
             raise SystemExit(
-                f"hyperex curve: ratio {float(ratio)!r} >= 1 at a = {float(a)!r} "
+                f"hyperex curve: ratio {float(r['ratio'])!r} >= 1 at a = {r['a']!r} "
                 "contradicts Q < H; Q is not resolved at this rate"
             )
-        errors.append(r.error)
-        rows.append(
-            {"a": float(a), "q_value": r.value, "limit_value": limit_value, "ratio": ratio}
-        )
-    verdict = trend_verdict([r["q_value"] for r in rows])
-
-    csv_lines = ["a,q_value,limit_value,ratio"] + [
-        ",".join(
-            _fmt17(r[k]) for k in ("a", "q_value", "limit_value", "ratio")
-        )
-        for r in rows
-    ]
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("\n".join(csv_lines) + "\n")
-
+    csv_lines = _csv_lines(rows)
+    method = points[0].method
     inputs = {
         "d": args.d,
         "p": args.p,
@@ -182,31 +163,22 @@ def cmd_curve(args) -> int:
         "log_spacing": bool(args.log_spacing),
         "method": method,
     }
-    outputs = {
-        "rows": rows,
-        "monotonicity": verdict,
-        "limit_value": limit_value,
-    }
-    if args.out:
-        outputs["csv_path"] = args.out
+    outputs = {"rows": rows, "monotonicity": verdict, "limit_value": limit_value}
     error_estimates = {}
     if method == "quadrature":
-        error_estimates["q_value_max"] = max(errors)
-    report = _report("curve", inputs, outputs, error_estimates, None, started,
-                     args.no_meta)
-    if args.json:
-        _print_json(report)
-    elif args.out:
-        print(f"wrote {len(rows)} rows to {args.out}; trend {verdict}")
-    else:
-        print("\n".join(csv_lines))
+        error_estimates["q_value_max"] = max(pt.error for pt in points)
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write("\n".join(csv_lines) + "\n")
+        outputs["csv_path"] = args.out
+        csv_lines = [f"wrote {len(rows)} rows to {args.out}; trend {verdict}"]
+    _emit(args, inputs, outputs, csv_lines, error_estimates)
     return 0
 
 
 # --------------------------------------------------------------------- conv
 
 def cmd_conv(args) -> int:
-    started = time.monotonic()
     if (args.d, args.n) not in CLOSED_PAIRS:
         raise SystemExit(f"hyperex conv: unsupported pair (d, n) = ({args.d}, {args.n})")
     try:
@@ -247,72 +219,51 @@ def cmd_conv(args) -> int:
         "tau": args.tau,
         "method": args.method,
     }
-    report = _report("conv", inputs, outputs, error_estimates, None, started,
-                     args.no_meta)
-    if args.json:
-        _print_json(report)
-    else:
-        print(f"value = {_fmt17(value)}")
-        if "oracle_value" in outputs:
-            print(f"oracle = {_fmt17(outputs['oracle_value'])}")
-            print(f"|closed - oracle| = {_fmt17(outputs['abs_difference'])}")
-            print(f"oracle error estimate = {_fmt17(error_estimates['oracle_value'])}")
-        for note in notes:
-            print(f"note: {note}")
+    lines = [f"value = {_fmt17(value)}"]
+    if "oracle_value" in outputs:
+        lines += [
+            f"oracle = {_fmt17(outputs['oracle_value'])}",
+            f"|closed - oracle| = {_fmt17(outputs['abs_difference'])}",
+            f"oracle error estimate = {_fmt17(error_estimates['oracle_value'])}",
+        ]
+    lines += [f"note: {note}" for note in notes]
+    _emit(args, inputs, outputs, lines, error_estimates)
     return 0
 
 
 # ------------------------------------------------------------------- verify
 
 def cmd_verify(args) -> int:
-    started = time.monotonic()
     seed = _default_seed(args.seed)
     if args.grid is not None and args.grid < 1:
         raise SystemExit("hyperex verify: --grid must be a positive percentage")
-    checks = run_checks(args.suite, seed=0 if seed is None else seed,
-                        samples=args.samples, grid=args.grid)
-    failed = [c for c in checks if not c.passed]
+    checks = run_checks(args.suite, seed=seed, samples=args.samples, grid=args.grid)
+    failed = sum(not c.passed for c in checks)
     outputs = {
-        "checks": [
-            {
-                "suite": c.suite,
-                "name": c.name,
-                "passed": c.passed,
-                "discrepancy": c.discrepancy,
-                "tolerance": c.tolerance,
-                "note": c.note,
-            }
-            for c in checks
-        ],
-        "passed_count": len(checks) - len(failed),
-        "failed_count": len(failed),
+        "checks": [{k: v for k, v in dataclasses.asdict(c).items() if k != "error_estimate"}
+                   for c in checks],
+        "passed_count": len(checks) - failed,
+        "failed_count": failed,
     }
     error_estimates = {
         f"{c.suite}/{c.name}": c.error_estimate
         for c in checks
         if c.error_estimate > 0.0
     }
+    lines = [
+        f"{'PASS' if c.passed else 'FAIL'} {c.suite}/{c.name}: discrepancy "
+        f"{c.discrepancy:.3e} vs tolerance {c.tolerance:.1e}"
+        + (f"  ({c.note})" if c.note else "")
+        for c in checks
+    ] + [f"{len(checks) - failed} passed, {failed} failed"]
     inputs = {"suite": args.suite, "samples": args.samples, "grid": args.grid}
-    report = _report("verify", inputs, outputs, error_estimates,
-                     0 if seed is None else seed, started, args.no_meta)
-    if args.json:
-        _print_json(report)
-    else:
-        for c in checks:
-            flag = "PASS" if c.passed else "FAIL"
-            extra = f"  ({c.note})" if c.note else ""
-            print(
-                f"{flag} {c.suite}/{c.name}: discrepancy {c.discrepancy:.3e}"
-                f" vs tolerance {c.tolerance:.1e}{extra}"
-            )
-        print(f"{len(checks) - len(failed)} passed, {len(failed)} failed")
+    _emit(args, inputs, outputs, lines, error_estimates, seed)
     return 1 if failed else 0
 
 
 # -------------------------------------------------------------- concentrate
 
 def cmd_concentrate(args) -> int:
-    started = time.monotonic()
     if args.d not in (2, 3):
         raise SystemExit("hyperex concentrate: --d must be 2 or 3")
     if min(args.s, args.a, args.radius) <= 0:
@@ -321,16 +272,12 @@ def cmd_concentrate(args) -> int:
     regime = "vertex" if fraction >= 0.5 else "spatial-infinity"
     inputs = {"d": args.d, "s": args.s, "a": args.a, "radius": args.radius}
     outputs = {"mass_fraction": fraction, "regime": regime}
-    report = _report("concentrate", inputs, outputs, {}, None, started,
-                     args.no_meta)
-    if args.json:
-        _print_json(report)
-    else:
-        print(f"mass fraction inside radius {args.radius:g}: {fraction:.15g}")
-        print(
-            f"regime: {regime} "
-            f"({'mass pins near the vertex' if regime == 'vertex' else 'mass escapes to spatial infinity'})"
-        )
+    why = "mass pins near the vertex" if regime == "vertex" else "mass escapes to spatial infinity"
+    lines = [
+        f"mass fraction inside radius {args.radius:g}: {fraction:.15g}",
+        f"regime: {regime} ({why})",
+    ]
+    _emit(args, inputs, outputs, lines)
     return 0
 
 
@@ -413,6 +360,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        args.started = time.monotonic()
         return args.func(args)
     except ValueError as exc:
         # Library input validation: a usage error, not a failed verification.

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import HyperboloidParams, energy
+from .geometry import HyperboloidParams
 from .measures import CLOSED_PAIRS, ConvClosedForm, conv_closed
 from .quadrature import BudgetError, QuadResult, gl_nodes, gl_panels, two_resolution
 from .specfun import bessel_j0, exp_integral_ei
@@ -254,7 +254,7 @@ def _ridge_time_edges(rho: float, a: float, s: float) -> np.ndarray:
     sqrt(sqrt(dt^2 + a^2) - dt) with dt = |t| - rho, which relaxes to its
     floor a only once dt >> (a s)^2 rho.  Panels: a few inside the cone,
     a split pair across |t| = rho, then geometric doubling out to a far
-    cutoff where the 1/t^p tail is negligible relative to the ridge mass.
+    cutoff; the caller extrapolates the 1/t^p tail beyond it.
     """
     delta = 0.5 * a
     edges = [0.0]
@@ -285,8 +285,9 @@ def lp_norm_extension_direct(profile: ExpProfile, p: int) -> QuadResult:
     g(rho) = 2 pi rho int |T|^p dt falls off like C / rho^(p-2) instead of
     exponentially.  The time panels therefore track the ridge per radial
     node, the radial panels double out to a large cutoff, and the leftover
-    radial tail is extrapolated through the power law and folded into both
-    the value and the error estimate.
+    tails are extrapolated through their power laws and folded into both
+    the value and the error estimate: |T|^p ~ C / t^p in time past the last
+    time panel of each radial node, and g in rho past the radial cutoff.
     """
     if profile.params.d != 2:
         raise ValueError("direct norm quadrature is implemented for d = 2 only")
@@ -295,31 +296,38 @@ def lp_norm_extension_direct(profile: ExpProfile, p: int) -> QuadResult:
     a, s = profile.a, profile.params.s
     rho_max = 2000.0 * max(1.0, 1.0 / (a * s * s))
 
-    def radial_mass(rho: float, n_per: int) -> float:
-        t_pos, w_t = gl_panels(_ridge_time_edges(rho, a, s), n_per)
+    def radial_mass(rho: float, n_per: int) -> tuple[float, float]:
+        edges = _ridge_time_edges(rho, a, s)
+        t_pos, w_t = gl_panels(edges, n_per)
         x = np.zeros((t_pos.size, 2))
         x[:, 0] = rho
         dens = np.abs(extension_closed(profile, x, t_pos)) ** p
+        # Time tail from |T|^p ~ C / t^p past the last edge E:
+        # int_E^oo = |T(E)|^p E / (p - 1), |T(E)|^p extrapolated from the last node.
+        t_end = edges[-1]
+        tail = dens[-1] * (t_pos[-1] / t_end) ** p * t_end / (p - 1)
         # Factor 2: the density is even in t.
-        return 4.0 * np.pi * rho * float(np.sum(w_t * dens))
+        scale = 4.0 * np.pi * rho
+        return scale * (float(np.sum(w_t * dens)) + tail), scale * tail
 
-    def evaluate(n_per: int) -> tuple[float, float, float]:
+    def evaluate(n_per: int) -> tuple[float, float, float, float]:
         edges = [0.0, 0.25 * min(1.0 / a, 1.0 / s, 1.0)]
         while edges[-1] < rho_max:
             edges.append(min(2.0 * edges[-1], rho_max))
-        total, r_last, g_last = 0.0, 1.0, 0.0
+        total, time_tail, r_last, g_last = 0.0, 0.0, 1.0, 0.0
         for lo, hi in zip(edges[:-1], edges[1:]):
             nodes, wts = gl_nodes(lo, hi, n_per)
-            g = np.array([radial_mass(r, n_per) for r in nodes])
+            g, g_tail = np.array([radial_mass(r, n_per) for r in nodes]).T
             total += float(np.dot(wts, g))
+            time_tail += float(np.dot(wts, g_tail))
             r_last, g_last = float(nodes[-1]), float(g[-1])
-        return total, r_last, g_last
+        return total, time_tail, r_last, g_last
 
-    coarse, _, _ = evaluate(20)
-    fine, r_last, g_last = evaluate(28)
+    coarse = evaluate(20)[0]
+    fine, time_tail, r_last, g_last = evaluate(28)
     # Radial tail from g ~ C / rho^(p-2):  int_R^oo g = g(R) R / (p - 3).
     tail = g_last * (r_last / rho_max) ** (p - 2) * rho_max / (p - 3)
     total = fine + tail
     norm_p = total ** (1.0 / p)
-    err = abs(fine - coarse) + tail
+    err = abs(fine - coarse) + time_tail + tail
     return QuadResult(value=norm_p, error=norm_p * err / (p * total))

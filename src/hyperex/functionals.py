@@ -56,10 +56,14 @@ class SharpConstant:
 
 @dataclass(frozen=True)
 class FunctionalCurvePoint:
-    """One point of the profile-ratio curve a -> Q(a)."""
+    """One point of the profile-ratio curve a -> Q(a).
+
+    error is the route's estimate for q_value: 0 on the closed route.
+    """
 
     a: float
     q_value: float
+    error: float
     method: str
 
 
@@ -197,10 +201,11 @@ def expected_monotonicity(d: int, p: int) -> str | None:
 
 
 def monotonicity_scan(
-    d: int, p: int, s: float, a_grid
+    d: int, p: int, s: float, a_grid, method: str | None = None
 ) -> tuple[list[FunctionalCurvePoint], str]:
-    """Evaluate Q on the grid and classify the trend.
+    """Evaluate Q on the grid through q_ratio and classify the trend.
 
+    Each point carries the value and error of the route q_route(d, method).
     Returns the curve and one of "strictly-increasing", "strictly-decreasing",
     "not-strict".  The grid must be strictly increasing with >= 3 points for
     a meaningful verdict (>= 2 accepted for degenerate sweeps).
@@ -211,23 +216,18 @@ def monotonicity_scan(
         raise ValueError("a_grid must be a 1-D grid with at least 2 points")
     if not np.all(np.diff(grid) > 0):
         raise ValueError("a_grid must be strictly increasing")
-    method = q_route(d)
-    points = [
-        FunctionalCurvePoint(a=float(a), q_value=q_ratio(d, p, float(a), s, method).value,
-                             method=method)
-        for a in grid
-    ]
-    return points, trend_verdict([pt.q_value for pt in points])
-
-
-def trend_verdict(values) -> str:
-    """Trend of a sequence: strictly-increasing, strictly-decreasing or not-strict."""
-    steps = np.diff(np.asarray(values, dtype=float))
+    method = q_route(d, method)
+    points = []
+    for a in grid:
+        r = q_ratio(d, p, float(a), s, method)
+        points.append(FunctionalCurvePoint(a=float(a), q_value=r.value, error=r.error,
+                                           method=method))
+    steps = np.diff([pt.q_value for pt in points])
     if np.all(steps > 0):
-        return "strictly-increasing"
+        return points, "strictly-increasing"
     if np.all(steps < 0):
-        return "strictly-decreasing"
-    return "not-strict"
+        return points, "strictly-decreasing"
+    return points, "not-strict"
 
 
 def scaling_check(d: int, p: int, s: float, profile: ExpProfile) -> float:

@@ -54,9 +54,10 @@ class QuadResult:
     """A numerical value with an error estimate.
 
     For tensor rules the error is a two-resolution difference; for Monte Carlo
-    it is the one-sigma standard error of the mean.  `note` is empty unless the
-    estimate failed its own tolerance, in which case the partial result is
-    still returned but flagged.
+    it is the one-sigma standard error of the mean.  Only the Monte-Carlo
+    pairing sets `note` ("error-bar-exceeds-tolerance" when its error exceeds
+    max(rtol |value|, atol)); no other route checks its tolerance, and no
+    caller reads the note.
     """
 
     value: float

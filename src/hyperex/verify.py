@@ -27,12 +27,9 @@ from .functionals import (
 )
 from .geometry import (
     HyperboloidParams,
-    SpacetimePoint,
     boost,
     compose,
-    coord_swap,
     lift,
-    minkowski_matrix,
     normal_form,
     quasi_distance,
     quasi_distance_lifted,
@@ -54,17 +51,6 @@ from .specfun import (
     exp_scaled_ei,
     laplace_j0_kernel,
 )
-
-SUITES = (
-    "specfun",
-    "lorentz",
-    "support",
-    "sharp",
-    "metric",
-    "oracle",
-    "functional",
-)
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -98,15 +84,24 @@ def _scaled(spec: QuadSpec, grid: int | None) -> QuadSpec:
                    n_angular=max(4, round(spec.n_angular * factor)))
 
 
-def _check(suite, name, discrepancy, tolerance, note=""):
+def _check(suite, name, discrepancy, tolerance, note="", passed=None,
+           error_estimate=0.0):
+    """Build a CheckResult; no other code makes one.
+
+    The check passes iff discrepancy <= tolerance, unless it gives its own
+    `passed` rule.
+    """
     discrepancy = float(discrepancy)
+    if passed is None:
+        passed = discrepancy <= tolerance
     return CheckResult(
         suite=suite,
         name=name,
-        passed=bool(discrepancy <= tolerance),
+        passed=bool(passed),
         discrepancy=discrepancy,
         tolerance=float(tolerance),
         note=note,
+        error_estimate=float(error_estimate),
     )
 
 
@@ -472,14 +467,8 @@ def _suite_oracle(rng, samples, grid=None):
                  seed=int(rng.integers(0, 2 ** 31))),
     )
     sigma = max(mc.error, 1e-300)
-    out.append(
-        CheckResult(
-            suite="oracle", name="montecarlo-pairing-3sigma",
-            passed=bool(abs(mc.value - ref) / sigma <= 3.0),
-            discrepancy=abs(mc.value - ref) / sigma, tolerance=3.0,
-            note=f"{n_mc} samples", error_estimate=mc.error,
-        )
-    )
+    out.append(_check("oracle", "montecarlo-pairing-3sigma", abs(mc.value - ref) / sigma,
+                      3.0, note=f"{n_mc} samples", error_estimate=mc.error))
     return out
 
 
@@ -487,26 +476,12 @@ def _suite_oracle(rng, samples, grid=None):
 
 def _suite_functional(rng, samples, grid=None):
     out = []
-    h26 = best_constant(2, 6).value
-    h24 = best_constant(2, 4).value
-    h34 = best_constant(3, 4).value
-    r26 = q_ratio(2, 6, 1e-3, 1.0).value / h26
-    r24 = q_ratio(2, 4, 100.0, 1.0).value / h24
-    r34 = q_ratio(3, 4, 1e-2, 1.0).value / h34
-    windows = [
-        ("q-limit-2-6", r26, 0.997),
-        ("q-limit-2-4", r24, 0.999),
-        ("q-limit-3-4", r34, 0.95),
-    ]
-    for name, ratio, lo in windows:
-        inside = lo <= ratio < 1.0
-        out.append(
-            CheckResult(
-                suite="functional", name=name, passed=inside,
-                discrepancy=1.0 - ratio, tolerance=1.0 - lo,
-                note=f"ratio {ratio:.6f} in [{lo}, 1)",
-            )
-        )
+    # Q/H near its concentration limit, inside [lo, 1).
+    for d, p, a, lo in ((2, 6, 1e-3, 0.997), (2, 4, 100.0, 0.999), (3, 4, 1e-2, 0.95)):
+        ratio = q_ratio(d, p, a, 1.0).value / best_constant(d, p).value
+        out.append(_check("functional", f"q-limit-{d}-{p}", 1.0 - ratio, 1.0 - lo,
+                          note=f"ratio {ratio:.6f} in [{lo}, 1)",
+                          passed=lo <= ratio < 1.0))
 
     prof = ExpProfile(a=1e-3, params=HyperboloidParams(d=3, s=1.0))
     val = 1e-12 * conv_power_l2_sq(prof, 2, method="quadrature").value
@@ -518,13 +493,8 @@ def _suite_functional(rng, samples, grid=None):
     _, verdict26 = monotonicity_scan(2, 6, 1.0, a_grid)
     _, verdict24 = monotonicity_scan(2, 4, 1.0, a_grid)
     ok = verdict26 == "strictly-decreasing" and verdict24 == "strictly-increasing"
-    out.append(
-        CheckResult(
-            suite="functional", name="ratio-monotonicity", passed=ok,
-            discrepancy=0.0 if ok else 1.0, tolerance=0.0,
-            note=f"(2,6) {verdict26}, (2,4) {verdict24} on 200-point grids",
-        )
-    )
+    out.append(_check("functional", "ratio-monotonicity", 0.0 if ok else 1.0, 0.0,
+                      note=f"(2,6) {verdict26}, (2,4) {verdict24} on 200-point grids"))
 
     # Strictness of the closed sup bounds and of Q < H.
     taus = np.linspace(3.01, 60.0, 300)
@@ -537,21 +507,15 @@ def _suite_functional(rng, samples, grid=None):
     )
     gap = 0.0
     for d, p in SUPPORTED_PAIRS:
-        for a in np.geomspace(1e-3, 1e2, 15):
+        h = best_constant(d, p).value
+        for pt in monotonicity_scan(d, p, 1.0, np.geomspace(1e-3, 1e2, 15))[0]:
             # Closed ratios carry error 0; they still must clear a 1e-12 margin.
-            r = q_ratio(d, p, float(a), 1.0)
-            q, tol = r.value, max(r.error, 1e-12)
-            h = best_constant(d, p).value
+            q, tol = pt.q_value, max(pt.error, 1e-12)
             if not q < h - tol:
                 strict = False
                 gap = max(gap, q - (h - tol))
-    out.append(
-        CheckResult(
-            suite="functional", name="strict-inequality", passed=strict,
-            discrepancy=gap, tolerance=0.0,
-            note="sup grids and Q < H across 45 rates",
-        )
-    )
+    out.append(_check("functional", "strict-inequality", gap, 0.0,
+                      note="sup grids and Q < H across 45 rates", passed=strict))
 
     worst = max(
         scaling_check(2, 4, 2.3, ExpProfile(a=1.0, params=HyperboloidParams(d=2, s=1.0))),
@@ -577,6 +541,7 @@ _SUITE_RUNNERS = {
     "oracle": _suite_oracle,
     "functional": _suite_functional,
 }
+SUITES = tuple(_SUITE_RUNNERS)
 
 
 def run_checks(

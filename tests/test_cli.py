@@ -11,10 +11,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hyperex
 from hyperex.cli import main
+from hyperex.functionals import best_constant, monotonicity_scan
 
 
 def run_cli(capsys, argv):
@@ -196,6 +198,14 @@ class TestCurve:
              "--points", "1"],
         )
         assert rc == 2
+        # The grid rounds to 1, 1, 1.0000000000000002: repeated rates.
+        rc, out, err = run_cli(
+            capsys,
+            ["curve", "--d", "2", "--p", "4", "--a-min", "1", "--a-max",
+             "1.0000000000000002", "--points", "3"],
+        )
+        assert (rc, out) == (2, "")
+        assert "strictly increasing" in err
 
     def test_infinite_rate_is_usage_error(self, capsys):
         rc, _, err = run_cli(
@@ -204,6 +214,26 @@ class TestCurve:
         )
         assert rc == 2
         assert "finite" in err
+
+    def test_rows_are_the_scan_points(self, capsys):
+        for d, p in ((2, 6), (3, 4)):
+            report = run_json(
+                capsys,
+                ["curve", "--d", str(d), "--p", str(p), "--a-min", "0.5",
+                 "--a-max", "4", "--points", "3", "--log-spacing"],
+            )
+            grid = np.geomspace(0.5, 4.0, 3)
+            points, verdict = monotonicity_scan(d, p, 1.0, grid)
+            limit = best_constant(d, p).value
+            assert report["outputs"]["rows"] == [
+                {"a": pt.a, "q_value": pt.q_value, "limit_value": limit,
+                 "ratio": pt.q_value / limit}
+                for pt in points
+            ]
+            assert report["outputs"]["monotonicity"] == verdict
+            if d == 3:
+                assert report["error_estimates"]["q_value_max"] == max(
+                    pt.error for pt in points)
 
     def test_byte_identical_reruns(self, capsys):
         argv = ["curve", "--d", "2", "--p", "4", "--a-min", "0.7", "--a-max",
@@ -405,6 +435,33 @@ class TestConcentrate:
             capsys, ["concentrate", "--d", "2", "--a", "-1", "--radius", "1"]
         )
         assert rc == 2
+
+
+REPORT_ARGV = {
+    "constants": ["constants"],
+    "curve-d2": ["curve", "--d", "2", "--p", "4", "--a-min", "0.7", "--a-max", "2.9"],
+    "curve-d3": ["curve", "--d", "3", "--p", "4", "--a-min", "1", "--a-max", "2",
+                 "--points", "2"],
+    "conv-closed": ["conv", "--d", "2", "--n", "3", "--xi", "0.3,0.4", "--tau", "5"],
+    "conv-oracle": ["conv", "--d", "2", "--n", "2", "--xi", "0.3,0.4", "--tau", "5",
+                    "--method", "oracle"],
+    "verify-specfun": ["verify", "--suite", "specfun"],
+    "concentrate": ["concentrate", "--d", "3", "--a", "0.3", "--radius", "2"],
+}
+
+
+@pytest.mark.parametrize("argv", REPORT_ARGV.values(), ids=REPORT_ARGV.keys())
+def test_every_subcommand_keeps_the_report_contract(capsys, argv):
+    argv = argv + ["--json", "--no-meta"]
+    rc1, out1, _ = run_cli(capsys, argv)
+    rc2, out2, _ = run_cli(capsys, argv)
+    assert rc1 == rc2 == 0
+    assert out1 == out2
+    report = json.loads(out1)
+    assert set(report) == {"command", "inputs", "outputs", "error_estimates",
+                           "seed", "wall_time_ms"}
+    assert report["command"] == argv[0]
+    assert report["wall_time_ms"] == 0
 
 
 class TestTopLevel:

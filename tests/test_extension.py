@@ -200,6 +200,17 @@ def test_direct_norm_matches_conv_route_p6():
     assert direct.value == pytest.approx(conv.value, rel=1e-8)
 
 
+@pytest.mark.parametrize("p", [4, 6])
+@pytest.mark.parametrize("a", [0.3, 1.0, 3.0])
+def test_direct_norm_error_bounds_its_deviation(p, a):
+    # The time tail |T|^p ~ C / t^p past the last time panel sits in the
+    # value and the error; without it p = 6 at a s >= 1 missed its estimate.
+    prof = ExpProfile(a=a, params=P2)
+    direct = lp_norm_extension_direct(prof, p)
+    closed = lp_norm_extension_via_conv(prof, p, method="closed").value
+    assert abs(direct.value - closed) <= direct.error + 1e-13 * closed
+
+
 def test_direct_norm_off_default_profile():
     prof = ExpProfile(a=0.7, params=HyperboloidParams(d=2, s=1.6))
     direct = lp_norm_extension_direct(prof, 4)

@@ -204,11 +204,27 @@ def test_monotonicity_scan_degenerate_grid():
     assert pts[1].q_value > pts[0].q_value
 
 
+@pytest.mark.parametrize("d, p", [(2, 4), (2, 6), (3, 4)])
+def test_monotonicity_scan_carries_q_ratio_values_and_errors(d, p):
+    grid = [0.5, 1.0, 2.0]
+    pts, _ = monotonicity_scan(d, p, 1.3, grid, method="quadrature")
+    for pt, a in zip(pts, grid):
+        r = q_ratio(d, p, a, 1.3, "quadrature")
+        assert (pt.a, pt.q_value, pt.error, pt.method) == (a, r.value, r.error,
+                                                           "quadrature")
+        assert pt.error > 0.0
+    closed, _ = monotonicity_scan(2, 4, 1.3, grid)
+    assert [pt.method for pt in closed] == ["closed"] * 3
+    assert [pt.error for pt in closed] == [0.0] * 3
+
+
 def test_monotonicity_scan_validation():
     with pytest.raises(ValueError):
         monotonicity_scan(2, 4, 1.0, [1.0])
     with pytest.raises(ValueError):
         monotonicity_scan(2, 4, 1.0, [2.0, 1.0])
+    with pytest.raises(ValueError, match="strictly increasing"):
+        monotonicity_scan(2, 4, 1.0, [1.0, 1.0, 1.0000000000000002])
 
 
 def test_scaling_check_closed_pairs():
