@@ -19,11 +19,14 @@ Two numerical oracles cross-check them without reusing their algebra:
     parametrization by bisection on the support predicates, and integrates
     the delta-resolved density along the chord (d = 2) or reads off the chord
     length (d = 3, where the bipolar density is constant).
-  * conv_pairing_oracle integrates a test function against the n-fold
-    convolution as an integral over n copies of the sheet: tensor
-    Gauss-Legendre for n = 2, importance-sampled Monte Carlo for n = 3
-    (d = 2), where in the coordinates (u = psi(y), theta) the measure is
-    exactly du d(theta) and u - s can be sampled as a unit exponential.
+  * conv_pairing_oracle integrates a rotation-invariant test function
+    g(r, tau), r = |xi|, against the n-fold convolution as an integral over
+    n copies of the sheet.  For n = 2 it is the rotation-reduced tensor
+    Gauss-Legendre sum: rotation invariance pins the first factor on the
+    xi_d axis, so it runs over the radial rule alone while the second runs
+    over the sheet grid.  For n = 3 (d = 2) it is importance-sampled Monte
+    Carlo: in the coordinates (u = psi(y), theta) the measure is exactly
+    du d(theta) and u - s can be sampled as a unit exponential.
 """
 
 from __future__ import annotations
@@ -76,41 +79,67 @@ class ConvClosedForm:
         return HyperboloidParams(d=self.d, s=self.s)
 
 
+def _polar_rule(n_angular: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights in cos(polar) for the d = 3 sphere rule."""
+    return gl_nodes(-1.0, 1.0, max(8, n_angular // 2))
+
+
 def _sphere_nodes(d: int, n_angular: int) -> tuple[np.ndarray, np.ndarray]:
     """Directions (M, d) and weights (M,) of a rule on the unit sphere S^{d-1}.
 
     The circle is the periodic trapezoid rule; for d = 3 it is crossed with
-    max(8, n_angular // 2) Gauss-Legendre nodes in the cosine of the polar
-    angle.
+    the cos(polar) rule of _polar_rule.
     """
     theta, wt = trapezoid_angles(n_angular)
     circle = np.stack([np.cos(theta), np.sin(theta)], axis=1)
     if d == 2:
         return circle, wt
-    c, wc = gl_nodes(-1.0, 1.0, max(8, n_angular // 2))
+    c, wc = _polar_rule(n_angular)
     sin_pol = np.sqrt(1.0 - c * c)
     omega = np.column_stack([np.kron(sin_pol[:, None], circle), np.repeat(c, n_angular)])
     return omega, np.outer(wc, wt).ravel()
 
 
-def _sheet_nodes(params: HyperboloidParams, quad: QuadSpec):
-    """Quadrature nodes (xi, tau, w, tail) for the upper sheet, radius-truncated.
+def _zonal_rule(d: int, n_angular: int) -> tuple[np.ndarray, np.ndarray]:
+    """Heights omega_d (M,) and weights (M,) of the sphere rule, for integrands
+    that depend on the direction only through omega_d.
 
-    A radial Gauss-Legendre rule times the sphere rule of _sphere_nodes, as
-    flat arrays (radius-major); d(sigma) = r^{d-1} dr d(omega) / psi(r).  The
-    radial range is split at radius/2 so the outer half doubles as a
-    truncation-tail estimate.
+    For d = 2 that is the trapezoid circle itself, omega_2 = sin(theta); for
+    d = 3 the circle of each cos(polar) node collapses to its length 2 pi.
+    """
+    if d == 2:
+        theta, wt = trapezoid_angles(n_angular)
+        return np.sin(theta), wt
+    c, wc = _polar_rule(n_angular)
+    return c, 2.0 * np.pi * wc
+
+
+def _radial_nodes(params: HyperboloidParams, quad: QuadSpec):
+    """Radial nodes (r, w, psi, outer) of the sheet measure, radius-truncated.
+
+    Gauss-Legendre on [0, radius/2] and [radius/2, radius], with weights
+    r^{d-1} w_r / psi(r) so that d(sigma) = w d(omega); `outer` marks the
+    outer half, whose share doubles as a truncation-tail estimate.
     """
     half = 0.5 * quad.radius
     r1, w1 = gl_nodes(0.0, half, quad.n_radial)
     r2, w2 = gl_nodes(half, quad.radius, quad.n_radial)
     r = np.concatenate([r1, r2])
     wr = np.concatenate([w1, w2])
-    outer = np.arange(r.size) >= r1.size
     psi = energy(params, r)
+    return r, r ** (params.d - 1) / psi * wr, psi, np.arange(r.size) >= r1.size
+
+
+def _sheet_nodes(params: HyperboloidParams, quad: QuadSpec):
+    """Quadrature nodes (xi, tau, w, tail) for the upper sheet, radius-truncated.
+
+    The radial rule of _radial_nodes times the sphere rule of _sphere_nodes,
+    as flat arrays (radius-major); tail marks the outer radial half.
+    """
+    r, wr, psi, outer = _radial_nodes(params, quad)
     omega, wo = _sphere_nodes(params.d, quad.n_angular)
     xi = np.kron(r[:, None], omega)
-    w = np.outer(r ** (params.d - 1) / psi * wr, wo).ravel()
+    w = np.outer(wr, wo).ravel()
     return xi, np.repeat(psi, wo.size), w, np.repeat(outer, wo.size)
 
 
@@ -308,10 +337,12 @@ def conv_pairing_oracle(
 ) -> QuadResult:
     """<sigma^{*n}, g> as an integral over n copies of the sheet.
 
-    g must be vectorized like the surface_integral integrand.  Supported
-    routes: tensor Gauss-Legendre for n = 2 (d = 2 or 3) and importance-
-    sampled Monte Carlo for n in {2, 3} with d = 2.  The Monte Carlo error is
-    a one-sigma standard error; tensor errors are two-resolution differences.
+    g is a rotation-invariant test function g(r, tau) of r = |xi|, vectorized
+    over (M,) arrays.  Supported routes: the rotation-reduced tensor
+    Gauss-Legendre sum for n = 2 (d = 2 or 3, see _pairing_tensor_pair) and
+    importance-sampled Monte Carlo for n in {2, 3} with d = 2.  The Monte
+    Carlo error is a one-sigma standard error; tensor errors are
+    two-resolution differences.
     """
     if n not in (2, 3):
         raise ValueError("pairing oracle supports n in {2, 3}")
@@ -334,21 +365,32 @@ def conv_pairing_oracle(
 def _pairing_tensor_pair(
     params: HyperboloidParams, g: Callable, quad: QuadSpec, flip: float
 ) -> QuadResult:
+    """<sigma * sigma, g> with the first factor pinned on the xi_d axis.
+
+    Since g is rotation invariant, the integral over the second factor y
+    depends on the first factor x only through rho = |x|, so x runs over the
+    radial rule alone with weight |S^{d-1}|.  Then |x + y| depends on y
+    through its radius r and height c = omega_d alone,
+    |x + y|^2 = (r - rho)^2 + 2 r rho (1 + c), and y runs over the radial
+    rule times _zonal_rule.
+    """
+    sphere_area = 2.0 * np.pi if params.d == 2 else 4.0 * np.pi
+
     def run(scale: int) -> float:
         q = replace(quad, n_radial=max(4, quad.n_radial // 2 * scale),
                     n_angular=max(8, quad.n_angular // 2 * scale))
-        xi, tau, w, _ = _sheet_nodes(params, q)
+        r, wr, psi, _ = _radial_nodes(params, q)
+        c, wc = _zonal_rule(params.d, q.n_angular)
+        r_y = np.repeat(r, c.size)
+        c_y = np.tile(c, r.size)
+        psi_y = np.repeat(psi, c.size)
+        w_y = np.outer(wr, wc).ravel()
         total = 0.0
-        chunk = max(1, 2_000_000 // max(xi.shape[0], 1))
-        for lo in range(0, xi.shape[0], chunk):
-            hi = min(lo + chunk, xi.shape[0])
-            sx = xi[lo:hi, None, :] + xi[None, :, :]
-            st = tau[lo:hi, None] + tau[None, :]
-            vals = np.asarray(
-                g(sx.reshape(-1, params.d), flip * st.reshape(-1)), dtype=float
-            ).reshape(st.shape)
-            total += float(np.sum(w[lo:hi, None] * w[None, :] * vals))
-        return total
+        for rho, w_x, psi_x in zip(r, wr, psi):
+            length = np.sqrt((r_y - rho) ** 2 + 2.0 * r_y * rho * (1.0 + c_y))
+            vals = np.asarray(g(length, flip * (psi_y + psi_x)), dtype=float)
+            total += float(w_x * np.dot(w_y, vals))
+        return sphere_area * total
 
     return two_resolution(run, 1, 2)
 
@@ -375,7 +417,9 @@ def _pairing_montecarlo(
         sum_xi += np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
         sum_tau += u
         log_weight += u - s
-    vals = np.asarray(g(sum_xi, flip * sum_tau), dtype=float)
+    vals = np.asarray(
+        g(np.hypot(sum_xi[:, 0], sum_xi[:, 1]), flip * sum_tau), dtype=float
+    )
     samples = vals * (2.0 * np.pi) ** n * np.exp(log_weight)
     value = float(np.mean(samples))
     error = float(np.std(samples, ddof=1) / np.sqrt(N))

@@ -28,7 +28,9 @@ class QuadSpec:
     n_angular   : points per angular circle (trapezoid, exact for periodics).
     samples     : Monte-Carlo sample count.
     seed        : Monte-Carlo stream seed; None lets the caller's default win.
-    rtol, atol  : accuracy targets used for budget checks and result flags.
+    rtol, atol  : accuracy target max(rtol |value|, atol): surface_integral's
+                  truncation check weighs the outer radial half against it,
+                  and the Monte-Carlo pairing notes an error bar above it.
     """
 
     rule: str = "tensor"

@@ -174,7 +174,7 @@ def _random_map(rng, d):
 
 def _suite_lorentz(rng, samples, grid=None):
     out = []
-    worst = 0.0
+    worst = worst_err = 0.0
     n_pairs = 20
     for _ in range(n_pairs):
         d = int(rng.integers(2, 4))
@@ -194,12 +194,14 @@ def _suite_lorentz(rng, samples, grid=None):
             return g(moved[..., :-1], moved[..., -1])
 
         spec = MeasureSpec(params, sheet="plus")
-        quad = _scaled(QuadSpec(radius=60.0), grid)
+        quad = _scaled(QuadSpec(radius=60.0, n_radial=48, n_angular=32), grid)
         a_val = surface_integral(spec, g, quad)
         b_val = surface_integral(spec, g_mapped, quad)
         worst = max(worst, abs(a_val.value - b_val.value))
+        worst_err = max(worst_err, a_val.error, b_val.error)
     out.append(_check("lorentz", "measure-invariance", worst, 1e-6,
-                      note=f"{n_pairs} random (g, L) pairs"))
+                      note=f"{n_pairs} random (g, L) pairs",
+                      error_estimate=worst_err))
 
     worst = 0.0
     for _ in range(50):
@@ -424,29 +426,22 @@ def _suite_oracle(rng, samples, grid=None):
     out.append(_check("oracle", "point-oracle-vs-closed", worst, 1e-6,
                       note=f"{2 * _POINT_ORACLE_POINTS} random interior points"))
 
-    # Tensor pairing vs the 2-D reduction of the closed density.  The d = 3
-    # grid is 6-dimensional, so its per-factor budget stays deliberately
-    # small; the reference tolerance reflects that.
+    # Tensor pairing vs the 2-D reduction of the closed density.
     worst = 0.0
     budgets = {
         2: _scaled(QuadSpec(radius=30.0, n_radial=48, n_angular=48), grid),
-        3: _scaled(QuadSpec(radius=25.0, n_radial=20, n_angular=20), grid),
+        3: _scaled(QuadSpec(radius=25.0, n_radial=40, n_angular=40), grid),
     }
+
+    def g_pair(r, tau):
+        return np.exp(-0.4 * r * r - 0.7 * (tau - 2.0))
+
     for d in (2, 3):
-        params = HyperboloidParams(d=d, s=1.0)
-        spec = MeasureSpec(params, sheet="plus")
-        form = ConvClosedForm(d, 2, 1.0)
-
-        def g(xi, tau):
-            return np.exp(-0.4 * np.sum(xi * xi, axis=-1) - 0.7 * (tau - 2.0))
-
-        def g_radial(r, tau):
-            return np.exp(-0.4 * r * r - 0.7 * (tau - 2.0))
-
-        ref = _reduced_pairing_reference(form, g_radial, tau_hi=30.0)
-        got = conv_pairing_oracle(spec, 2, g, budgets[d])
+        spec = MeasureSpec(HyperboloidParams(d=d, s=1.0), sheet="plus")
+        ref = _reduced_pairing_reference(ConvClosedForm(d, 2, 1.0), g_pair, tau_hi=30.0)
+        got = conv_pairing_oracle(spec, 2, g_pair, budgets[d])
         worst = max(worst, abs(got.value - ref) / ref)
-    out.append(_check("oracle", "tensor-pairing-vs-closed", worst, 1e-4))
+    out.append(_check("oracle", "tensor-pairing-vs-closed", worst, 1e-6))
 
     # Monte Carlo pairing for the triple convolution, d = 2.
     n_mc = samples if samples is not None else 400_000
@@ -454,15 +449,12 @@ def _suite_oracle(rng, samples, grid=None):
     spec = MeasureSpec(params, sheet="plus")
     form = ConvClosedForm(2, 3, 1.0)
 
-    def g(xi, tau):
-        return np.exp(-0.5 * np.sum(xi * xi, axis=-1) - 0.8 * (tau - 3.0))
-
     def g_radial(r, tau):
         return np.exp(-0.5 * r * r - 0.8 * (tau - 3.0))
 
     ref = _reduced_pairing_reference(form, g_radial, tau_hi=40.0)
     mc = conv_pairing_oracle(
-        spec, 3, g,
+        spec, 3, g_radial,
         QuadSpec(rule="montecarlo", samples=n_mc,
                  seed=int(rng.integers(0, 2 ** 31))),
     )

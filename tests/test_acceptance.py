@@ -102,15 +102,12 @@ def test_criterion_03_convolution_oracles():
     spec = MeasureSpec(HyperboloidParams(d=2, s=1.0), sheet="plus")
     form = ConvClosedForm(2, 3, 1.0)
 
-    def g(xi, tau):
-        return np.exp(-0.5 * np.sum(xi * xi, axis=-1) - 0.8 * (tau - 3.0))
-
     def g_radial(r, tau):
         return np.exp(-0.5 * r * r - 0.8 * (tau - 3.0))
 
     ref = _reduced_pairing_reference(form, g_radial, tau_hi=40.0)
     mc = conv_pairing_oracle(
-        spec, 3, g, QuadSpec(rule="montecarlo", samples=1_000_000, seed=2026)
+        spec, 3, g_radial, QuadSpec(rule="montecarlo", samples=1_000_000, seed=2026)
     )
     z_score = abs(mc.value - ref) / mc.error
     mc_ok = z_score <= 3.0
@@ -315,16 +312,10 @@ def test_criterion_11_weighted_pairing_identity():
     form = ConvClosedForm(2, 2, 1.0)
     a = profile.a
 
-    def window(xi, tau):
-        return np.exp(-0.3 * np.sum(xi * xi, axis=-1) - 0.2 * (tau - 2.0))
-
-    def weighted_window(xi, tau):
+    def weighted_window_radial(r, tau):
         # Both profile factors together contribute e^{-a tau} on the
         # convolution's delta constraint, so the weighted pairing is the
         # plain pairing of the window times that exponential.
-        return window(xi, tau) * np.exp(-a * tau)
-
-    def weighted_window_radial(r, tau):
         return np.exp(-0.3 * r * r - 0.2 * (tau - 2.0)) * np.exp(-a * tau)
 
     closed_side = _reduced_pairing_reference(form, weighted_window_radial,
@@ -334,7 +325,8 @@ def test_criterion_11_weighted_pairing_identity():
         - _reduced_pairing_reference(form, weighted_window_radial, tau_hi=30.0, n=160)
     )
     oracle_side = conv_pairing_oracle(
-        spec, 2, weighted_window, QuadSpec(radius=30.0, n_radial=48, n_angular=48)
+        spec, 2, weighted_window_radial,
+        QuadSpec(radius=30.0, n_radial=48, n_angular=48),
     )
     gap = abs(closed_side - oracle_side.value)
     bar = 3.0 * (oracle_side.error + closed_err) + 1e-12 * abs(closed_side)

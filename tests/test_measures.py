@@ -2,7 +2,9 @@
 
 Reference values here come from scipy.integrate.quad applied to the invariant
 (radius, height) reductions of the pairing integrals; those reductions use
-nothing from the package beyond the definition of the measure itself.
+nothing from the package beyond the definition of the measure itself.  The
+reduced tensor pairing is also checked against a direct sum over all node
+pairs (d = 2) and against verify's closed-density reduction (d = 3).
 """
 
 import math
@@ -30,6 +32,7 @@ from hyperex.measures import (
     surface_integral,
 )
 from hyperex.quadrature import BudgetError, QuadSpec
+from hyperex.verify import _reduced_pairing_reference
 
 P2 = HyperboloidParams(d=2, s=1.0)
 P3 = HyperboloidParams(d=3, s=1.0)
@@ -217,7 +220,7 @@ def test_point_oracle_edge_behavior():
 
 
 def test_pairing_tensor_22_vs_closed():
-    g = lambda xi, tau: np.exp(-tau)
+    g = lambda r, tau: np.exp(-tau)
     pair = conv_pairing_oracle(
         MeasureSpec(P2), 2, g, QuadSpec(radius=30.0, n_radial=48, n_angular=48)
     )
@@ -231,7 +234,7 @@ def test_pairing_tensor_22_vs_closed():
 
 
 def test_pairing_tensor_32_vs_closed():
-    g = lambda xi, tau: np.exp(-tau)
+    g = lambda r, tau: np.exp(-tau)
     pair = conv_pairing_oracle(
         MeasureSpec(P3), 2, g, QuadSpec(radius=25.0, n_radial=20, n_angular=20)
     )
@@ -243,8 +246,40 @@ def test_pairing_tensor_32_vs_closed():
     assert pair.value == pytest.approx(ref, rel=1e-5)
 
 
+def test_pairing_tensor_d2_equals_the_full_pair_sum():
+    # On the full d = 2 grid the trapezoid angles form a group containing the
+    # pinned direction, so the sum over all N^2 node pairs is the same sum.
+    g = lambda r, tau: np.exp(-0.4 * r * r - 0.7 * (tau - 2.0))
+    pair = conv_pairing_oracle(
+        MeasureSpec(P2), 2, g, QuadSpec(radius=30.0, n_radial=24, n_angular=16)
+    )
+    # The oracle reports its fine grid: 24 nodes per radial half, 16 angles.
+    x, wx = np.polynomial.legendre.leggauss(24)
+    r = np.concatenate([7.5 * (x + 1.0), 15.0 + 7.5 * (x + 1.0)])
+    wr = np.concatenate([7.5 * wx, 7.5 * wx])
+    psi = np.sqrt(1.0 + r * r)
+    theta = np.arange(16) * (2 * np.pi / 16)
+    circle = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    xi = (r[:, None, None] * circle[None]).reshape(-1, 2)
+    tau = np.repeat(psi, 16)
+    w = np.repeat(r / psi * wr, 16) * (2 * np.pi / 16)
+    sx = xi[:, None, :] + xi[None, :, :]
+    st = tau[:, None] + tau[None, :]
+    full = float(np.sum(w[:, None] * w[None, :] * g(np.linalg.norm(sx, axis=-1), st)))
+    assert pair.value == pytest.approx(full, rel=1e-13)
+
+
+def test_pairing_tensor_d3_vs_reduced_reference():
+    g = lambda r, tau: np.exp(-0.4 * r * r - 0.7 * (tau - 2.0))
+    ref = _reduced_pairing_reference(ConvClosedForm(3, 2, 1.0), g, tau_hi=30.0)
+    pair = conv_pairing_oracle(
+        MeasureSpec(P3), 2, g, QuadSpec(radius=25.0, n_radial=40, n_angular=40)
+    )
+    assert pair.value == pytest.approx(ref, rel=1e-6)
+
+
 def test_pairing_montecarlo_23_vs_closed():
-    g = lambda xi, tau: np.exp(-0.9 * tau)
+    g = lambda r, tau: np.exp(-0.9 * tau)
     mc = conv_pairing_oracle(
         MeasureSpec(P2), 3, g, QuadSpec(rule="montecarlo", samples=400_000, seed=7)
     )
@@ -268,7 +303,9 @@ def test_pairing_montecarlo_ei_norm_product():
     a = 1.0
     form = ConvClosedForm(2, 3, 1.0)
 
-    def g(xi, tau):
+    def g(r, tau):
+        # The closed density is rotation invariant: read it on the xi_1 axis.
+        xi = np.column_stack([r, np.zeros_like(r)])
         return np.exp(-2.0 * a * tau) * conv_closed(form, xi, tau)
 
     mc = conv_pairing_oracle(
@@ -282,7 +319,7 @@ def test_pairing_montecarlo_ei_norm_product():
 def test_pairing_montecarlo_determinism_and_sheets():
     # 0.8 < 1 so the importance weights do not cancel exactly and the
     # estimator actually has variance.
-    g = lambda xi, tau: np.exp(-0.8 * np.abs(tau))
+    g = lambda r, tau: np.exp(-0.8 * np.abs(tau))
     q = QuadSpec(rule="montecarlo", samples=50_000, seed=3)
     a = conv_pairing_oracle(MeasureSpec(P2), 2, g, q)
     b = conv_pairing_oracle(MeasureSpec(P2), 2, g, q)
@@ -297,7 +334,7 @@ def test_pairing_montecarlo_determinism_and_sheets():
 
 
 def test_pairing_rejects_unsupported_routes():
-    g = lambda xi, tau: np.exp(-np.abs(tau))
+    g = lambda r, tau: np.exp(-np.abs(tau))
     with pytest.raises(ValueError, match="one sheet"):
         conv_pairing_oracle(MeasureSpec(P2, "both"), 2, g)
     with pytest.raises(BudgetError):

@@ -1,4 +1,4 @@
-"""Verify-suite tests: the suites no other test runs pass at the default seed."""
+"""Verify-suite tests: every suite passes at the default seed."""
 
 import pytest
 
@@ -10,3 +10,9 @@ def test_suite_passes_at_default_seed(suite):
     checks = run_checks(suite)
     assert checks
     assert [c.name for c in checks if not c.passed] == []
+
+
+def test_all_suites_pass_at_default_seed():
+    checks = run_checks("all")
+    assert len(checks) == 31
+    assert [f"{c.suite}/{c.name}" for c in checks if not c.passed] == []
