@@ -24,7 +24,8 @@ Even L^p norms of T f_a never touch oscillatory integrals: with k = p/2,
 and the k-fold convolution of f_a sigma is the plain measure convolution
 re-weighted by e^{-a tau}, because the convolution delta pins the total
 energy to tau.  That gives two independent routes to every norm: the closed
-products below (d = 2) and direct quadrature of the weighted closed density.
+products below (E_n for d = 2, K_1 for d = 3) and direct quadrature of the
+weighted closed density.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 from .geometry import HyperboloidParams
 from .measures import CLOSED_PAIRS, ConvClosedForm, conv_closed
 from .quadrature import BudgetError, QuadResult, gl_nodes, gl_panels, two_resolution
-from .specfun import bessel_j0, exp_integral_ei
+from .specfun import bessel_j0, exp_integral_ei, exp_scaled_en, exp_scaled_k
 
 
 @dataclass(frozen=True)
@@ -139,18 +140,15 @@ def _d3_radial_mass(a: float, s: float, v_max: float) -> float:
 
 
 def l2_norm_sq(profile: ExpProfile) -> float:
-    """||f_a||^2 in L^2 of the sheet measure.
+    """||f_a||^2 in L^2 of the sheet measure, in closed form.
 
-    d = 2 closes to (pi / a) e^{-2 a s} (the measure is du d(theta) in
-    u = psi); d = 3 is the radial integral 4 pi int_s^oo e^{-2au}
-    sqrt(u^2 - s^2) du, done by Gauss-Legendre panels (_d3_radial_mass)
-    truncated where e^{-2a(u - s)} = e^{-100}.
+    d = 2: (pi / a) e^{-2 a s} (the measure is du d(theta) in u = psi);
+    d = 3: 4 pi int_s^oo e^{-2au} sqrt(u^2 - s^2) du = 2 pi s K_1(2as) / a.
     """
     a, s = profile.a, profile.params.s
     if profile.params.d == 2:
         return np.pi / a * math.exp(-2.0 * a * s)
-    mass = _d3_radial_mass(a, s, math.sqrt(50.0 / a))
-    return 4.0 * np.pi * math.exp(-2.0 * a * s) * mass
+    return 2.0 * np.pi * s * math.exp(-2.0 * a * s) * exp_scaled_k(1, 2.0 * a * s) / a
 
 
 def weighted_conv_closed(profile: ExpProfile, k: int, xi, tau):
@@ -169,11 +167,11 @@ def conv_power_l2_sq(
 ) -> QuadResult:
     """||(f_a sigma)^{*k}||^2 in L^2(R^{d+1}).
 
-    method "closed" (d = 2): exact products
+    method "closed": exact products
 
-        k = 2 :  -(2 pi)^3 Ei(-4 a s) / (2 a)
-        k = 3 :  (2 pi)^5 [ e^{-6 a s} (1/(8 a^3) - 3 s/(4 a^2))
-                            - (3 s)^2 Ei(-6 a s) / (2 a) ]
+        (2, 2) :  -(2 pi)^3 Ei(-4 a s) / (2 a)
+        (2, 3) :  (2 pi)^5 E_3(6 a s) / (4 a^3)
+        (3, 2) :  8 pi^3 s K_1(4 a s) / a^3
 
     method "quadrature": spherical reduction of the squared weighted closed
     density.  The outer integral substitutes tau = k s + w' / (2 a) so the
@@ -184,17 +182,14 @@ def conv_power_l2_sq(
     if (d, k) not in CLOSED_PAIRS:
         raise ValueError(f"no closed convolution shape for (d, k) = ({d}, {k})")
     if method == "closed":
-        if d != 2:
-            raise ValueError("closed norm products exist for d = 2 only")
-        if k == 2:
-            return QuadResult(
-                value=-((2.0 * np.pi) ** 3) * exp_integral_ei(-4.0 * a * s) / (2.0 * a),
-                error=0.0,
-            )
-        value = (2.0 * np.pi) ** 5 * (
-            math.exp(-6.0 * a * s) * (1.0 / (8.0 * a**3) - 3.0 * s / (4.0 * a**2))
-            - (3.0 * s) ** 2 * exp_integral_ei(-6.0 * a * s) / (2.0 * a)
-        )
+        z = a * s
+        if d == 3:
+            value = 8.0 * np.pi**3 * s / a**3 * math.exp(-4.0 * z) * exp_scaled_k(1, 4.0 * z)
+        elif k == 2:
+            value = -((2.0 * np.pi) ** 3) * exp_integral_ei(-4.0 * a * s) / (2.0 * a)
+        else:
+            e3 = math.exp(-6.0 * z) * exp_scaled_en(3, 6.0 * z)
+            value = (2.0 * np.pi) ** 5 * e3 / (4.0 * a**3)
         return QuadResult(value=value, error=0.0)
     if method != "quadrature":
         raise ValueError("method must be 'closed' or 'quadrature'")

@@ -29,6 +29,7 @@ from .extension import (
 from .geometry import HyperboloidParams
 from .measures import ConvClosedForm, conv_sup_norm
 from .quadrature import QuadResult
+from .specfun import exp_scaled_en, exp_scaled_k
 
 SUPPORTED_PAIRS = ((2, 4), (2, 6), (3, 4))
 SHEET_LABELS = ("one", "two")
@@ -137,34 +138,32 @@ def sup_norm_bound(d: int, p: int, s: float = 1.0) -> float:
 
 
 def q_ratio_closed(d: int, p: int, a: float, s: float) -> float:
-    """Closed profile ratio Q = ||T f_a||_p / ||f_a||_2; d = 2 only.
+    """Closed profile ratio Q = ||T f_a||_p / ||f_a||_2; z = a s.
 
-    Q_{2,4}^4 = 8 (pi^4 / s) (-4 a s e^{4as} Ei(-4as))
-    Q_{2,6}^6 = (2 pi)^5 (1 - 6 a s - 36 (a s)^2 e^{6as} Ei(-6as))
+    Q_{2,4}^4 = 8 (pi^4 / s) 4z e^{4z} E_1(4z)
+    Q_{2,6}^6 = 2 (2 pi)^5 e^{6z} E_3(6z)
+    Q_{3,4}^4 = (2 pi)^5 k_1(4z) / (z k_1(2z)^2),   k_1 = e^z K_1(z)
 
-    written with the scaled e^x Ei(-x) so the a s -> oo regime keeps full
-    precision.
+    Every factor is exponentially scaled, so the exponentials cancel exactly
+    and no regime of z loses digits.
     """
-    from .specfun import exp_scaled_ei
-
     _require_pair(d, p)
-    if d != 2:
-        raise ValueError("no closed ratio for d = 3; use the quadrature route")
     if not (a > 0 and s > 0):
         raise ValueError("a and s must be positive")
     z = a * s
-    if p == 4:
-        q4 = 8.0 * math.pi ** 4 / s * (-4.0 * z * exp_scaled_ei(4.0 * z))
-        return q4 ** 0.25
-    q6 = (2.0 * math.pi) ** 5 * (1.0 - 6.0 * z - 36.0 * z * z * exp_scaled_ei(6.0 * z))
-    return q6 ** (1.0 / 6.0)
+    if (d, p) == (2, 4):
+        return (8.0 * math.pi ** 4 / s * (4.0 * z * exp_scaled_en(1, 4.0 * z))) ** 0.25
+    if (d, p) == (2, 6):
+        return (2.0 * (2.0 * math.pi) ** 5 * exp_scaled_en(3, 6.0 * z)) ** (1.0 / 6.0)
+    k2 = exp_scaled_k(1, 2.0 * z)
+    return ((2.0 * math.pi) ** 5 * exp_scaled_k(1, 4.0 * z) / k2 / (z * k2)) ** 0.25
 
 
 def q_ratio_quadrature(d: int, p: int, a: float, s: float) -> QuadResult:
     """Profile ratio through the quadrature convolution route; any pair.
 
-    For (3, 4) this is the only route.  The error estimate is propagated
-    from the norm quadrature.
+    The oracle for q_ratio_closed.  The error estimate is propagated from the
+    norm quadrature.
     """
     _require_pair(d, p)
     profile = ExpProfile(a=a, params=HyperboloidParams(d=d, s=s))
@@ -174,10 +173,10 @@ def q_ratio_quadrature(d: int, p: int, a: float, s: float) -> QuadResult:
 
 
 def q_route(d: int, method: str | None = None) -> str:
-    """Route of q_ratio: `method` if given, else closed (d = 2) or quadrature."""
+    """Route of q_ratio: `method` if given, else closed."""
     if method not in (None, "closed", "quadrature"):
         raise ValueError(f"method must be 'closed' or 'quadrature', got {method!r}")
-    return method or ("closed" if d == 2 else "quadrature")
+    return method or "closed"
 
 
 def q_ratio(d: int, p: int, a: float, s: float, method: str | None = None) -> QuadResult:
@@ -191,13 +190,10 @@ def q_ratio(d: int, p: int, a: float, s: float, method: str | None = None) -> Qu
     return q_ratio_quadrature(d, p, a, s)
 
 
-def expected_monotonicity(d: int, p: int) -> str | None:
-    """Known strict monotonicity of a -> Q(a): only the d = 2 pairs."""
-    if (d, p) == (2, 6):
-        return "decreasing"
-    if (d, p) == (2, 4):
-        return "increasing"
-    return None
+def expected_monotonicity(d: int, p: int) -> str:
+    """Known strict monotonicity of a -> Q(a): toward its concentration limit."""
+    _require_pair(d, p)
+    return "increasing" if (d, p) == (2, 4) else "decreasing"
 
 
 def monotonicity_scan(
@@ -303,17 +299,3 @@ def mass_fraction(d: int, s: float, a: float, radius: float) -> float:
     v_total = math.sqrt(50.0 / a)
     v_ball = min(math.sqrt(radius * (radius / (u_ball + s))), v_total)
     return _d3_radial_mass(a, s, v_ball) / _d3_radial_mass(a, s, v_total)
-
-
-def richardson_limit(f, h: float) -> QuadResult:
-    """First-order Richardson extrapolation of f(h) as h -> 0.
-
-    Combines f(h) and f(h/2) to cancel the O(h) term; the error estimate is
-    the size of the cancelled step, a conservative bound when the expansion
-    is genuinely first order.
-    """
-    if not h > 0:
-        raise ValueError("h must be positive")
-    coarse = f(h)
-    fine = f(0.5 * h)
-    return QuadResult(value=2.0 * fine - coarse, error=abs(fine - coarse))

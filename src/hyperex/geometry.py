@@ -1,4 +1,4 @@
-"""Hyperboloid geometry: lifts, Lorentz maps, and the proximity quasi-distance.
+"""Hyperboloid geometry: lifts, Lorentz maps, and the invariant quasi-distance.
 
 Conventions: spacetime vectors are (xi_1, ..., xi_d, tau) with the quadratic
 form tau^2 - |xi|^2, i.e. the form matrix is diag(-1, ..., -1, +1).
@@ -127,15 +127,6 @@ def rotation_embed(a: np.ndarray) -> LorentzMap:
     return LorentzMap(m)
 
 
-def coord_swap(d: int, i: int, j: int) -> LorentzMap:
-    """Swap two spatial coordinates."""
-    if not (0 <= i < d and 0 <= j < d):
-        raise ValueError("coordinate index out of range")
-    a = np.eye(d)
-    a[[i, j]] = a[[j, i]]
-    return rotation_embed(a)
-
-
 def compose(*maps: LorentzMap) -> LorentzMap:
     """compose(f, g, ...) acts as f(g(...(x)))."""
     if not maps:
@@ -201,15 +192,6 @@ def quasi_distance(params: HyperboloidParams, x, y) -> float:
     if x.shape != (params.d,) or y.shape != (params.d,):
         raise ValueError(f"expected points in R^{params.d}")
     return float(np.sqrt(_radicand(params, x, y)) / (2.0 * params.s) - 1.0)
-
-
-def proximity_kernel(params: HyperboloidParams, x, y) -> float:
-    """K_s(x, y) = 1 / (1 + d_s(x, y)) = 2 s / sqrt(radicand); in (0, 1]."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != (params.d,) or y.shape != (params.d,):
-        raise ValueError(f"expected points in R^{params.d}")
-    return float(2.0 * params.s / np.sqrt(_radicand(params, x, y)))
 
 
 def quasi_distance_lifted(params: HyperboloidParams, p: SpacetimePoint,

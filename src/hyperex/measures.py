@@ -423,10 +423,7 @@ def _pairing_montecarlo(
     samples = vals * (2.0 * np.pi) ** n * np.exp(log_weight)
     value = float(np.mean(samples))
     error = float(np.std(samples, ddof=1) / np.sqrt(N))
-    note = ""
-    if error > max(quad.rtol * abs(value), quad.atol):
-        note = "error-bar-exceeds-tolerance"
-    return QuadResult(value=value, error=error, note=note)
+    return QuadResult(value=value, error=error)
 
 
 def sum_support_predicate(s: float, sheets: tuple, xi, tau):

@@ -28,9 +28,9 @@ class QuadSpec:
     n_angular   : points per angular circle (trapezoid, exact for periodics).
     samples     : Monte-Carlo sample count.
     seed        : Monte-Carlo stream seed; None lets the caller's default win.
-    rtol, atol  : accuracy target max(rtol |value|, atol): surface_integral's
-                  truncation check weighs the outer radial half against it,
-                  and the Monte-Carlo pairing notes an error bar above it.
+    rtol, atol  : accuracy target max(rtol |value|, atol); only
+                  surface_integral's truncation check reads it, weighing the
+                  outer radial half against it.
     """
 
     rule: str = "tensor"
@@ -56,15 +56,11 @@ class QuadResult:
     """A numerical value with an error estimate.
 
     For tensor rules the error is a two-resolution difference; for Monte Carlo
-    it is the one-sigma standard error of the mean.  Only the Monte-Carlo
-    pairing sets `note` ("error-bar-exceeds-tolerance" when its error exceeds
-    max(rtol |value|, atol)); no other route checks its tolerance, and no
-    caller reads the note.
+    it is the one-sigma standard error of the mean.
     """
 
     value: float
     error: float
-    note: str = ""
 
 
 @lru_cache(maxsize=64)

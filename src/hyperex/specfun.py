@@ -12,9 +12,8 @@ exp_integral_ei
                  accumulated in extended precision: at x = -6 the alternating
                  series peaks near 13.5 while the result is ~3.6e-4, so double
                  accumulation would lose ~4.5 of the required 12 digits.
-      x <= -6    Ei(x) = -E1(-x) with E1(y) = e^-y / (y+1- 1^2/(y+3- 2^2/(...)))
-                 evaluated by the modified Lentz algorithm (a_k = -k^2,
-                 b_k = y + 2k + 1).
+      x <= -6    Ei(x) = -E1(-x) = -e^x (e^y E1(y)), y = -x, with the
+                 continued fraction of exp_scaled_en.
       6 <= x <= 700
                  Ei(x) = gamma + ln x + e^x S, S = sum_k u_k / k with
                  u_k = x^k e^-x / k! generated by the stable Poisson-weight
@@ -23,10 +22,17 @@ exp_integral_ei
     x = 0 is a logarithmic singularity (ValueError); x > 700 overflows double
     range (OverflowError); x < -700 underflows benignly to 0.
 
-exp_scaled_ei
-    e^x Ei(-x) for x > 0 without forming either factor, via the same continued
-    fraction: e^x Ei(-x) = -e^x E1(x) = -CF(x).  Needed at x ~ 1e4 where Ei(-x)
-    underflows, and for the a s -> oo limits of the profile functionals.
+exp_scaled_en
+    e^x E_n(x) for x > 0 without forming either factor.  For x >= 6 one
+    continued fraction serves every n (DLMF 8.19.17, modified Lentz; its first
+    convergent 1/(x + n) from x = 1e9 on); below 6, E_1 = -Ei(-x) comes from
+    the series and E_{k+1} = (e^-x - x E_k)/k steps up to n.  Needed where
+    e^-x underflows, and for the a s -> oo limits of the profile functionals.
+    exp_scaled_ei is e^x Ei(-x) = -e^x E_1(x).
+
+exp_scaled_k
+    e^z K_nu(z) for z >= 1e-300 by the trapezoid rule on its integral over
+    the real line (DLMF 10.32.9), for the d = 3 closed norms.
 
 bessel_j0
     J0 by the N-point periodic trapezoid rule on the circle average
@@ -62,34 +68,36 @@ _LD_GAMMA = np.longdouble("0.57721566490153286060651209008240243104")
 # Largest x with e^x (and Ei(x) ~ e^x/x) inside double range, per the contract.
 _OVERFLOW_X = 700.0
 _SERIES_SPLIT = 6.0
+# From here on the E_n fraction is its first convergent to double precision.
+_CF_FIRST_TERM_X = 1e9
+# Below this e^z K_nu(z) ~ 1/z is too close to overflow for its node range.
+_K_MIN_Z = 1e-300
 
 
-def _lentz_e1_cf(y: float) -> float:
-    """Continued fraction C(y) with E1(y) = e^-y C(y), by modified Lentz.
+def _lentz_en_cf(x: float, n: int) -> float:
+    """e^x E_n(x) for x >= 6 by the continued fraction of DLMF 8.19.17.
 
-    C(y) = 1/(y+1- 1^2/(y+3- 2^2/(y+5- ...))), valid for y > 0 and rapidly
-    convergent once y is a few units.
+    1/(x+n- 1*n/(x+n+2- 2(n+1)/(x+n+4- ...))): b_0 = x + n,
+    a_k = -k(n-1+k), b_k = x + 2k + n, by modified Lentz.  From x = 1e9 on
+    it returns the first convergent 1/(x + n), within n/x^2 relative: there
+    the loop's steps delta = b (1/b) need not round to 1, so it would gather
+    round-off (5e-14 near x = 1e11) or never stop (x = 1.6e18).
     """
-    tiny = 1e-300
-    b = y + 1.0
-    f = b if b != 0.0 else tiny
-    c = f
+    if x >= _CF_FIRST_TERM_X:
+        return 1.0 / (x + n)
+    # For x > 0 both Lentz ratios stay >= x + k + n, so none needs a zero guard.
+    f = c = x + n
     d = 0.0
     for k in range(1, 400):
-        a = -float(k * k)
-        b = y + 2.0 * k + 1.0
-        d = b + a * d
-        if d == 0.0:
-            d = tiny
+        a = -float(k * (n - 1 + k))
+        b = x + 2.0 * k + n
+        d = 1.0 / (b + a * d)
         c = b + a / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
         delta = c * d
         f *= delta
         if abs(delta - 1.0) < 1e-17:
             return 1.0 / f
-    raise RuntimeError(f"continued fraction for E1 failed to converge at y={y}")
+    raise RuntimeError(f"continued fraction for E_{n} failed to converge at x={x}")
 
 
 def _ei_series(x: float) -> float:
@@ -135,22 +143,48 @@ def exp_integral_ei(x: float) -> float:
     if x < 0.0:
         y = -x
         # e^-y underflows to 0 beyond y ~ 745; the contract allows that.
-        return -math.exp(-y) * _lentz_e1_cf(y) if y <= 745.0 else -0.0
+        return -math.exp(-y) * _lentz_en_cf(y, 1) if y <= 745.0 else -0.0
     return _ei_poisson(x)
 
 
+def exp_scaled_en(n: int, x: float) -> float:
+    """e^x E_n(x) for x > 0 and n >= 1; E_{k+1} = (e^-x - x E_k)/k below 6."""
+    x = float(x)
+    if not (x > 0.0) or not math.isfinite(x):
+        raise ValueError("exp_scaled_en requires finite x > 0")
+    if x >= _SERIES_SPLIT:
+        return _lentz_en_cf(x, n)
+    value = -math.exp(x) * _ei_series(-x)
+    for k in range(1, n):
+        value = (1.0 - x * value) / k
+    return value
+
+
 def exp_scaled_ei(x: float) -> float:
-    """e^x Ei(-x) for x > 0, stable for arbitrarily large x.
+    """e^x Ei(-x) = -e^x E_1(x) for x > 0, stable for arbitrarily large x.
 
     Monotone increasing from -oo (x -> 0+) to 0- (x -> oo), with the
     asymptotic expansion e^x Ei(-x) = -(1/x)(1 - 1/x + 2/x^2 - ...).
     """
-    x = float(x)
-    if not (x > 0.0) or not math.isfinite(x):
-        raise ValueError("exp_scaled_ei requires finite x > 0")
-    if x < _SERIES_SPLIT:
-        return math.exp(x) * exp_integral_ei(-x)
-    return -_lentz_e1_cf(x)
+    return -exp_scaled_en(1, x)
+
+
+def exp_scaled_k(nu: float, z: float) -> float:
+    """e^z K_nu(z) for z >= 1e-300 and nu >= 0.
+
+    Trapezoid rule on int_0^oo e^{-z 2 sinh^2(t/2)} cosh(nu t) dt (DLMF
+    10.32.9), step min(0.1, 0.5/sqrt(z)): the integrand is entire and decays
+    double exponentially.  Nodes run until the exponent passes 40 + nu t.
+    """
+    z = float(z)
+    if not (z >= _K_MIN_Z) or not math.isfinite(z) or nu < 0:
+        raise ValueError("exp_scaled_k requires finite z >= 1e-300 and nu >= 0")
+    h = min(0.1, 0.5 / math.sqrt(z))
+    t_max = 2.0 * math.asinh(math.sqrt(20.0 / z))
+    t_max = 2.0 * math.asinh(math.sqrt((20.0 + 0.5 * nu * t_max) / z))
+    t = np.arange(1, int(t_max / h) + 2) * h
+    terms = np.exp(-2.0 * z * np.sinh(0.5 * t) ** 2) * np.cosh(nu * t)
+    return h * (0.5 + float(np.sum(terms)))
 
 
 # Cells of the (points x N) trapezoid product evaluated at once by bessel_j0.

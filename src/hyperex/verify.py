@@ -18,6 +18,7 @@ from .functionals import (
     best_constant,
     conv_form_constant,
     constant_expression,
+    expected_monotonicity,
     mass_fraction,
     monotonicity_scan,
     q_ratio,
@@ -482,11 +483,22 @@ def _suite_functional(rng, samples, grid=None):
                       abs(val - lim) / lim, 1e-2))
 
     a_grid = np.geomspace(1e-3, 1e2, 200)
-    _, verdict26 = monotonicity_scan(2, 6, 1.0, a_grid)
-    _, verdict24 = monotonicity_scan(2, 4, 1.0, a_grid)
-    ok = verdict26 == "strictly-decreasing" and verdict24 == "strictly-increasing"
+    verdicts = {pair: monotonicity_scan(*pair, 1.0, a_grid)[1] for pair in SUPPORTED_PAIRS}
+    ok = all(v == f"strictly-{expected_monotonicity(*pair)}" for pair, v in verdicts.items())
     out.append(_check("functional", "ratio-monotonicity", 0.0 if ok else 1.0, 0.0,
-                      note=f"(2,6) {verdict26}, (2,4) {verdict24} on 200-point grids"))
+                      note=", ".join(f"({d},{p}) {v}" for (d, p), v in verdicts.items())
+                      + " on 200-point grids"))
+
+    # The closed (3, 4) ratio against its quadrature oracle, in units of the
+    # oracle's error bar (plus round-off).
+    worst = worst_err = 0.0
+    for a in (1e-2, 0.1, 1.0, 10.0):
+        quad = q_ratio(3, 4, a, 1.0, "quadrature")
+        dev = abs(q_ratio(3, 4, a, 1.0).value - quad.value)
+        worst = max(worst, dev / (quad.error + 1e-13 * quad.value))
+        worst_err = max(worst_err, quad.error)
+    out.append(_check("functional", "closed-vs-quadrature-3-4", worst, 1.0,
+                      note="4 rates in [1e-2, 10]", error_estimate=worst_err))
 
     # Strictness of the closed sup bounds and of Q < H.
     taus = np.linspace(3.01, 60.0, 300)

@@ -158,7 +158,7 @@ class TestCurve:
         report = run_json(
             capsys,
             ["curve", "--d", "3", "--p", "4", "--a-min", "1", "--a-max", "2",
-             "--points", "2"],
+             "--points", "2", "--method", "quadrature"],
         )
         assert report["inputs"]["method"] == "quadrature"
         assert report["error_estimates"]["q_value_max"] > 0.0
@@ -177,14 +177,30 @@ class TestCurve:
         assert err.startswith("hyperex curve: ratio 1.0 >= 1 at a = 1e+299")
         assert len(err.strip().splitlines()) == 1
 
-    def test_closed_method_for_d3_is_usage_error(self, capsys):
-        rc, _, err = run_cli(
+    def test_closed_method_for_d3_runs(self, capsys):
+        rc, _, _ = run_cli(
             capsys,
             ["curve", "--d", "3", "--p", "4", "--a-min", "1", "--a-max", "2",
              "--method", "closed"],
         )
-        assert rc == 2
-        assert "quadrature" in err
+        assert rc == 0
+
+    @pytest.mark.parametrize("d, p, a_min, a_max, points", [
+        (2, 6, "1", "1e300", "5"),
+        (3, 4, "1e-8", "1e-4", "41"),
+    ])
+    def test_closed_curve_far_into_the_limits(self, capsys, d, p, a_min, a_max, points):
+        # (2, 6) out to a s = 1e300 and (3, 4) down to 1e-8, where the ratio
+        # is within 2e-15 of 1: strictly decreasing and strictly below H.
+        report = run_json(
+            capsys,
+            ["curve", "--d", str(d), "--p", str(p), "--a-min", a_min, "--a-max",
+             a_max, "--points", points, "--log-spacing"],
+        )
+        assert report["inputs"]["method"] == "closed"
+        assert report["outputs"]["monotonicity"] == "strictly-decreasing"
+        assert len(report["outputs"]["rows"]) == int(points)
+        assert all(0.0 < row["ratio"] < 1.0 for row in report["outputs"]["rows"])
 
     def test_bad_grid_is_usage_error(self, capsys):
         rc, _, _ = run_cli(
@@ -231,9 +247,7 @@ class TestCurve:
                 for pt in points
             ]
             assert report["outputs"]["monotonicity"] == verdict
-            if d == 3:
-                assert report["error_estimates"]["q_value_max"] == max(
-                    pt.error for pt in points)
+            assert report["error_estimates"] == {}
 
     def test_byte_identical_reruns(self, capsys):
         argv = ["curve", "--d", "2", "--p", "4", "--a-min", "0.7", "--a-max",

@@ -9,6 +9,7 @@ matches the Bessel-K identity int_1^oo e^{-u} sqrt(u^2 - 1) du = K_1(1), and
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -172,6 +173,29 @@ def test_conv_power_l2_closed_formula_k2():
         closed = conv_power_l2_sq(prof, 2, method="closed")
         want = -((2.0 * math.pi) ** 3) * exp_integral_ei(-4.0 * a) / (2.0 * a)
         assert closed.value == pytest.approx(want, rel=1e-14)
+
+
+def test_conv_power_l2_closed_products_match_mpmath():
+    # (2, 3): (2 pi)^5 E_3(6as) / (4a^3);  (3, 2): 8 pi^3 s K_1(4as) / a^3.
+    with mpmath.workdps(40):
+        for a in np.geomspace(1e-4, 30.0, 25):
+            for s in (1.0, 2.5):
+                a_mp = mpmath.mpf(a)
+                want = {
+                    (2, 3): (2 * mpmath.pi) ** 5 / (4 * a_mp**3) * mpmath.expint(3, 6 * a_mp * s),
+                    (3, 2): 8 * mpmath.pi**3 * s / a_mp**3 * mpmath.besselk(1, 4 * a_mp * s),
+                }
+                for (d, k), ref in want.items():
+                    prof = ExpProfile(a=float(a), params=HyperboloidParams(d=d, s=s))
+                    got = conv_power_l2_sq(prof, k, method="closed")
+                    assert got.error == 0.0
+                    assert float(abs(got.value - ref) / ref) <= 1e-13, (d, k, a, s)
+
+
+def test_conv_power_l2_closed_vs_quadrature_d3():
+    closed = conv_power_l2_sq(PROF3, 2, method="closed").value
+    numeric = conv_power_l2_sq(PROF3, 2, method="quadrature")
+    assert abs(numeric.value - closed) <= numeric.error + 1e-13 * closed
 
 
 def test_conv_power_l2_quadrature_d3_frozen():

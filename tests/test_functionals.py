@@ -7,6 +7,7 @@ strict upper constant.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,14 +29,12 @@ from hyperex.functionals import (
     q_ratio,
     q_ratio_closed,
     q_ratio_quadrature,
-    richardson_limit,
     scaling_exponent,
     scaling_check,
     sup_norm_bound,
     two_sheeted_combiner_check,
 )
 from hyperex.geometry import HyperboloidParams
-from hyperex.quadrature import QuadResult
 
 
 def test_one_sheet_constants_closed_values():
@@ -143,9 +142,28 @@ def test_q_ratio_closed_large_a_margin():
 
 def test_q_ratio_closed_rejects_d3():
     with pytest.raises(ValueError):
-        q_ratio_closed(3, 4, 1.0, 1.0)
-    with pytest.raises(ValueError):
         q_ratio_closed(2, 4, 0.0, 1.0)
+
+
+def _mp_q_ratio(d, p, z):
+    # Q at s = 1 from mpmath's E_3 and K_1; a s = z carries all of Q for p = 6
+    # and d = 3 (scaling exponent 0).
+    z = mpmath.mpf(z)
+    if (d, p) == (2, 6):
+        return (2 * (2 * mpmath.pi) ** 5 * mpmath.exp(6 * z)
+                * mpmath.expint(3, 6 * z)) ** (mpmath.mpf(1) / 6)
+    return ((2 * mpmath.pi) ** 5 * mpmath.besselk(1, 4 * z)
+            / (z * mpmath.besselk(1, 2 * z) ** 2)) ** (mpmath.mpf(1) / 4)
+
+
+@pytest.mark.parametrize("d, p, z_min, z_max", [(2, 6, 1e-6, 1e300), (3, 4, 1e-8, 1e3)])
+def test_q_ratio_matches_mpmath(d, p, z_min, z_max):
+    with mpmath.workdps(50):
+        for z in np.geomspace(z_min, z_max, 120):
+            want = _mp_q_ratio(d, p, z)
+            for s in (1.0, 2.5):
+                got = q_ratio(d, p, float(z) / s, s).value
+                assert float(abs(got - want) / want) <= 1e-13, (z, s)
 
 
 def test_q_ratio_quadrature_matches_closed_d2():
@@ -168,12 +186,11 @@ def test_q_ratio_routes():
             assert r.value == q_ratio_closed(2, p, a, 1.3)
             assert r.error == 0.0
     assert q_ratio(2, 4, 0.7, 1.0, "quadrature") == q_ratio_quadrature(2, 4, 0.7, 1.0)
-    assert q_ratio(3, 4, 0.2, 1.5) == q_ratio_quadrature(3, 4, 0.2, 1.5)
+    r = q_ratio(3, 4, 0.2, 1.5)
+    assert (r.value, r.error) == (q_ratio_closed(3, 4, 0.2, 1.5), 0.0)
     assert q_ratio(3, 4, 0.2, 1.5, "quadrature") == q_ratio_quadrature(3, 4, 0.2, 1.5)
     with pytest.raises(ValueError):
         q_ratio(2, 4, 1.0, 1.0, "montecarlo")
-    with pytest.raises(ValueError):
-        q_ratio(3, 4, 1.0, 1.0, "closed")
 
 
 def test_q_below_constant_everywhere():
@@ -318,18 +335,3 @@ def test_mass_fraction_validation():
         mass_fraction(4, 1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         mass_fraction(2, 1.0, -1.0, 1.0)
-
-
-def test_richardson_limit_cancels_linear_term():
-    # f(h) = L + c h + O(h^2 log h) around h = 0 for the (2, 6) ratio.
-    f = lambda h: q_ratio_closed(2, 6, h, 1.0)
-    r = richardson_limit(f, 1e-3)
-    h = best_constant(2, 6).value
-    assert isinstance(r, QuadResult)
-    assert abs(r.value - h) < r.error
-    assert abs(r.value - h) < 10.0 * abs(f(1e-3) - h) * 0.01
-
-
-def test_richardson_validation():
-    with pytest.raises(ValueError):
-        richardson_limit(lambda h: h, 0.0)

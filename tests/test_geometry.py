@@ -13,13 +13,11 @@ from hyperex.geometry import (
     SpacetimePoint,
     boost,
     compose,
-    coord_swap,
     energy,
     lift,
     minkowski_matrix,
     minkowski_sq,
     normal_form,
-    proximity_kernel,
     quasi_distance,
     quasi_distance_lifted,
     rotation_embed,
@@ -78,11 +76,6 @@ def test_rotation_embed_rejects_non_orthogonal():
         rotation_embed(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
-def test_coord_swap_is_involution():
-    m = compose(coord_swap(3, 0, 2), coord_swap(3, 0, 2))
-    assert np.allclose(m.matrix, np.eye(4))
-
-
 @settings(max_examples=100, deadline=None)
 @given(t=velocities, u=velocities, d=st.sampled_from([2, 3]))
 def test_boost_composition_preserves_form(t, u, d):
@@ -138,15 +131,11 @@ def test_quasi_distance_basic_properties(x0, x1, y0, y1):
     d = quasi_distance(P2, x, y)
     assert d >= 0.0
     assert d == pytest.approx(quasi_distance(P2, y, x), rel=1e-12, abs=1e-12)
-    k = proximity_kernel(P2, x, y)
-    assert 0.0 < k <= 1.0
-    assert k == pytest.approx(1.0 / (1.0 + d), rel=1e-12)
 
 
 def test_quasi_distance_zero_iff_equal():
     x = np.array([3.0, -4.0])
     assert quasi_distance(P2, x, x) == 0.0
-    assert proximity_kernel(P2, x, x) == 1.0
     assert quasi_distance(P2, x, x + 1e-4) > 0.0
 
 

@@ -20,6 +20,7 @@ import cmath
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,6 +32,8 @@ from hyperex.specfun import (
     bessel_j0,
     exp_integral_ei,
     exp_scaled_ei,
+    exp_scaled_en,
+    exp_scaled_k,
     laplace_j0_kernel,
     principal_sqrt,
 )
@@ -155,6 +158,50 @@ def test_exp_scaled_ei_asymptotics_and_monotonicity():
         exp_scaled_ei(0.0)
     with pytest.raises(ValueError):
         exp_scaled_ei(-1.0)
+
+
+def _rel_dev(got, want):
+    return float(abs(got - want) / abs(want))
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_exp_scaled_en_fraction_matches_mpmath(n):
+    # x >= 6 runs the continued fraction, 1/(x + n) from 1e19 on; the old E1
+    # fraction stalled at 6e150 and near 3.4e19.
+    grid = list(np.geomspace(6.0, 6e300, 150)) + [6e150, 9.9e18, 1e19, 3.4e19]
+    with mpmath.workdps(40):
+        for x in grid:
+            want = mpmath.exp(x) * mpmath.expint(n, x)
+            assert _rel_dev(exp_scaled_en(n, float(x)), want) <= 1e-14, x
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_exp_scaled_en_recurrence_matches_mpmath(n):
+    # Below 6, E_3 comes from the E_1 series by E_{k+1} = (e^-x - x E_k)/k;
+    # near x = 6 the two steps amplify the series' round-off about 25-fold.
+    with mpmath.workdps(40):
+        for x in np.geomspace(1e-8, 5.99, 120):
+            want = mpmath.exp(x) * mpmath.expint(n, x)
+            assert _rel_dev(exp_scaled_en(n, float(x)), want) <= 1e-13, x
+    assert exp_scaled_en(1, 2.5) == -exp_scaled_ei(2.5)
+    with pytest.raises(ValueError):
+        exp_scaled_en(3, 0.0)
+    with pytest.raises(ValueError):
+        exp_scaled_en(3, math.inf)
+
+
+@pytest.mark.parametrize("nu", [0, 1])
+def test_exp_scaled_k_matches_mpmath(nu):
+    with mpmath.workdps(40):
+        for z in np.geomspace(1e-8, 1e3, 120):
+            want = mpmath.exp(z) * mpmath.besselk(nu, z)
+            assert _rel_dev(exp_scaled_k(nu, float(z)), want) <= 1e-14, z
+    with pytest.raises(ValueError):
+        exp_scaled_k(1, 0.0)
+    with pytest.raises(ValueError):
+        exp_scaled_k(1, 1e-310)
+    with pytest.raises(ValueError):
+        exp_scaled_k(-1, 1.0)
 
 
 @pytest.mark.parametrize("x,expected", sorted(J0_FROZEN.items()))

@@ -14,5 +14,5 @@ def test_suite_passes_at_default_seed(suite):
 
 def test_all_suites_pass_at_default_seed():
     checks = run_checks("all")
-    assert len(checks) == 31
+    assert len(checks) == 32
     assert [f"{c.suite}/{c.name}" for c in checks if not c.passed] == []
