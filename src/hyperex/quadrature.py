@@ -77,12 +77,11 @@ def gl_nodes(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def gl_panels(edges: np.ndarray, n_per: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes over consecutive panels given by `edges`."""
-    xs, ws = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        x, w = gl_nodes(float(a), float(b), n_per)
-        xs.append(x)
-        ws.append(w)
-    return np.concatenate(xs), np.concatenate(ws)
+    edges = np.asarray(edges, dtype=float)
+    x, w = _leggauss(n_per)
+    a = edges[:-1, None]
+    half = 0.5 * (edges[1:, None] - a)
+    return (a + half * (x + 1.0)).ravel(), (half * w).ravel()
 
 
 def trapezoid_angles(n: int) -> tuple[np.ndarray, np.ndarray]:

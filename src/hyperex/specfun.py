@@ -23,11 +23,14 @@ exp_integral_ei
     range (OverflowError); x < -700 underflows benignly to 0.
 
 exp_scaled_en
-    e^x E_n(x) for x > 0 without forming either factor.  For x >= 6 one
-    continued fraction serves every n (DLMF 8.19.17, modified Lentz; its first
-    convergent 1/(x + n) from x = 1e9 on); below 6, E_1 = -Ei(-x) comes from
-    the series and E_{k+1} = (e^-x - x E_k)/k steps up to n.  Needed where
-    e^-x underflows, and for the a s -> oo limits of the profile functionals.
+    e^x E_n(x) for x > 0 without forming either factor.  For x >= 4 (x >= 6
+    when n = 1) one continued fraction serves every n (DLMF 8.19.17, modified
+    Lentz; its first convergent 1/(x + n) from x = 1e9 on); below that,
+    E_1 = -Ei(-x) comes from the series and E_{k+1} = (e^-x - x E_k)/k steps
+    up to n.  For n >= 2 the fraction starts below Ei's split at 6 because
+    between 4 and 6 the series loses up to 2.6e-15 and the recurrence
+    amplifies that about 25-fold for n = 3.  Needed where e^-x underflows,
+    and for the a s -> oo limits of the profile functionals.
     exp_scaled_ei is e^x Ei(-x) = -e^x E_1(x).
 
 exp_scaled_k
@@ -35,13 +38,26 @@ exp_scaled_k
     the real line (DLMF 10.32.9), for the d = 3 closed norms.
 
 bessel_j0
-    J0 by the N-point periodic trapezoid rule on the circle average
-    (1/N) sum_j cos(x cos(2 pi j / N)).  For periodic analytic integrands the
-    trapezoid rule is spectrally accurate (the error is an aliasing term
-    ~ 2 J_N(x), superexponentially small once N comfortably exceeds |x|);
-    N = max(64, ceil(1.6 max|x|) + 48) rounded up to even.  The (points x N)
-    product is evaluated in row blocks of at most max(N, 2^20) cells, so
-    memory stays near 8 MB per block whatever the number of points.
+    J0 in two regimes split at |x| = 25, O(1) work per point in both:
+
+      |x| < 25   the N-point periodic trapezoid rule on the circle average
+                 (1/N) sum_j cos(x cos(2 pi j / N)) with fixed N = 88.  For
+                 periodic analytic integrands the rule is spectrally accurate
+                 (the error is an aliasing term ~ 2 J_N(x), superexponentially
+                 small once N comfortably exceeds |x|); 88 = ceil(1.6 * 25)
+                 + 48 keeps that margin up to the split.  The (points x N)
+                 product is evaluated in row blocks of at most 2^20 cells, so
+                 memory stays near 8 MB per block whatever the number of
+                 points.
+      |x| >= 25  the Hankel expansion (DLMF 10.17.3)
+                 J0(x) = sqrt(2/(pi x)) (P cos(x - pi/4) - Q sin(x - pi/4)),
+                 a_k = a_{k-1} (-(2k-1)^2)/(8k) up to the first K with
+                 |a_K|/25^K < 1e-17 (K = 20: 11 P and 10 Q terms, Horner in
+                 1/x^2), and the phase taken as (cos x +- sin x)/sqrt(2) so
+                 x - pi/4 is never rounded.
+
+    Against mpmath the absolute deviation is below 4.5e-16 on [0, 25) and
+    below 6e-17 from 25 on.
 
 principal_sqrt
     Principal branch of the complex square root with an explicit guard on the
@@ -68,6 +84,9 @@ _LD_GAMMA = np.longdouble("0.57721566490153286060651209008240243104")
 # Largest x with e^x (and Ei(x) ~ e^x/x) inside double range, per the contract.
 _OVERFLOW_X = 700.0
 _SERIES_SPLIT = 6.0
+# exp_scaled_en runs the E_n fraction from here on for n >= 2: below 6 the
+# E_1 series loses up to 2.6e-15 and the recurrence up to n amplifies it.
+_EN_FRACTION_X = 4.0
 # From here on the E_n fraction is its first convergent to double precision.
 _CF_FIRST_TERM_X = 1e9
 # Below this e^z K_nu(z) ~ 1/z is too close to overflow for its node range.
@@ -75,7 +94,7 @@ _K_MIN_Z = 1e-300
 
 
 def _lentz_en_cf(x: float, n: int) -> float:
-    """e^x E_n(x) for x >= 6 by the continued fraction of DLMF 8.19.17.
+    """e^x E_n(x) for x >= 4 by the continued fraction of DLMF 8.19.17.
 
     1/(x+n- 1*n/(x+n+2- 2(n+1)/(x+n+4- ...))): b_0 = x + n,
     a_k = -k(n-1+k), b_k = x + 2k + n, by modified Lentz.  From x = 1e9 on
@@ -148,11 +167,13 @@ def exp_integral_ei(x: float) -> float:
 
 
 def exp_scaled_en(n: int, x: float) -> float:
-    """e^x E_n(x) for x > 0 and n >= 1; E_{k+1} = (e^-x - x E_k)/k below 6."""
+    """e^x E_n(x) for x > 0 and n >= 1; E_{k+1} = (e^-x - x E_k)/k below 4."""
     x = float(x)
     if not (x > 0.0) or not math.isfinite(x):
         raise ValueError("exp_scaled_en requires finite x > 0")
-    if x >= _SERIES_SPLIT:
+    # E_1 keeps Ei's split at 6: with no recurrence step the series is
+    # within 2.7e-15 there.
+    if x >= (_SERIES_SPLIT if n == 1 else _EN_FRACTION_X):
         return _lentz_en_cf(x, n)
     value = -math.exp(x) * _ei_series(-x)
     for k in range(1, n):
@@ -187,27 +208,65 @@ def exp_scaled_k(nu: float, z: float) -> float:
     return h * (0.5 + float(np.sum(terms)))
 
 
+# Below this |x| J0 is the trapezoid circle average at N nodes, from here on
+# the Hankel expansion.
+_J0_SPLIT = 25.0
+_J0_TRAPEZOID_N = 88
 # Cells of the (points x N) trapezoid product evaluated at once by bessel_j0.
 _J0_BLOCK_CELLS = 2**20
 
 
+def _hankel_j0_coefficients() -> tuple[np.ndarray, np.ndarray]:
+    """Horner coefficients in 1/x^2 of P and x Q for J0 (DLMF 10.17.3).
+
+    a_k = a_{k-1} (-(2k-1)^2)/(8k), kept up to the first K with
+    |a_K| / 25^K < 1e-17; P = sum_j (-1)^j a_{2j} x^{-2j} and
+    Q = sum_j (-1)^j a_{2j+1} x^{-2j-1}.
+    """
+    a = [1.0]
+    while abs(a[-1]) / _J0_SPLIT ** (len(a) - 1) >= 1e-17:
+        k = len(a)
+        a.append(a[-1] * -((2 * k - 1) ** 2) / (8 * k))
+    p = [(-1) ** j * c for j, c in enumerate(a[0::2])]
+    q = [(-1) ** j * c for j, c in enumerate(a[1::2])]
+    return np.array(p[::-1]), np.array(q[::-1])
+
+
+_HANKEL_P, _HANKEL_Q = _hankel_j0_coefficients()
+
+
+def _j0_trapezoid(x: np.ndarray) -> np.ndarray:
+    # (1/N) sum cos(x cos theta_j), a block of rows at a time.
+    n = _J0_TRAPEZOID_N
+    cos_theta = np.cos(np.arange(n) * (2.0 * np.pi / n))
+    vals = np.empty(x.size)
+    rows = _J0_BLOCK_CELLS // n
+    for lo in range(0, x.size, rows):
+        block = np.multiply.outer(x[lo:lo + rows], cos_theta)
+        vals[lo:lo + rows] = np.cos(block, out=block).mean(axis=-1)
+    return vals
+
+
+def _j0_hankel(x: np.ndarray) -> np.ndarray:
+    # sqrt(2/(pi x)) (P cos(x - pi/4) - Q sin(x - pi/4)), with the phase
+    # written as (cos x +- sin x)/sqrt(2) so x - pi/4 is never rounded.
+    y = 1.0 / (x * x)
+    p = np.polyval(_HANKEL_P, y)
+    q = np.polyval(_HANKEL_Q, y) / x
+    c, s = np.cos(x), np.sin(x)
+    return (p * (c + s) - q * (s - c)) / np.sqrt(np.pi * x)
+
+
 def bessel_j0(x):
-    """Bessel J0 via the periodic trapezoid rule; scalar or ndarray."""
+    """Bessel J0, trapezoid below |x| = 25 and Hankel above; scalar or ndarray."""
     arr = np.asarray(x, dtype=float)
     if arr.size and not np.all(np.isfinite(arr)):
         raise ValueError("bessel_j0 requires finite arguments")
-    scale = float(np.max(np.abs(arr))) if arr.size else 0.0
-    n = max(64, int(math.ceil(1.6 * scale)) + 48)
-    if n % 2:
-        n += 1
-    cos_theta = np.cos(np.arange(n) * (2.0 * np.pi / n))
-    # (1/N) sum cos(x cos theta_j), a block of rows at a time.
-    flat = arr.ravel()
+    flat = np.abs(arr.ravel())
     vals = np.empty(flat.size)
-    rows = max(1, _J0_BLOCK_CELLS // n)
-    for lo in range(0, flat.size, rows):
-        block = np.multiply.outer(flat[lo:lo + rows], cos_theta)
-        vals[lo:lo + rows] = np.cos(block, out=block).mean(axis=-1)
+    near = flat < _J0_SPLIT
+    vals[near] = _j0_trapezoid(flat[near])
+    vals[~near] = _j0_hankel(flat[~near])
     return vals.reshape(arr.shape) if arr.shape else float(vals[0])
 
 

@@ -25,10 +25,11 @@ from hyperex.extension import (
     lp_norm_extension_direct,
     lp_norm_extension_via_conv,
     weighted_conv_closed,
+    _ridge_time_edges,
 )
 from hyperex.geometry import HyperboloidParams
 from hyperex.measures import ConvClosedForm, conv_closed
-from hyperex.quadrature import BudgetError, QuadSpec
+from hyperex.quadrature import BudgetError, QuadSpec, gl_nodes, gl_panels
 from hyperex.specfun import exp_integral_ei
 
 P2 = HyperboloidParams(d=2, s=1.0)
@@ -77,6 +78,27 @@ def test_closed_vs_quadrature_grid_d2():
             closed = extension_closed(PROF2, x, t)
             val, err = extension_quadrature(PROF2, x, t)
             assert abs(val - closed) <= max(1e-9, 5.0 * err)
+
+
+@pytest.mark.parametrize("t", [8.0, 0.0])
+def test_quadrature_d2_far_field_matches_closed(t):
+    # At a = 0.3 and |x| = 8 nearly every J0 argument |x| r lies past the
+    # Hankel split at 25 (r runs to 150); the reported error plus the
+    # round-off floor of |T f_a(0, 0)| must cover the deviation.
+    prof = ExpProfile(a=0.3, params=P2)
+    x = np.array([8.0, 0.0])
+    val, err = extension_quadrature(prof, x, t)
+    floor = 1e-13 * abs(extension_closed(prof, np.zeros(2), 0.0))
+    assert abs(val - extension_closed(prof, x, t)) <= err + floor
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.1, 1.0, 8.0])
+def test_gl_panels_equals_per_panel_gl_nodes(rho):
+    edges = _ridge_time_edges(rho, 0.3, 1.0)
+    x, w = gl_panels(edges, 20)
+    panels = [gl_nodes(lo, hi, 20) for lo, hi in zip(edges[:-1], edges[1:])]
+    assert np.array_equal(x, np.concatenate([p[0] for p in panels]))
+    assert np.array_equal(w, np.concatenate([p[1] for p in panels]))
 
 
 def test_quadrature_d3_frozen_points():

@@ -166,7 +166,7 @@ def _rel_dev(got, want):
 
 @pytest.mark.parametrize("n", [1, 3])
 def test_exp_scaled_en_fraction_matches_mpmath(n):
-    # x >= 6 runs the continued fraction, 1/(x + n) from 1e19 on; the old E1
+    # x >= 6 runs the continued fraction, 1/(x + n) from 1e9 on; the old E1
     # fraction stalled at 6e150 and near 3.4e19.
     grid = list(np.geomspace(6.0, 6e300, 150)) + [6e150, 9.9e18, 1e19, 3.4e19]
     with mpmath.workdps(40):
@@ -177,12 +177,13 @@ def test_exp_scaled_en_fraction_matches_mpmath(n):
 
 @pytest.mark.parametrize("n", [1, 3])
 def test_exp_scaled_en_recurrence_matches_mpmath(n):
-    # Below 6, E_3 comes from the E_1 series by E_{k+1} = (e^-x - x E_k)/k;
-    # near x = 6 the two steps amplify the series' round-off about 25-fold.
+    # Below 4, E_3 comes from the E_1 series by E_{k+1} = (e^-x - x E_k)/k;
+    # the fraction takes over at 4, short of the stretch up to 6 where the
+    # two steps would amplify the series' round-off to 5e-14.
     with mpmath.workdps(40):
-        for x in np.geomspace(1e-8, 5.99, 120):
+        for x in np.geomspace(1e-8, 6.0, 2000, endpoint=False):
             want = mpmath.exp(x) * mpmath.expint(n, x)
-            assert _rel_dev(exp_scaled_en(n, float(x)), want) <= 1e-13, x
+            assert _rel_dev(exp_scaled_en(n, float(x)), want) <= 5e-15, x
     assert exp_scaled_en(1, 2.5) == -exp_scaled_ei(2.5)
     with pytest.raises(ValueError):
         exp_scaled_en(3, 0.0)
@@ -238,6 +239,21 @@ def test_j0_array_and_symmetry():
     d1 = (bessel_j0(xs + h) - bessel_j0(xs - h)) / (2 * h)
     d2 = (bessel_j0(xs + h) - 2 * bessel_j0(xs) + bessel_j0(xs - h)) / h**2
     assert np.allclose(d2 + d1 / xs + bessel_j0(xs), 0.0, atol=1e-6)
+
+
+def test_j0_matches_mpmath_across_both_regimes():
+    # Trapezoid rule below |x| = 25, Hankel expansion from 25 on; the dense
+    # stretch straddles the split.
+    x = np.concatenate([
+        np.linspace(0.0, 1e4, 1201),
+        np.geomspace(1e-3, 1e4, 600),
+        np.linspace(24.5, 25.5, 401),
+        [np.nextafter(25.0, 0.0), 25.0],
+    ])
+    got = bessel_j0(x)
+    with mpmath.workdps(30):
+        want = np.array([float(mpmath.besselj(0, float(v))) for v in x])
+    assert np.max(np.abs(got - want)) <= 1e-15
 
 
 def test_j0_memory_stays_bounded():
