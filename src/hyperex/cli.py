@@ -26,8 +26,11 @@ from .functionals import (
     constant_expression,
     mass_fraction,
     monotonicity_scan,
+    q_route,
 )
-from .measures import CLOSED_PAIRS, ConvClosedForm, conv_closed, conv_point_oracle
+from .measures import (
+    CLOSED_PAIRS, ConvClosedForm, conv_closed, conv_point_oracle, conv_support,
+)
 from .verify import SUITES, run_checks
 
 USAGE_ERROR = 2
@@ -152,7 +155,7 @@ def cmd_curve(args) -> int:
                 "contradicts Q < H; Q is not resolved at this rate"
             )
     csv_lines = _csv_lines(rows)
-    method = points[0].method
+    method = q_route(args.method)
     inputs = {
         "d": args.d,
         "p": args.p,
@@ -192,10 +195,8 @@ def cmd_conv(args) -> int:
 
     form = ConvClosedForm(args.d, args.n, args.s)
     value = float(conv_closed(form, xi, args.tau))
-    m2 = args.tau ** 2 - float(np.sum(xi * xi))
-    notes = []
-    if args.tau <= 0.0 or m2 < (args.n * args.s) ** 2:
-        notes.append("outside-support")
+    inside, _ = conv_support(form, xi, args.tau)
+    notes = [] if inside else ["outside-support"]
 
     outputs = {"value": value}
     error_estimates = {}

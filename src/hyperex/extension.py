@@ -9,13 +9,13 @@ For the exponential profile f_a = e^{-a psi} everything reduces to radial
 integrals in u = psi(y):
 
     d = 2 :  2 pi int_s^oo e^{-(a - i t) u} J0(|x| sqrt(u^2 - s^2)) du
-             = 2 pi e^{-s w} / w,   w = principal_sqrt((a - i t)^2 + |x|^2)
+             = 2 pi e^{-s w} / w,   w = sqrt((a - i t)^2 + |x|^2)
     d = 3 :  (4 pi / |x|) int_s^oo e^{-(a - i t) u} sin(|x| sqrt(u^2 - s^2)) du
              (at x = 0: 4 pi int_s^oo e^{-(a - i t) u} sqrt(u^2 - s^2) du)
 
 The closed d = 2 form follows from the Laplace transform of the J0 kernel
-with lam = a - i t, which stays in the right half plane where the principal
-branch is the analytic one; there is no closed d = 3 form here.
+with lam = a - i t, which stays in the right half plane, so the square root
+is the principal branch throughout; there is no closed d = 3 form here.
 
 Even L^p norms of T f_a never touch oscillatory integrals: with k = p/2,
 
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import HyperboloidParams
-from .measures import CLOSED_PAIRS, ConvClosedForm, conv_closed
+from .measures import CLOSED_PAIRS, SPHERE_AREA, ConvClosedForm, conv_closed
 from .quadrature import BudgetError, QuadResult, gl_nodes, gl_panels, two_resolution
 from .specfun import bessel_j0, exp_integral_ei, exp_scaled_en, exp_scaled_k
 
@@ -57,7 +57,7 @@ def extension_closed(profile: ExpProfile, x, t):
     """Closed extension value; d = 2 only.  Vectorized over broadcast x, t.
 
     x is the spatial point (shape (..., 2)) and t the time; the result is
-    complex 2 pi e^{-s w}/w with w = principal_sqrt((a - i t)^2 + |x|^2).
+    complex 2 pi e^{-s w}/w with w the principal sqrt((a - i t)^2 + |x|^2).
     """
     if profile.params.d != 2:
         raise ValueError("closed extension form exists for d = 2 only")
@@ -151,17 +151,6 @@ def l2_norm_sq(profile: ExpProfile) -> float:
     return 2.0 * np.pi * s * math.exp(-2.0 * a * s) * exp_scaled_k(1, 2.0 * a * s) / a
 
 
-def weighted_conv_closed(profile: ExpProfile, k: int, xi, tau):
-    """k-fold convolution of f_a sigma: e^{-a tau} times the measure version.
-
-    The convolution delta pins sum(psi_i) = tau, so the profile weights
-    collapse to a single factor e^{-a tau} on the support.
-    """
-    form = ConvClosedForm(profile.params.d, k, profile.params.s)
-    base = conv_closed(form, xi, tau)
-    return np.exp(-profile.a * np.asarray(tau, dtype=float)) * base
-
-
 def conv_power_l2_sq(
     profile: ExpProfile, k: int, method: str = "quadrature"
 ) -> QuadResult:
@@ -195,7 +184,6 @@ def conv_power_l2_sq(
         raise ValueError("method must be 'closed' or 'quadrature'")
 
     form = ConvClosedForm(d, k, s)
-    sphere = 2.0 * np.pi if d == 2 else 4.0 * np.pi
     base = k * s
 
     # Outer nodes in w' on the panels (0, 1), (1, 5), (5, 15), (15, 60); the
@@ -217,7 +205,7 @@ def conv_power_l2_sq(
         dens = conv_closed(form, xi, np.broadcast_to(tau[:, None], rho.shape))
         inner = rho_max * np.sum(r_w * dens * dens * rho ** (d - 1), axis=1)
         total = float(np.sum(wp_w * np.exp(-wp) * inner))
-        return total * math.exp(-2.0 * a * base) / (2.0 * a) * sphere
+        return total * math.exp(-2.0 * a * base) / (2.0 * a) * SPHERE_AREA[d]
 
     return two_resolution(outer, 48, 96)
 
@@ -229,7 +217,7 @@ def lp_norm_extension_via_conv(
 
     ||T f||_{2k}^{2k} = (2 pi)^{d+1} ||(f sigma)^{*k}||_2^2.
     """
-    if p not in (4, 6) or p % 2:
+    if p not in (4, 6):
         raise ValueError("p must be 4 or 6")
     k = p // 2
     d = profile.params.d

@@ -65,7 +65,6 @@ class FunctionalCurvePoint:
     a: float
     q_value: float
     error: float
-    method: str
 
 
 def scaling_exponent(d: int, p: int) -> float:
@@ -172,7 +171,7 @@ def q_ratio_quadrature(d: int, p: int, a: float, s: float) -> QuadResult:
     return QuadResult(value=norm.value / f_norm, error=norm.error / f_norm)
 
 
-def q_route(d: int, method: str | None = None) -> str:
+def q_route(method: str | None = None) -> str:
     """Route of q_ratio: `method` if given, else closed."""
     if method not in (None, "closed", "quadrature"):
         raise ValueError(f"method must be 'closed' or 'quadrature', got {method!r}")
@@ -185,7 +184,7 @@ def q_ratio(d: int, p: int, a: float, s: float, method: str | None = None) -> Qu
     The closed route reports error 0; the quadrature route its propagated
     two-resolution estimate.
     """
-    if q_route(d, method) == "closed":
+    if q_route(method) == "closed":
         return QuadResult(value=q_ratio_closed(d, p, a, s), error=0.0)
     return q_ratio_quadrature(d, p, a, s)
 
@@ -201,7 +200,7 @@ def monotonicity_scan(
 ) -> tuple[list[FunctionalCurvePoint], str]:
     """Evaluate Q on the grid through q_ratio and classify the trend.
 
-    Each point carries the value and error of the route q_route(d, method).
+    Each point carries the value and error of the route q_route(method).
     Returns the curve and one of "strictly-increasing", "strictly-decreasing",
     "not-strict".  The grid must be strictly increasing with >= 3 points for
     a meaningful verdict (>= 2 accepted for degenerate sweeps).
@@ -212,12 +211,10 @@ def monotonicity_scan(
         raise ValueError("a_grid must be a 1-D grid with at least 2 points")
     if not np.all(np.diff(grid) > 0):
         raise ValueError("a_grid must be strictly increasing")
-    method = q_route(d, method)
     points = []
     for a in grid:
         r = q_ratio(d, p, float(a), s, method)
-        points.append(FunctionalCurvePoint(a=float(a), q_value=r.value, error=r.error,
-                                           method=method))
+        points.append(FunctionalCurvePoint(a=float(a), q_value=r.value, error=r.error))
     steps = np.diff([pt.q_value for pt in points])
     if np.all(steps > 0):
         return points, "strictly-increasing"

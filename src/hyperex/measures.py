@@ -46,6 +46,9 @@ SHEETS = ("plus", "minus", "both")
 
 CLOSED_PAIRS = ((2, 2), (2, 3), (3, 2))
 
+# |S^{d-1}|, the area of the unit sphere of directions in R^d.
+SPHERE_AREA = {2: 2.0 * np.pi, 3: 4.0 * np.pi}
+
 
 @dataclass(frozen=True)
 class MeasureSpec:
@@ -150,8 +153,8 @@ def surface_integral(
 
     f must be vectorized: f(xi, tau) with xi of shape (N, d) and tau of shape
     (N,) returning (N,).  Raises BudgetError when the outer radial half
-    contributes more than the requested tolerance allows, i.e. the truncation
-    radius is too small for this integrand.
+    contributes more than both 100 max(1e-9 |value|, 1e-12) and
+    1e-3 |value|, i.e. the truncation radius is too small for this integrand.
     """
 
     def run(scale: int) -> tuple[float, float]:
@@ -167,7 +170,7 @@ def surface_integral(
 
     coarse, _ = run(1)
     fine, tail = run(2)
-    floor = max(quad.rtol * abs(fine), quad.atol)
+    floor = max(1e-9 * abs(fine), 1e-12)
     if tail > max(100.0 * floor, 1e-3 * abs(fine)):
         raise BudgetError(
             f"outer-half contribution {tail:.3e} vs total {fine:.3e}: "
@@ -176,24 +179,27 @@ def surface_integral(
     return QuadResult(value=fine, error=abs(fine - coarse))
 
 
-def _invariant_m2(xi, tau):
+def conv_support(form: ConvClosedForm, xi, tau):
+    """Closed support of the closed density at (xi, tau), and the invariant mass.
+
+    Returns (inside, m2) with m2 = tau^2 - |xi|^2 and inside the closed set
+    tau > 0, m2 >= (n s)^2.  Vectorized like conv_closed; a single point
+    gives exactly the corresponding row of a vectorized call.
+    """
     xi = np.asarray(xi, dtype=float)
     tau = np.asarray(tau, dtype=float)
-    if xi.ndim == 1 and tau.ndim == 0:
-        return tau**2 - np.dot(xi, xi), tau
-    return tau**2 - np.sum(xi * xi, axis=-1), tau
+    m2 = tau**2 - np.sum(xi * xi, axis=-1)
+    return (tau > 0) & (m2 >= (form.n * form.s) ** 2), m2
 
 
 def conv_closed(form: ConvClosedForm, xi, tau):
-    """Closed n-fold convolution density at (xi, tau); 0 outside the support.
+    """Closed n-fold convolution density at (xi, tau); 0 outside conv_support.
 
-    Vectorized: xi may be (N, d) with tau (N,).  The support condition is the
-    closed set tau >= sqrt((n s)^2 + |xi|^2).
+    Vectorized: xi may be (N, d) with tau (N,).
     """
-    m2, t = _invariant_m2(xi, tau)
-    thresh = (form.n * form.s) ** 2
-    inside = (t > 0) & (m2 >= thresh)
-    m2_safe = np.where(inside, m2, 1.0)
+    inside, m2 = conv_support(form, xi, tau)
+    # Outside points get m^2 = oo, finite in every formula below.
+    m2_safe = np.where(inside, m2, np.inf)
     if form.d == 2 and form.n == 2:
         vals = 2.0 * np.pi / np.sqrt(m2_safe)
     elif form.d == 2 and form.n == 3:
@@ -279,10 +285,9 @@ def conv_point_oracle(
         )
     params = form.params
     s = form.s
-    xi = np.asarray(xi, dtype=float)
-    p = SpacetimePoint(xi, float(tau))
-    m2 = p.tau**2 - float(np.dot(p.xi, p.xi))
-    if p.tau <= 0 or m2 <= (2.0 * s) ** 2:
+    p = SpacetimePoint(xi, tau)
+    inside, m2 = conv_support(form, p.xi, p.tau)
+    if not inside or m2 <= (2.0 * s) ** 2:
         return QuadResult(0.0, 0.0)
     if m2 - (2.0 * s) ** 2 < 1e-8 * (1.0 + p.tau**2):
         warnings.warn(
@@ -374,8 +379,6 @@ def _pairing_tensor_pair(
     |x + y|^2 = (r - rho)^2 + 2 r rho (1 + c), and y runs over the radial
     rule times _zonal_rule.
     """
-    sphere_area = 2.0 * np.pi if params.d == 2 else 4.0 * np.pi
-
     def run(scale: int) -> float:
         q = replace(quad, n_radial=max(4, quad.n_radial // 2 * scale),
                     n_angular=max(8, quad.n_angular // 2 * scale))
@@ -390,7 +393,7 @@ def _pairing_tensor_pair(
             length = np.sqrt((r_y - rho) ** 2 + 2.0 * r_y * rho * (1.0 + c_y))
             vals = np.asarray(g(length, flip * (psi_y + psi_x)), dtype=float)
             total += float(w_x * np.dot(w_y, vals))
-        return sphere_area * total
+        return SPHERE_AREA[params.d] * total
 
     return two_resolution(run, 1, 2)
 
@@ -446,11 +449,7 @@ def sum_support_predicate(s: float, sheets: tuple, xi, tau):
         raise ValueError("sheets must be 2 or 3 entries of 'plus'/'minus'")
     xi = np.asarray(xi, dtype=float)
     tau = np.asarray(tau, dtype=float)
-    if xi.ndim == 1 and tau.ndim == 0:
-        xi_sq = np.dot(xi, xi)
-    else:
-        xi_sq = np.sum(xi * xi, axis=-1)
-    b = np.sqrt((n * s) ** 2 + xi_sq)
+    b = np.sqrt((n * s) ** 2 + np.sum(xi * xi, axis=-1))
     plus = sum(1 for sh in sheets if sh == "plus")
     if n == 2:
         out = {2: tau >= b, 1: np.abs(tau) <= b, 0: tau <= -b}[plus]

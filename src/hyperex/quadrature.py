@@ -28,9 +28,6 @@ class QuadSpec:
     n_angular   : points per angular circle (trapezoid, exact for periodics).
     samples     : Monte-Carlo sample count.
     seed        : Monte-Carlo stream seed; None lets the caller's default win.
-    rtol, atol  : accuracy target max(rtol |value|, atol); only
-                  surface_integral's truncation check reads it, weighing the
-                  outer radial half against it.
     """
 
     rule: str = "tensor"
@@ -39,8 +36,6 @@ class QuadSpec:
     n_angular: int = 64
     samples: int = 200_000
     seed: int | None = None
-    rtol: float = 1e-9
-    atol: float = 1e-12
 
     def __post_init__(self) -> None:
         if self.rule not in ("tensor", "montecarlo"):

@@ -31,7 +31,6 @@ exp_scaled_en
     between 4 and 6 the series loses up to 2.6e-15 and the recurrence
     amplifies that about 25-fold for n = 3.  Needed where e^-x underflows,
     and for the a s -> oo limits of the profile functionals.
-    exp_scaled_ei is e^x Ei(-x) = -e^x E_1(x).
 
 exp_scaled_k
     e^z K_nu(z) for z >= 1e-300 by the trapezoid rule on its integral over
@@ -58,21 +57,10 @@ bessel_j0
 
     Against mpmath the absolute deviation is below 4.5e-16 on [0, 25) and
     below 6e-17 from 25 on.
-
-principal_sqrt
-    Principal branch of the complex square root with an explicit guard on the
-    cut: arguments on the negative real axis raise instead of being silently
-    resolved to +i sqrt(|z|).
-
-laplace_j0_kernel
-    e^{-b sqrt(lam^2 + a^2)} / sqrt(lam^2 + a^2), the Laplace transform of
-    u |-> J0(a sqrt(u^2 - b^2)) 1_{u > b}, valid for Re(lam) > 0 where the
-    sqrt argument never meets the cut.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -181,15 +169,6 @@ def exp_scaled_en(n: int, x: float) -> float:
     return value
 
 
-def exp_scaled_ei(x: float) -> float:
-    """e^x Ei(-x) = -e^x E_1(x) for x > 0, stable for arbitrarily large x.
-
-    Monotone increasing from -oo (x -> 0+) to 0- (x -> oo), with the
-    asymptotic expansion e^x Ei(-x) = -(1/x)(1 - 1/x + 2/x^2 - ...).
-    """
-    return -exp_scaled_en(1, x)
-
-
 def exp_scaled_k(nu: float, z: float) -> float:
     """e^z K_nu(z) for z >= 1e-300 and nu >= 0.
 
@@ -269,27 +248,3 @@ def bessel_j0(x):
     vals[~near] = _j0_hankel(flat[~near])
     return vals.reshape(arr.shape) if arr.shape else float(vals[0])
 
-
-def principal_sqrt(z: complex) -> complex:
-    """Principal square root; refuses the branch cut instead of picking a side."""
-    z = complex(z)
-    if z.imag == 0.0 and z.real < 0.0:
-        raise ValueError(
-            "principal_sqrt: argument on the negative real axis (branch cut)"
-        )
-    return cmath.sqrt(z)
-
-
-def laplace_j0_kernel(lam: complex, a: float, b: float) -> complex:
-    """e^{-b w}/w with w = principal_sqrt(lam^2 + a^2); requires Re(lam) > 0.
-
-    For Re(lam) > 0 the argument lam^2 + a^2 stays off the negative real axis,
-    so the principal branch is the analytic continuation from lam real > 0.
-    """
-    lam = complex(lam)
-    if not lam.real > 0.0:
-        raise ValueError("laplace_j0_kernel requires Re(lam) > 0")
-    if a < 0.0 or b < 0.0:
-        raise ValueError("laplace_j0_kernel requires a >= 0 and b >= 0")
-    w = principal_sqrt(lam * lam + a * a)
-    return cmath.exp(-b * w) / w

@@ -296,6 +296,15 @@ class TestConv:
         assert report["outputs"]["value"] == 0.0
         assert report["outputs"]["notes"] == ["outside-support"]
 
+    @pytest.mark.parametrize("xi, tau", [("-1.133,6.128", "6.5449272723232"),
+                                         ("-2.627,-4.543", "5.61604647416668")])
+    def test_outside_support_note_iff_value_vanishes(self, capsys, xi, tau):
+        # Both points lie within 3e-15 of the support boundary m^2 = 4, where
+        # the verdict is a rounding call; the value and the note share it.
+        out = run_json(capsys, ["conv", "--d", "2", "--n", "2", f"--xi={xi}",
+                                "--tau", tau])["outputs"]
+        assert (out.get("notes") == ["outside-support"]) == (out["value"] == 0.0)
+
     def test_boundary_proximate_flag(self, capsys):
         report = run_json(
             capsys,

@@ -24,11 +24,9 @@ from hyperex.extension import (
     l2_norm_sq,
     lp_norm_extension_direct,
     lp_norm_extension_via_conv,
-    weighted_conv_closed,
     _ridge_time_edges,
 )
 from hyperex.geometry import HyperboloidParams
-from hyperex.measures import ConvClosedForm, conv_closed
 from hyperex.quadrature import BudgetError, QuadSpec, gl_nodes, gl_panels
 from hyperex.specfun import exp_integral_ei
 
@@ -168,17 +166,6 @@ def test_l2_norm_sq_quadrature_d3():
         )
         prof = ExpProfile(a=a, params=P3)
         assert l2_norm_sq(prof) == pytest.approx(2.0 * math.pi * k1 / a, rel=1e-12)
-
-
-def test_weighted_conv_matches_plain_conv():
-    # The energy delta pins tau, so the weighted density is e^{-a tau} times
-    # the plain convolution of the sheet measure.
-    taus = np.array([2.5, 3.0, 4.0])
-    xis = np.column_stack([np.array([0.3, 1.0, 0.5]), np.zeros(3)])
-    form = ConvClosedForm(2, 2, 1.0)
-    want = np.exp(-taus) * conv_closed(form, xis, taus)
-    got = weighted_conv_closed(PROF2, 2, xis, taus)
-    assert np.allclose(got, want, rtol=1e-13)
 
 
 def test_conv_power_l2_closed_vs_quadrature_d2():

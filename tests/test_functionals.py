@@ -227,11 +227,9 @@ def test_monotonicity_scan_carries_q_ratio_values_and_errors(d, p):
     pts, _ = monotonicity_scan(d, p, 1.3, grid, method="quadrature")
     for pt, a in zip(pts, grid):
         r = q_ratio(d, p, a, 1.3, "quadrature")
-        assert (pt.a, pt.q_value, pt.error, pt.method) == (a, r.value, r.error,
-                                                           "quadrature")
+        assert (pt.a, pt.q_value, pt.error) == (a, r.value, r.error)
         assert pt.error > 0.0
     closed, _ = monotonicity_scan(2, 4, 1.3, grid)
-    assert [pt.method for pt in closed] == ["closed"] * 3
     assert [pt.error for pt in closed] == [0.0] * 3
 
 

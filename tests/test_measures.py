@@ -8,6 +8,7 @@ pairs (d = 2) and against verify's closed-density reduction (d = 3).
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,12 +23,14 @@ from hyperex.geometry import (
     rotation_embed,
 )
 from hyperex.measures import (
+    CLOSED_PAIRS,
     ConvClosedForm,
     MeasureSpec,
     conv_closed,
     conv_pairing_oracle,
     conv_point_oracle,
     conv_sup_norm,
+    conv_support,
     sum_support_predicate,
     surface_integral,
 )
@@ -172,6 +175,44 @@ def test_conv_closed_vectorized_and_invariant():
     assert vals.shape == (3,)
     assert vals[0] == vals[1]  # same invariant m^2 = 16
     assert vals[2] == 0.0
+
+
+def test_conv_closed_outside_the_support_warns_nothing():
+    # An outside point must not feed the d = 3 formula a mass m^2 < 4 s^2,
+    # where sqrt(1 - 4 s^2 / m^2) is invalid.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert conv_closed(ConvClosedForm(3, 2, 1.0), [5.0, 0.0, 0.0], 1.0) == 0.0
+
+
+@pytest.mark.parametrize("d, n", CLOSED_PAIRS)
+def test_single_point_calls_are_the_vectorized_rows(d, n):
+    # Random points, and tau within 3 ulps of +-sqrt((n s)^2 + |xi|^2), where
+    # the support verdict is a rounding call: each single-point call must
+    # return bit-for-bit the row of the vectorized call, so a value and the
+    # support verdict made for it never disagree.
+    rng = np.random.default_rng(10 * d + n)
+    s = 1.1
+    form = ConvClosedForm(d, n, s)
+    base = rng.normal(size=(150, d)) * rng.exponential(4.0, size=(150, 1))
+    edge = np.sqrt((n * s) ** 2 + np.sum(base * base, axis=-1))
+    ulps = np.arange(-3, 4) * np.spacing(edge)[:, None]
+    xi = np.concatenate([np.repeat(base, 7, axis=0)] * 2 + [base])
+    tau = np.concatenate([(edge[:, None] + ulps).ravel(),
+                          (-edge[:, None] + ulps).ravel(),
+                          rng.uniform(-10.0, 40.0, size=base.shape[0])])
+    inside, m2 = conv_support(form, xi, tau)
+    assert inside.any() and not inside[: 7 * edge.size].all()
+    singles = [conv_support(form, x, t) for x, t in zip(xi, tau)]
+    assert [bool(i) for i, _ in singles] == inside.tolist()
+    assert np.array_equal([m for _, m in singles], m2)
+    vec = conv_closed(form, xi, tau)
+    assert np.array_equal([conv_closed(form, x, t) for x, t in zip(xi, tau)], vec)
+    assert not vec[~inside].any()
+    for sheets in [("plus",) * n, ("plus",) * (n - 1) + ("minus",), ("minus",) * n]:
+        rows = sum_support_predicate(s, sheets, xi, tau)
+        assert [sum_support_predicate(s, sheets, x, t)
+                for x, t in zip(xi, tau)] == rows.tolist()
 
 
 @pytest.mark.parametrize(

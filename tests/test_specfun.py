@@ -13,7 +13,9 @@ The two Ei routes agreed to ~1e-15 relative everywhere both converge; J0
 values carry quad error bars below 1e-13.  Deep negative arguments
 (x <= -50) are outside quad's relative-accuracy floor, so those are checked
 against the enveloping alternating asymptotic series instead, which brackets
-E1(y) rigorously.
+E1(y) rigorously.  The Laplace transform of the J0 chain, which the package
+forms only as the closed d = 2 extension, is checked against quad of its
+defining integral with bessel_j0 inside.
 """
 
 import cmath
@@ -23,19 +25,16 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from hyperex.extension import ExpProfile, extension_closed
+from hyperex.geometry import HyperboloidParams
 from hyperex.specfun import (
     EULER_GAMMA,
     bessel_j0,
     exp_integral_ei,
-    exp_scaled_ei,
     exp_scaled_en,
     exp_scaled_k,
-    laplace_j0_kernel,
-    principal_sqrt,
 )
 
 # Frozen oracle values: x -> (Ei(x), relative tolerance granted to the oracle).
@@ -141,23 +140,23 @@ def test_ei_domain_errors():
 def test_exp_scaled_ei_matches_direct_product():
     for x in (0.1, 1.0, 3.0, 5.9):
         direct = math.exp(x) * exp_integral_ei(-x)
-        assert exp_scaled_ei(x) == pytest.approx(direct, rel=1e-13)
-    seam_lo, seam_hi = exp_scaled_ei(6.0 - 1e-12), exp_scaled_ei(6.0 + 1e-12)
+        assert -exp_scaled_en(1, x) == pytest.approx(direct, rel=1e-13)
+    seam_lo, seam_hi = -exp_scaled_en(1, 6.0 - 1e-12), -exp_scaled_en(1, 6.0 + 1e-12)
     assert seam_lo == pytest.approx(seam_hi, rel=1e-10)
 
 
 def test_exp_scaled_ei_asymptotics_and_monotonicity():
     x = 1e4
     # -x e^x Ei(-x) = 1 - 1/x + 2/x^2 - 6/x^3 + ...
-    assert -x * exp_scaled_ei(x) == pytest.approx(1 - 1 / x + 2 / x**2, abs=1e-11)
+    assert x * exp_scaled_en(1, x) == pytest.approx(1 - 1 / x + 2 / x**2, abs=1e-11)
     grid = np.geomspace(1e-3, 1e3, 200)
-    vals = np.array([exp_scaled_ei(float(a)) for a in grid])
+    vals = np.array([-exp_scaled_en(1, float(a)) for a in grid])
     assert np.all(np.diff(vals) > 0)  # increases from -oo to 0-
     assert np.all(vals < 0)
     with pytest.raises(ValueError):
-        exp_scaled_ei(0.0)
+        exp_scaled_en(1, 0.0)
     with pytest.raises(ValueError):
-        exp_scaled_ei(-1.0)
+        exp_scaled_en(1, -1.0)
 
 
 def _rel_dev(got, want):
@@ -184,7 +183,6 @@ def test_exp_scaled_en_recurrence_matches_mpmath(n):
         for x in np.geomspace(1e-8, 6.0, 2000, endpoint=False):
             want = mpmath.exp(x) * mpmath.expint(n, x)
             assert _rel_dev(exp_scaled_en(n, float(x)), want) <= 5e-15, x
-    assert exp_scaled_en(1, 2.5) == -exp_scaled_ei(2.5)
     with pytest.raises(ValueError):
         exp_scaled_en(3, 0.0)
     with pytest.raises(ValueError):
@@ -273,28 +271,13 @@ def test_j0_memory_stays_bounded():
     assert np.allclose(vals[idx], bessel_j0(x[idx]), rtol=0.0, atol=1e-12)
 
 
-def test_principal_sqrt_branch_and_errors():
-    assert principal_sqrt(4.0) == 2.0
-    assert principal_sqrt(0.0) == 0.0
-    w = principal_sqrt(complex(-1.0, 1e-300))
-    assert w.imag > 0  # approaches +i from above the cut
-    for bad in (-1.0, complex(-1e-30, 0.0), complex(-1e300, -0.0)):
-        with pytest.raises(ValueError):
-            principal_sqrt(bad)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.complex_numbers(
-        min_magnitude=1e-6, max_magnitude=1e6, allow_nan=False, allow_infinity=False
-    )
-)
-def test_principal_sqrt_roundtrip_and_halfplane(z):
-    if z.imag == 0.0 and z.real < 0.0:
-        return  # the cut itself is tested separately
-    w = principal_sqrt(z)
-    assert w.real >= 0.0
-    assert cmath.isclose(w * w, z, rel_tol=1e-12)
+def laplace_j0_kernel(lam, a, b):
+    """e^{-b w}/w, w = sqrt(lam^2 + a^2), the Laplace transform at lam of
+    u -> J0(a sqrt(u^2 - b^2)) 1_{u > b}: the closed d = 2 extension over
+    2 pi at rate Re(lam), time -Im(lam), |x| = a and s = b."""
+    lam = complex(lam)
+    profile = ExpProfile(a=lam.real, params=HyperboloidParams(d=2, s=b))
+    return complex(extension_closed(profile, np.array([a, 0.0]), -lam.imag)) / (2 * math.pi)
 
 
 def test_laplace_j0_kernel_real_argument():
@@ -328,7 +311,7 @@ def test_laplace_j0_kernel_zero_width_limit_and_domain():
         with pytest.raises(ValueError):
             laplace_j0_kernel(bad, 1.0, 1.0)
     with pytest.raises(ValueError):
-        laplace_j0_kernel(1.0, -1.0, 1.0)
+        laplace_j0_kernel(1.0, 1.0, -1.0)
 
 
 def test_euler_gamma_constant():
