@@ -230,7 +230,7 @@ def lp_norm_extension_via_conv(
     return QuadResult(value=value, error=error)
 
 
-def _ridge_time_edges(rho: float, a: float, s: float) -> np.ndarray:
+def _ridge_time_edges(rho: np.ndarray, a: float, s: float) -> tuple[np.ndarray, np.ndarray]:
     """Panel edges in t >= 0 for |T f_a(rho e1, t)|^p, tracking t ~ rho.
 
     Near |t| = rho the closed form gives Re w = sqrt(rho) *
@@ -238,22 +238,42 @@ def _ridge_time_edges(rho: float, a: float, s: float) -> np.ndarray:
     floor a only once dt >> (a s)^2 rho.  Panels: a few inside the cone,
     a split pair across |t| = rho, then geometric doubling out to a far
     cutoff; the caller extrapolates the 1/t^p tail beyond it.
+
+    One row per radial node: returns the (rows, edges) array, each row
+    padded with its last edge (zero-width panels), and the per-row count.
     """
     delta = 0.5 * a
-    edges = [0.0]
-    if rho > 8.0 * delta:
-        edges += [0.5 * rho, rho - 4.0 * delta, rho - delta, rho]
-    elif rho > delta:
-        edges.append(rho)
-    if rho > delta:
-        edges.append(rho + delta)
-    t_max = max(100.0 * rho, 100.0 / s, 100.0 / a)
-    lo, step = edges[-1], delta
-    while lo < t_max:
+    wide, split = rho > 8.0 * delta, rho > delta
+    cols = [np.zeros_like(rho), 0.5 * rho, rho - 4.0 * delta, rho - delta, rho, rho + delta]
+    keep = [np.ones_like(wide), wide, wide, wide, split, split]
+    t_max = np.maximum(100.0 * rho, max(100.0 / s, 100.0 / a))
+    lo, step = np.where(split, rho + delta, 0.0), delta
+    while np.any(active := lo < t_max):
         step *= 2.0
-        lo = min(lo + step, t_max + 1.0)
-        edges.append(lo)
-    return np.asarray(edges)
+        lo = np.where(active, np.minimum(lo + step, t_max + 1.0), lo)
+        cols.append(lo)
+        keep.append(active)
+    # Move each row's kept edges to its front, in order, and pad with the last.
+    keep = np.stack(keep, 1)
+    edges = np.take_along_axis(np.stack(cols, 1), np.argsort(~keep, axis=1, kind="stable"), 1)
+    count = keep.sum(axis=1)
+    pad = np.arange(edges.shape[1]) >= count[:, None]
+    return np.where(pad, edges[np.arange(rho.size), count - 1][:, None], edges), count
+
+
+def _abs_extension_pow(a: float, s: float, rho, t, p: int):
+    """|T f_a(rho e1, t)|^p for d = 2 and p in {4, 6}, in real arithmetic.
+
+    |T|^p = (2 pi)^p e^{-p s Re w} / |arg|^{p/2} with arg = w^2 = (a^2 - t^2
+    + rho^2) - 2iat, and Re w from the stable half-angle form of the root.
+    """
+    re = (a * a - t * t) + rho * rho
+    im = 2.0 * a * t
+    m2 = re * re + im * im
+    m = np.sqrt(m2)
+    big = np.sqrt(0.5 * (m + np.abs(re)))
+    re_w = np.where(re >= 0.0, big, np.abs(im) / (2.0 * big))
+    return (2.0 * np.pi) ** p * np.exp(-p * s * re_w) / (m2 if p == 4 else m2 * m)
 
 
 def lp_norm_extension_direct(profile: ExpProfile, p: int) -> QuadResult:
@@ -271,6 +291,10 @@ def lp_norm_extension_direct(profile: ExpProfile, p: int) -> QuadResult:
     tails are extrapolated through their power laws and folded into both
     the value and the error estimate: |T|^p ~ C / t^p in time past the last
     time panel of each radial node, and g in rho past the radial cutoff.
+
+    Each radial panel is one batch: the time edges of all its nodes come
+    from one padded edge array, and |T|^p on the whole (rho, t) grid from
+    one real-arithmetic kernel, so no Python work runs per radial node.
     """
     if profile.params.d != 2:
         raise ValueError("direct norm quadrature is implemented for d = 2 only")
@@ -279,19 +303,18 @@ def lp_norm_extension_direct(profile: ExpProfile, p: int) -> QuadResult:
     a, s = profile.a, profile.params.s
     rho_max = 2000.0 * max(1.0, 1.0 / (a * s * s))
 
-    def radial_mass(rho: float, n_per: int) -> tuple[float, float]:
-        edges = _ridge_time_edges(rho, a, s)
-        t_pos, w_t = gl_panels(edges, n_per)
-        x = np.zeros((t_pos.size, 2))
-        x[:, 0] = rho
-        dens = np.abs(extension_closed(profile, x, t_pos)) ** p
+    def radial_mass(rho: np.ndarray, n_per: int) -> tuple[np.ndarray, np.ndarray]:
+        edges, count = _ridge_time_edges(rho, a, s)
+        t, w_t = gl_panels(edges, n_per)
+        dens = _abs_extension_pow(a, s, rho[:, None], t, p)
         # Time tail from |T|^p ~ C / t^p past the last edge E:
         # int_E^oo = |T(E)|^p E / (p - 1), |T(E)|^p extrapolated from the last node.
-        t_end = edges[-1]
-        tail = dens[-1] * (t_pos[-1] / t_end) ** p * t_end / (p - 1)
+        rows, last = np.arange(count.size), (count - 1) * n_per - 1
+        t_end = edges[rows, count - 1]
+        tail = dens[rows, last] * (t[rows, last] / t_end) ** p * t_end / (p - 1)
         # Factor 2: the density is even in t.
         scale = 4.0 * np.pi * rho
-        return scale * (float(np.sum(w_t * dens)) + tail), scale * tail
+        return scale * (np.sum(w_t * dens, axis=1) + tail), scale * tail
 
     def evaluate(n_per: int) -> tuple[float, float, float, float]:
         edges = [0.0, 0.25 * min(1.0 / a, 1.0 / s, 1.0)]
@@ -300,7 +323,7 @@ def lp_norm_extension_direct(profile: ExpProfile, p: int) -> QuadResult:
         total, time_tail, r_last, g_last = 0.0, 0.0, 1.0, 0.0
         for lo, hi in zip(edges[:-1], edges[1:]):
             nodes, wts = gl_nodes(lo, hi, n_per)
-            g, g_tail = np.array([radial_mass(r, n_per) for r in nodes]).T
+            g, g_tail = radial_mass(nodes, n_per)
             total += float(np.dot(wts, g))
             time_tail += float(np.dot(wts, g_tail))
             r_last, g_last = float(nodes[-1]), float(g[-1])

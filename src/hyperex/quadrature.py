@@ -71,12 +71,13 @@ def gl_nodes(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gl_panels(edges: np.ndarray, n_per: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes over consecutive panels given by `edges`."""
+    """Gauss-Legendre nodes over consecutive panels along the last axis of `edges`."""
     edges = np.asarray(edges, dtype=float)
     x, w = _leggauss(n_per)
-    a = edges[:-1, None]
-    half = 0.5 * (edges[1:, None] - a)
-    return (a + half * (x + 1.0)).ravel(), (half * w).ravel()
+    a = edges[..., :-1, None]
+    half = 0.5 * (edges[..., 1:, None] - a)
+    shape = edges.shape[:-1] + (-1,)
+    return (a + half * (x + 1.0)).reshape(shape), (half * w).reshape(shape)
 
 
 def trapezoid_angles(n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -465,6 +465,10 @@ def _suite_oracle(rng, samples, grid=None):
 
 # ------------------------------------------------------------- functional
 
+# (d, p, s, a) of the scaling-identity check, one per supported pair.
+_SCALING_INPUTS = ((2, 4, 3.1, 0.9), (2, 6, 3.1, 0.9), (3, 4, 3.1, 0.9))
+
+
 def _suite_functional(rng, samples, grid=None):
     out = []
     # Q/H near its concentration limit, inside [lo, 1).
@@ -519,10 +523,11 @@ def _suite_functional(rng, samples, grid=None):
     out.append(_check("functional", "strict-inequality", gap, 0.0,
                       note="sup grids and Q < H across 45 rates", passed=strict))
 
+    # (a / s) * s != a for these inputs, so each arm compares two different
+    # floating-point rates instead of the same one twice.
     worst = max(
-        scaling_check(2, 4, 2.3, ExpProfile(a=1.0, params=HyperboloidParams(d=2, s=1.0))),
-        scaling_check(2, 6, 2.3, ExpProfile(a=1.0, params=HyperboloidParams(d=2, s=1.0))),
-        scaling_check(3, 4, 2.0, ExpProfile(a=0.2, params=HyperboloidParams(d=3, s=1.0))),
+        scaling_check(d, p, s, ExpProfile(a=a, params=HyperboloidParams(d=d, s=1.0)))
+        for d, p, s, a in _SCALING_INPUTS
     )
     out.append(_check("functional", "scaling-identity", worst, 1e-8))
 

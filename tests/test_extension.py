@@ -8,6 +8,7 @@ matches the Bessel-K identity int_1^oo e^{-u} sqrt(u^2 - 1) du = K_1(1), and
 """
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -24,6 +25,7 @@ from hyperex.extension import (
     l2_norm_sq,
     lp_norm_extension_direct,
     lp_norm_extension_via_conv,
+    _abs_extension_pow,
     _ridge_time_edges,
 )
 from hyperex.geometry import HyperboloidParams
@@ -90,13 +92,74 @@ def test_quadrature_d2_far_field_matches_closed(t):
     assert abs(val - extension_closed(prof, x, t)) <= err + floor
 
 
+# Time edges of the direct norm at a = 0.3, s = 1, frozen from the scalar
+# per-node edge rule: rho <= a/2 takes no split, a/2 < rho <= 4a the single
+# split at rho, rho > 4a the four cone edges before it.
+RIDGE_EDGES = {
+    0.0: [0.0, 0.3, 0.8999999999999999, 2.0999999999999996, 4.5, 9.3, 18.9,
+          38.099999999999994, 76.5, 153.3, 306.9, 334.33333333333337],
+    0.1: [0.0, 0.3, 0.8999999999999999, 2.0999999999999996, 4.5, 9.3, 18.9,
+          38.099999999999994, 76.5, 153.3, 306.9, 334.33333333333337],
+    1.0: [0.0, 1.0, 1.15, 1.45, 2.05, 3.25, 5.65, 10.45, 20.049999999999997,
+          39.25, 77.65, 154.45, 308.04999999999995, 334.33333333333337],
+    8.0: [0.0, 4.0, 7.4, 7.85, 8.0, 8.15, 8.450000000000001, 9.05, 10.25,
+          12.65, 17.45, 27.049999999999997, 46.25, 84.65, 161.45,
+          315.04999999999995, 622.25, 801.0],
+    1e3: [0.0, 500.0, 999.4, 999.85, 1000.0, 1000.15, 1000.4499999999999,
+          1001.05, 1002.25, 1004.65, 1009.4499999999999, 1019.05, 1038.25,
+          1076.65, 1153.45, 1307.05, 1614.25, 2228.65, 3457.45,
+          5915.049999999999, 10830.25, 20660.65, 40321.45, 79643.04999999999,
+          100001.0],
+}
+
+
+def test_ridge_time_edges_match_frozen_rows():
+    rho = np.array(list(RIDGE_EDGES))
+    edges, count = _ridge_time_edges(rho, 0.3, 1.0)
+    for row, n, ref in zip(edges, count, RIDGE_EDGES.values()):
+        assert n == len(ref)
+        assert row[:n].tolist() == ref
+        # Padding repeats the last edge, so padded panels have zero width.
+        assert np.all(row[n:] == ref[-1])
+
+
 @pytest.mark.parametrize("rho", [0.0, 0.1, 1.0, 8.0])
 def test_gl_panels_equals_per_panel_gl_nodes(rho):
-    edges = _ridge_time_edges(rho, 0.3, 1.0)
+    edges, count = _ridge_time_edges(np.array([rho]), 0.3, 1.0)
+    edges = edges[0, : count[0]]
     x, w = gl_panels(edges, 20)
     panels = [gl_nodes(lo, hi, 20) for lo, hi in zip(edges[:-1], edges[1:])]
     assert np.array_equal(x, np.concatenate([p[0] for p in panels]))
     assert np.array_equal(w, np.concatenate([p[1] for p in panels]))
+
+
+def test_gl_panels_rows_equal_one_row_at_a_time():
+    edges, _ = _ridge_time_edges(np.array([0.0, 1.0, 8.0]), 0.3, 1.0)
+    x, w = gl_panels(edges, 12)
+    for i, row in enumerate(edges):
+        xi, wi = gl_panels(row, 12)
+        assert np.array_equal(x[i], xi) and np.array_equal(w[i], wi)
+
+
+@pytest.mark.parametrize("p", [4, 6])
+@pytest.mark.parametrize("a", [0.01, 0.3, 3.0, 30.0])
+@pytest.mark.parametrize("s", [0.5, 2.5])
+def test_abs_extension_pow_matches_closed(p, a, s):
+    # t << rho, t ~ rho (both sides of the cone) and t >> rho, where
+    # Re arg < 0 and Re w comes from the second half-angle branch.
+    rho = np.geomspace(1e-3, 1e3, 13)[:, None]
+    t = np.concatenate([rho * np.geomspace(1e-6, 0.5, 5),
+                        rho * (1.0 + np.array([-1e-6, 0.0, 1e-6])),
+                        rho * np.geomspace(2.0, 1e4, 5),
+                        np.broadcast_to([0.0, 1e-3, 7.0], (13, 3))], axis=1)
+    rho = np.broadcast_to(rho, t.shape)
+    x = np.stack([rho, np.zeros_like(rho)], axis=-1)
+    prof = ExpProfile(a=a, params=HyperboloidParams(d=2, s=s))
+    ref = np.abs(extension_closed(prof, x, t)) ** p
+    got = _abs_extension_pow(a, s, rho, t, p)
+    live = ref > 0.0  # far points underflow to 0 on both sides
+    assert np.array_equal(got[~live], ref[~live])
+    assert np.max(np.abs(got[live] / ref[live] - 1.0)) <= 1e-12
 
 
 def test_quadrature_d3_frozen_points():
@@ -233,15 +296,39 @@ def test_direct_norm_matches_conv_route_p6():
     assert direct.value == pytest.approx(conv.value, rel=1e-8)
 
 
+def _assert_direct_error_bounds_deviation(p, a, s):
+    prof = ExpProfile(a=a, params=HyperboloidParams(d=2, s=s))
+    direct = lp_norm_extension_direct(prof, p)
+    closed = lp_norm_extension_via_conv(prof, p, method="closed").value
+    assert abs(direct.value - closed) <= direct.error + 1e-13 * closed
+
+
 @pytest.mark.parametrize("p", [4, 6])
 @pytest.mark.parametrize("a", [0.3, 1.0, 3.0])
 def test_direct_norm_error_bounds_its_deviation(p, a):
     # The time tail |T|^p ~ C / t^p past the last time panel sits in the
     # value and the error; without it p = 6 at a s >= 1 missed its estimate.
-    prof = ExpProfile(a=a, params=P2)
-    direct = lp_norm_extension_direct(prof, p)
-    closed = lp_norm_extension_via_conv(prof, p, method="closed").value
-    assert abs(direct.value - closed) <= direct.error + 1e-13 * closed
+    _assert_direct_error_bounds_deviation(p, a, 1.0)
+
+
+@pytest.mark.parametrize("p", [4, 6])
+@pytest.mark.parametrize("a", [0.3, 1.0, 3.0])
+@pytest.mark.parametrize("s", [0.5, 2.5])
+def test_direct_norm_error_bounds_its_deviation_off_unit_sheet(p, a, s):
+    _assert_direct_error_bounds_deviation(p, a, s)
+
+
+def test_direct_norm_memory_stays_bounded():
+    # One radial panel per batch keeps the (rho, t) grid small; a batch of
+    # the whole norm would hold every panel's grid at once.
+    prof = ExpProfile(a=0.3, params=P2)
+    tracemalloc.start()
+    try:
+        lp_norm_extension_direct(prof, 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_direct_norm_off_default_profile():

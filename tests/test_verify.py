@@ -2,7 +2,8 @@
 
 import pytest
 
-from hyperex.verify import run_checks
+from hyperex.functionals import SUPPORTED_PAIRS
+from hyperex.verify import _SCALING_INPUTS, run_checks
 
 
 @pytest.mark.parametrize("suite", ["metric", "functional"])
@@ -16,3 +17,13 @@ def test_all_suites_pass_at_default_seed():
     checks = run_checks("all")
     assert len(checks) == 32
     assert [f"{c.suite}/{c.name}" for c in checks if not c.passed] == []
+
+
+def test_scaling_identity_inputs_rescale_inexactly():
+    # Where (a / s) * s rounds back to a, both sides of the identity run on
+    # the same rate a s, and the check reads exactly 0 by construction.
+    assert sorted((d, p) for d, p, _, _ in _SCALING_INPUTS) == sorted(SUPPORTED_PAIRS)
+    for _, _, s, a in _SCALING_INPUTS:
+        assert (a / s) * s != a
+    (check,) = [c for c in run_checks("functional") if c.name == "scaling-identity"]
+    assert check.passed and check.discrepancy > 0.0
