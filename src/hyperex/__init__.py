@@ -1,85 +1,59 @@
-"""Hyperboloid surface measures, extension operators, and sharp-constant checks."""
+"""Hyperboloid surface measures, extension operators, and sharp-constant checks.
+
+The top level exports the entry points only; every other public name stays
+importable from its own module (`hyperex.geometry.boost`,
+`hyperex.specfun.bessel_j0`, ...).
+"""
 
 from .extension import (
     ExpProfile,
     conv_power_l2_sq,
     extension_closed,
     extension_quadrature,
-    l2_norm_sq,
     lp_norm_extension_direct,
     lp_norm_extension_via_conv,
 )
 from .functionals import (
-    SharpConstant,
     best_constant,
-    combiner_gap,
-    conv_form_constant,
     mass_fraction,
     monotonicity_scan,
     q_ratio,
     q_ratio_closed,
     q_ratio_quadrature,
-    q_route,
-    scaling_check,
     sup_norm_bound,
     two_sheeted_combiner_check,
 )
-from .geometry import (
-    HyperboloidParams,
-    LorentzMap,
-    SpacetimePoint,
-    boost,
-    compose,
-    lift,
-    normal_form,
-    quasi_distance,
-    rotation_embed,
-)
+from .geometry import HyperboloidParams, lift, normal_form
 from .measures import (
     ConvClosedForm,
     MeasureSpec,
     conv_closed,
     conv_pairing_oracle,
     conv_point_oracle,
-    conv_sup_norm,
-    conv_support,
-    sum_support_predicate,
     surface_integral,
 )
 from .quadrature import BudgetError, QuadResult, QuadSpec
-from .specfun import bessel_j0, exp_integral_ei
-from .verify import CheckResult, run_checks
+from .specfun import exp_integral_ei
+from .verify import run_checks
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BudgetError",
-    "CheckResult",
     "ConvClosedForm",
     "ExpProfile",
     "HyperboloidParams",
-    "LorentzMap",
     "MeasureSpec",
     "QuadResult",
     "QuadSpec",
-    "SharpConstant",
-    "SpacetimePoint",
     "best_constant",
-    "bessel_j0",
-    "boost",
-    "combiner_gap",
-    "compose",
     "conv_closed",
-    "conv_form_constant",
     "conv_pairing_oracle",
     "conv_point_oracle",
     "conv_power_l2_sq",
-    "conv_sup_norm",
-    "conv_support",
     "exp_integral_ei",
     "extension_closed",
     "extension_quadrature",
-    "l2_norm_sq",
     "lift",
     "lp_norm_extension_direct",
     "lp_norm_extension_via_conv",
@@ -89,12 +63,7 @@ __all__ = [
     "q_ratio",
     "q_ratio_closed",
     "q_ratio_quadrature",
-    "q_route",
-    "quasi_distance",
-    "rotation_embed",
     "run_checks",
-    "scaling_check",
-    "sum_support_predicate",
     "sup_norm_bound",
     "surface_integral",
     "two_sheeted_combiner_check",

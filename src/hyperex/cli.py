@@ -26,7 +26,6 @@ from .functionals import (
     constant_expression,
     mass_fraction,
     monotonicity_scan,
-    q_route,
 )
 from .measures import (
     CLOSED_PAIRS, ConvClosedForm, conv_closed, conv_point_oracle, conv_support,
@@ -155,7 +154,6 @@ def cmd_curve(args) -> int:
                 "contradicts Q < H; Q is not resolved at this rate"
             )
     csv_lines = _csv_lines(rows)
-    method = q_route(args.method)
     inputs = {
         "d": args.d,
         "p": args.p,
@@ -164,11 +162,11 @@ def cmd_curve(args) -> int:
         "a_max": args.a_max,
         "points": args.points,
         "log_spacing": bool(args.log_spacing),
-        "method": method,
+        "method": args.method,
     }
     outputs = {"rows": rows, "monotonicity": verdict, "limit_value": limit_value}
     error_estimates = {}
-    if method == "quadrature":
+    if args.method == "quadrature":
         error_estimates["q_value_max"] = max(pt.error for pt in points)
     if args.out:
         with open(args.out, "w") as fh:
@@ -317,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a-max", type=_finite_float, required=True)
     p.add_argument("--points", type=int, default=25)
     p.add_argument("--log-spacing", action="store_true")
-    p.add_argument("--method", choices=("closed", "quadrature"), default=None)
+    p.add_argument("--method", choices=("closed", "quadrature"), default="closed")
     p.add_argument("--out", type=str, default=None, help="CSV output path")
     add_common(p)
     p.set_defaults(func=cmd_curve)

@@ -38,7 +38,7 @@ import numpy as np
 from .geometry import HyperboloidParams
 from .measures import CLOSED_PAIRS, SPHERE_AREA, ConvClosedForm, conv_closed
 from .quadrature import BudgetError, QuadResult, gl_nodes, gl_panels, two_resolution
-from .specfun import bessel_j0, exp_integral_ei, exp_scaled_en, exp_scaled_k
+from .specfun import bessel_j0, exp_integral_ei, exp_scaled_en, exp_scaled_k1
 
 
 @dataclass(frozen=True)
@@ -49,8 +49,8 @@ class ExpProfile:
     params: HyperboloidParams
 
     def __post_init__(self) -> None:
-        if not self.a > 0:
-            raise ValueError("profile rate a must be positive")
+        if not 0.0 < self.a < math.inf:
+            raise ValueError("profile rate a must be finite and positive")
 
 
 def extension_closed(profile: ExpProfile, x, t):
@@ -83,6 +83,8 @@ def extension_quadrature(profile: ExpProfile, x, t: float) -> tuple[complex, flo
     if x.shape != (d,):
         raise ValueError(f"expected a point in R^{d}")
     t = float(t)
+    if not (np.all(np.isfinite(x)) and math.isfinite(t)):
+        raise ValueError("extension quadrature requires finite x and t")
     x_norm = float(np.linalg.norm(x))
     u_max = s + 45.0 / a
     freq = abs(t) + x_norm
@@ -148,7 +150,7 @@ def l2_norm_sq(profile: ExpProfile) -> float:
     a, s = profile.a, profile.params.s
     if profile.params.d == 2:
         return np.pi / a * math.exp(-2.0 * a * s)
-    return 2.0 * np.pi * s * math.exp(-2.0 * a * s) * exp_scaled_k(1, 2.0 * a * s) / a
+    return 2.0 * np.pi * s * math.exp(-2.0 * a * s) * exp_scaled_k1(2.0 * a * s) / a
 
 
 def conv_power_l2_sq(
@@ -173,7 +175,7 @@ def conv_power_l2_sq(
     if method == "closed":
         z = a * s
         if d == 3:
-            value = 8.0 * np.pi**3 * s / a**3 * math.exp(-4.0 * z) * exp_scaled_k(1, 4.0 * z)
+            value = 8.0 * np.pi**3 * s / a**3 * math.exp(-4.0 * z) * exp_scaled_k1(4.0 * z)
         elif k == 2:
             value = -((2.0 * np.pi) ** 3) * exp_integral_ei(-4.0 * a * s) / (2.0 * a)
         else:

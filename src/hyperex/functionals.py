@@ -29,7 +29,7 @@ from .extension import (
 from .geometry import HyperboloidParams
 from .measures import ConvClosedForm, conv_sup_norm
 from .quadrature import QuadResult
-from .specfun import exp_scaled_en, exp_scaled_k
+from .specfun import exp_scaled_en, exp_scaled_k1
 
 SUPPORTED_PAIRS = ((2, 4), (2, 6), (3, 4))
 SHEET_LABELS = ("one", "two")
@@ -106,8 +106,8 @@ def best_constant(d: int, p: int, s: float = 1.0, sheet: str = "one") -> SharpCo
     _require_pair(d, p)
     if sheet not in SHEET_LABELS:
         raise ValueError(f"sheet must be one of {SHEET_LABELS}")
-    if not s > 0:
-        raise ValueError("s must be positive")
+    if not 0.0 < s < math.inf:
+        raise ValueError("s must be finite and positive")
     value = s ** scaling_exponent(d, p) * base_constant(d, p)
     if sheet == "two":
         value *= TWO_SHEET_FACTORS[(d, p)]
@@ -154,8 +154,8 @@ def q_ratio_closed(d: int, p: int, a: float, s: float) -> float:
         return (8.0 * math.pi ** 4 / s * (4.0 * z * exp_scaled_en(1, 4.0 * z))) ** 0.25
     if (d, p) == (2, 6):
         return (2.0 * (2.0 * math.pi) ** 5 * exp_scaled_en(3, 6.0 * z)) ** (1.0 / 6.0)
-    k2 = exp_scaled_k(1, 2.0 * z)
-    return ((2.0 * math.pi) ** 5 * exp_scaled_k(1, 4.0 * z) / k2 / (z * k2)) ** 0.25
+    k2 = exp_scaled_k1(2.0 * z)
+    return ((2.0 * math.pi) ** 5 * exp_scaled_k1(4.0 * z) / k2 / (z * k2)) ** 0.25
 
 
 def q_ratio_quadrature(d: int, p: int, a: float, s: float) -> QuadResult:
@@ -171,22 +171,17 @@ def q_ratio_quadrature(d: int, p: int, a: float, s: float) -> QuadResult:
     return QuadResult(value=norm.value / f_norm, error=norm.error / f_norm)
 
 
-def q_route(method: str | None = None) -> str:
-    """Route of q_ratio: `method` if given, else closed."""
-    if method not in (None, "closed", "quadrature"):
-        raise ValueError(f"method must be 'closed' or 'quadrature', got {method!r}")
-    return method or "closed"
-
-
-def q_ratio(d: int, p: int, a: float, s: float, method: str | None = None) -> QuadResult:
-    """Profile ratio Q(a) = ||T f_a||_p / ||f_a||_2 on the route of q_route.
+def q_ratio(d: int, p: int, a: float, s: float, method: str = "closed") -> QuadResult:
+    """Profile ratio Q(a) = ||T f_a||_p / ||f_a||_2 on the closed or quadrature route.
 
     The closed route reports error 0; the quadrature route its propagated
     two-resolution estimate.
     """
-    if q_route(method) == "closed":
+    if method == "closed":
         return QuadResult(value=q_ratio_closed(d, p, a, s), error=0.0)
-    return q_ratio_quadrature(d, p, a, s)
+    if method == "quadrature":
+        return q_ratio_quadrature(d, p, a, s)
+    raise ValueError(f"method must be 'closed' or 'quadrature', got {method!r}")
 
 
 def expected_monotonicity(d: int, p: int) -> str:
@@ -196,11 +191,11 @@ def expected_monotonicity(d: int, p: int) -> str:
 
 
 def monotonicity_scan(
-    d: int, p: int, s: float, a_grid, method: str | None = None
+    d: int, p: int, s: float, a_grid, method: str = "closed"
 ) -> tuple[list[FunctionalCurvePoint], str]:
     """Evaluate Q on the grid through q_ratio and classify the trend.
 
-    Each point carries the value and error of the route q_route(method).
+    Each point carries the value and error of q_ratio's `method` route.
     Returns the curve and one of "strictly-increasing", "strictly-decreasing",
     "not-strict".  The grid must be strictly increasing with >= 3 points for
     a meaningful verdict (>= 2 accepted for degenerate sweeps).
@@ -287,8 +282,8 @@ def mass_fraction(d: int, s: float, a: float, radius: float) -> float:
     """
     if d not in (2, 3):
         raise ValueError("d must be 2 or 3")
-    if not (s > 0 and a > 0 and radius > 0):
-        raise ValueError("s, a, radius must be positive")
+    if not all(0.0 < v < math.inf for v in (s, a, radius)):
+        raise ValueError("s, a, radius must be finite and positive")
     u_ball = math.hypot(s, radius)
     if d == 2:
         return -math.expm1(-2.0 * a * (u_ball - s))

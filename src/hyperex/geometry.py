@@ -21,8 +21,8 @@ class HyperboloidParams:
     def __post_init__(self) -> None:
         if self.d not in (2, 3):
             raise ValueError("d must be 2 or 3")
-        if not self.s > 0:
-            raise ValueError("s must be positive")
+        if not 0.0 < self.s < np.inf:
+            raise ValueError("s must be finite and positive")
 
 
 @dataclass(frozen=True, eq=False)

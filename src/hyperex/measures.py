@@ -74,8 +74,8 @@ class ConvClosedForm:
                 f"no closed convolution form for (d, n) = ({self.d}, {self.n}); "
                 f"supported: {CLOSED_PAIRS}"
             )
-        if not self.s > 0:
-            raise ValueError("s must be positive")
+        if not 0.0 < self.s < np.inf:
+            raise ValueError("s must be finite and positive")
 
     @property
     def params(self) -> HyperboloidParams:

@@ -32,8 +32,8 @@ exp_scaled_en
     amplifies that about 25-fold for n = 3.  Needed where e^-x underflows,
     and for the a s -> oo limits of the profile functionals.
 
-exp_scaled_k
-    e^z K_nu(z) for z >= 1e-300 by the trapezoid rule on its integral over
+exp_scaled_k1
+    e^z K_1(z) for z >= 1e-300 by the trapezoid rule on its integral over
     the real line (DLMF 10.32.9), for the d = 3 closed norms.
 
 bessel_j0
@@ -77,7 +77,7 @@ _SERIES_SPLIT = 6.0
 _EN_FRACTION_X = 4.0
 # From here on the E_n fraction is its first convergent to double precision.
 _CF_FIRST_TERM_X = 1e9
-# Below this e^z K_nu(z) ~ 1/z is too close to overflow for its node range.
+# Below this e^z K_1(z) ~ 1/z is too close to overflow for its node range.
 _K_MIN_Z = 1e-300
 
 
@@ -169,21 +169,21 @@ def exp_scaled_en(n: int, x: float) -> float:
     return value
 
 
-def exp_scaled_k(nu: float, z: float) -> float:
-    """e^z K_nu(z) for z >= 1e-300 and nu >= 0.
+def exp_scaled_k1(z: float) -> float:
+    """e^z K_1(z) for z >= 1e-300.
 
-    Trapezoid rule on int_0^oo e^{-z 2 sinh^2(t/2)} cosh(nu t) dt (DLMF
+    Trapezoid rule on int_0^oo e^{-z 2 sinh^2(t/2)} cosh(t) dt (DLMF
     10.32.9), step min(0.1, 0.5/sqrt(z)): the integrand is entire and decays
-    double exponentially.  Nodes run until the exponent passes 40 + nu t.
+    double exponentially.  Nodes run until the exponent passes 40 + t.
     """
     z = float(z)
-    if not (z >= _K_MIN_Z) or not math.isfinite(z) or nu < 0:
-        raise ValueError("exp_scaled_k requires finite z >= 1e-300 and nu >= 0")
+    if not _K_MIN_Z <= z < math.inf:
+        raise ValueError("exp_scaled_k1 requires finite z >= 1e-300")
     h = min(0.1, 0.5 / math.sqrt(z))
     t_max = 2.0 * math.asinh(math.sqrt(20.0 / z))
-    t_max = 2.0 * math.asinh(math.sqrt((20.0 + 0.5 * nu * t_max) / z))
+    t_max = 2.0 * math.asinh(math.sqrt((20.0 + 0.5 * t_max) / z))
     t = np.arange(1, int(t_max / h) + 2) * h
-    terms = np.exp(-2.0 * z * np.sinh(0.5 * t) ** 2) * np.cosh(nu * t)
+    terms = np.exp(-2.0 * z * np.sinh(0.5 * t) ** 2) * np.cosh(t)
     return h * (0.5 + float(np.sum(terms)))
 
 

@@ -177,6 +177,15 @@ class TestCurve:
         assert err.startswith("hyperex curve: ratio 1.0 >= 1 at a = 1e+299")
         assert len(err.strip().splitlines()) == 1
 
+    def test_closed_is_the_default_route(self, capsys):
+        argv = ["curve", "--d", "3", "--p", "4", "--a-min", "0.01", "--a-max", "1",
+                "--points", "6", "--log-spacing", "--json", "--no-meta"]
+        rc1, default, _ = run_cli(capsys, argv)
+        rc2, closed, _ = run_cli(capsys, argv + ["--method", "closed"])
+        assert rc1 == rc2 == 0
+        assert default == closed
+        assert json.loads(default)["inputs"]["method"] == "closed"
+
     def test_closed_method_for_d3_runs(self, capsys):
         rc, _, _ = run_cli(
             capsys,

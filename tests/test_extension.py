@@ -58,6 +58,22 @@ def test_profile_validation():
         ExpProfile(a=-1.0, params=P2)
 
 
+@pytest.mark.parametrize("a", [math.inf, math.nan])
+def test_profile_refuses_non_finite_rate(a):
+    with pytest.raises(ValueError, match="finite"):
+        ExpProfile(a=a, params=P2)
+
+
+@pytest.mark.parametrize("x, t", [
+    ([math.inf, 0.0], 0.0), ([math.nan, 0.0], 0.0), ([1.0, 0.0], math.inf),
+    ([1.0, 0.0], math.nan),
+])
+def test_quadrature_refuses_non_finite_point(x, t):
+    # Used to raise ZeroDivisionError (inf) or a NaN-to-int conversion error.
+    with pytest.raises(ValueError, match="finite"):
+        extension_quadrature(PROF2, np.array(x), t)
+
+
 def test_closed_worked_values():
     # At the origin w = a, so T = 2 pi e^{-s a} / a.
     v = extension_closed(PROF2, np.array([0.0, 0.0]), 0.0)

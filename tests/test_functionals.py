@@ -92,6 +92,13 @@ def test_constant_validation():
         best_constant(2, 4, sheet="both")
 
 
+@pytest.mark.parametrize("s", [math.inf, math.nan])
+def test_constant_refuses_non_finite_s(s):
+    # best_constant(2, 4, s=inf) used to return 0.0.
+    with pytest.raises(ValueError, match="finite"):
+        best_constant(2, 4, s=s)
+
+
 def test_constant_expressions_evaluate():
     for d, p in SUPPORTED_PAIRS:
         for sheet in ("one", "two"):
@@ -333,3 +340,13 @@ def test_mass_fraction_validation():
         mass_fraction(4, 1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         mass_fraction(2, 1.0, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("s, a, radius", [
+    (1.0, 1.0, math.inf), (1.0, 1.0, math.nan), (math.inf, 1.0, 1.0), (1.0, math.inf, 1.0),
+])
+def test_mass_fraction_refuses_non_finite_inputs(d, s, a, radius):
+    # mass_fraction(3, 1, 1, inf) used to return 0.39: inf/inf is NaN and min drops it.
+    with pytest.raises(ValueError, match="finite"):
+        mass_fraction(d, s, a, radius)

@@ -48,6 +48,12 @@ def test_params_validation():
         HyperboloidParams(d=2, s=0.0)
 
 
+@pytest.mark.parametrize("s", [math.inf, math.nan])
+def test_params_refuse_non_finite_s(s):
+    with pytest.raises(ValueError, match="finite"):
+        HyperboloidParams(d=2, s=s)
+
+
 def test_energy_and_lift():
     assert energy(P2, 0.0) == 1.0
     r = np.array([0.0, 1.0, 2.0])

@@ -56,6 +56,12 @@ def test_conv_form_validation():
         ConvClosedForm(2, 2, -1.0)
 
 
+@pytest.mark.parametrize("s", [math.inf, math.nan])
+def test_conv_form_refuses_non_finite_s(s):
+    with pytest.raises(ValueError, match="finite"):
+        ConvClosedForm(2, 2, s)
+
+
 def test_surface_integral_exponential_profile_d2():
     # int e^{-2 a psi} d(sigma) = (pi / a) e^{-2 a s}: in u = psi the measure
     # is du d(theta) on [s, oo) x [0, 2 pi).
