@@ -1,8 +1,8 @@
 """Hyperboloid surface measures, extension operators, and sharp-constant checks.
 
-The top level exports the entry points only; every other public name stays
-importable from its own module (`hyperex.geometry.boost`,
-`hyperex.specfun.bessel_j0`, ...).
+The top level exports the entry points README.md lists and the types they
+take, return and raise; every other public name is imported from its own
+module (`hyperex.geometry.boost`, `hyperex.specfun.bessel_j0`, ...).
 """
 
 from .extension import (
