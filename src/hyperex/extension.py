@@ -36,8 +36,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import HyperboloidParams
-from .measures import CLOSED_PAIRS, SPHERE_AREA, ConvClosedForm, conv_closed
-from .quadrature import BudgetError, QuadResult, gl_nodes, gl_panels, two_resolution
+from .measures import CLOSED_PAIRS, SPHERE_AREA, ConvClosedForm, conv_reduced_integral
+from .quadrature import (
+    BudgetError, QuadResult, gl_nodes, gl_panels, gl_sqrt_panels, two_resolution,
+)
 from .specfun import bessel_j0, exp_integral_ei, exp_scaled_en, exp_scaled_k1
 
 
@@ -58,12 +60,15 @@ def extension_closed(profile: ExpProfile, x, t):
 
     x is the spatial point (shape (..., 2)) and t the time; the result is
     complex 2 pi e^{-s w}/w with w the principal sqrt((a - i t)^2 + |x|^2).
+    Raises ValueError for a non-finite x or t.
     """
     if profile.params.d != 2:
         raise ValueError("closed extension form exists for d = 2 only")
     a, s = profile.a, profile.params.s
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
+    if not (np.isfinite(x).all() and np.isfinite(t).all()):
+        raise ValueError("extension_closed requires finite x and t")
     lam = a - 1j * t
     arg = lam * lam + np.sum(x * x, axis=-1)
     # Re(lam) = a > 0 keeps arg off the cut, where numpy's sqrt is the
@@ -98,16 +103,8 @@ def extension_quadrature(profile: ExpProfile, x, t: float) -> tuple[complex, flo
     edges = np.linspace(s, u_max, n_panels + 1)
 
     def evaluate(n_per: int) -> complex:
-        # r = sqrt(u^2 - s^2) kinks at u = s, so the first panel runs in
-        # v = sqrt(u - s) where the integrand is analytic again; the other
-        # panels use one flat node array to keep J0 calls vectorized.
-        base, wts = gl_nodes(0.0, 1.0, n_per)
-        widths = np.diff(edges[1:])
-        u = (edges[1:-1, None] + widths[:, None] * base[None, :]).ravel()
-        w = (widths[:, None] * wts[None, :]).ravel()
-        v, v_w = gl_nodes(0.0, math.sqrt(edges[1] - s), n_per)
-        u = np.concatenate([s + v * v, u])
-        w = np.concatenate([2.0 * v * v_w, w])
+        # r = sqrt(u^2 - s^2) kinks at u = s, hence the graded first panel.
+        u, w = gl_sqrt_panels(edges, n_per)
         r = np.sqrt(np.maximum(u * u - s * s, 0.0))
         osc = np.exp(-(a - 1j * t) * u)
         if d == 2:
@@ -164,10 +161,10 @@ def conv_power_l2_sq(
         (2, 3) :  (2 pi)^5 E_3(6 a s) / (4 a^3)
         (3, 2) :  8 pi^3 s K_1(4 a s) / a^3
 
-    method "quadrature": spherical reduction of the squared weighted closed
-    density.  The outer integral substitutes tau = k s + w' / (2 a) so the
-    a -> 0 regime stays well conditioned, and splits panels at the scale
-    changes of e^{-w'}.
+    method "quadrature": measures.conv_reduced_integral of the squared weighted
+    closed density.  The outer integral substitutes tau = k s + w' / (2 a) so
+    the a -> 0 regime stays well conditioned, on gl_sqrt_panels split at the
+    scale changes of e^{-w'}.
     """
     d, s, a = profile.params.d, profile.params.s, profile.a
     if (d, k) not in CLOSED_PAIRS:
@@ -189,24 +186,13 @@ def conv_power_l2_sq(
     base = k * s
 
     # Outer nodes in w' on the panels (0, 1), (1, 5), (5, 15), (15, 60); the
-    # first runs in v = sqrt(w'), because the d = 3 inner integral grows like
-    # w'^{3/2} from the support vertex.
-    v, v_w = gl_nodes(0.0, 1.0, _RADIAL_NODES)
-    wp, wp_w = gl_panels(np.array([1.0, 5.0, 15.0, 60.0]), _RADIAL_NODES)
-    wp = np.concatenate([v * v, wp])
-    wp_w = np.concatenate([2.0 * v * v_w, wp_w])
-    tau = base + wp / (2.0 * a)
-    rho_max = np.sqrt(np.maximum(tau * tau - base * base, 0.0))
+    # first is graded, because the d = 3 inner integral grows like w'^{3/2}
+    # from the support vertex.
+    wp, wp_w = gl_sqrt_panels([0.0, 1.0, 5.0, 15.0, 60.0], _RADIAL_NODES)
+    tau, tau_w = base + wp / (2.0 * a), wp_w * np.exp(-wp)
 
     def outer(n_nodes: int) -> float:
-        # Inner integral over |xi| = rho in [0, rho_max(tau)], one row per tau.
-        r, r_w = gl_nodes(0.0, 1.0, n_nodes)
-        rho = rho_max[:, None] * r[None, :]
-        xi = np.zeros(rho.shape + (d,))
-        xi[..., 0] = rho
-        dens = conv_closed(form, xi, np.broadcast_to(tau[:, None], rho.shape))
-        inner = rho_max * np.sum(r_w * dens * dens * rho ** (d - 1), axis=1)
-        total = float(np.sum(wp_w * np.exp(-wp) * inner))
+        total = conv_reduced_integral(form, lambda rho, t, dens: dens, tau, tau_w, n_nodes)
         return total * math.exp(-2.0 * a * base) / (2.0 * a) * SPHERE_AREA[d]
 
     return two_resolution(outer, 48, 96)

@@ -52,10 +52,12 @@ def energy(params: HyperboloidParams, r):
 
 
 def lift(params: HyperboloidParams, x) -> SpacetimePoint:
-    """Lift a base point x in R^d onto the upper sheet."""
+    """Lift a finite base point x in R^d onto the upper sheet."""
     x = np.asarray(x, dtype=float)
     if x.shape != (params.d,):
         raise ValueError(f"expected a point in R^{params.d}")
+    if not np.isfinite(x).all():
+        raise ValueError("x must be finite")
     return SpacetimePoint(x, float(energy(params, np.linalg.norm(x))))
 
 

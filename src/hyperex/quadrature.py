@@ -80,6 +80,14 @@ def gl_panels(edges: np.ndarray, n_per: int) -> tuple[np.ndarray, np.ndarray]:
     return (a + half * (x + 1.0)).reshape(shape), (half * w).reshape(shape)
 
 
+def gl_sqrt_panels(edges, n_per: int) -> tuple[np.ndarray, np.ndarray]:
+    """gl_panels over 1-D `edges`, the first panel taken in v = sqrt(x - edges[0]),
+    where a sqrt(x - edges[0]) kink at the left edge is analytic again."""
+    v, w_v = gl_nodes(0.0, np.sqrt(edges[1] - edges[0]), n_per)
+    x, w = gl_panels(edges[1:], n_per)
+    return np.concatenate([edges[0] + v * v, x]), np.concatenate([2.0 * v * w_v, w])
+
+
 def trapezoid_angles(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Equispaced angles on [0, 2pi) with equal weights (periodic trapezoid)."""
     theta = np.arange(n) * (2.0 * np.pi / n)

@@ -43,6 +43,7 @@ from .measures import (
     conv_closed,
     conv_pairing_oracle,
     conv_point_oracle,
+    conv_reduced_integral,
     sum_support_predicate,
     surface_integral,
 )
@@ -385,22 +386,10 @@ def _suite_metric(rng, samples, grid=None):
 
 def _reduced_pairing_reference(form: ConvClosedForm, g_radial, tau_hi, n=160):
     """<closed density, g> by 2-D reduction over (radius, height)."""
-    d, n_fold, s = form.d, form.n, form.s
-    tau_nodes, tau_w = gl_panels(
-        np.array([n_fold * s, n_fold * s + 2.0, n_fold * s + 8.0, tau_hi]), n
-    )
-    total = 0.0
-    for tv, tw in zip(tau_nodes, tau_w):
-        r_hi = math.sqrt(max(tv * tv - (n_fold * s) ** 2, 0.0))
-        if r_hi <= 0.0:
-            continue
-        r_nodes, r_w = gl_panels(np.array([0.0, r_hi]), n)
-        xi = np.zeros((r_nodes.size, d))
-        xi[:, 0] = r_nodes
-        dens = conv_closed(form, xi, np.full(r_nodes.size, tv))
-        vals = dens * g_radial(r_nodes, tv) * r_nodes ** (d - 1)
-        total += tw * SPHERE_AREA[d] * float(np.sum(r_w * vals))
-    return total
+    base = form.n * form.s
+    tau, tau_w = gl_panels(np.array([base, base + 2.0, base + 8.0, tau_hi]), n)
+    total = conv_reduced_integral(form, lambda rho, t, dens: g_radial(rho, t), tau, tau_w, n)
+    return SPHERE_AREA[form.d] * total
 
 
 # Random interior points per dimension for the point oracle; --samples sets

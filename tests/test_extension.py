@@ -9,6 +9,7 @@ matches the Bessel-K identity int_1^oo e^{-u} sqrt(u^2 - 1) du = K_1(1), and
 
 import math
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -72,6 +73,18 @@ def test_quadrature_refuses_non_finite_point(x, t):
     # Used to raise ZeroDivisionError (inf) or a NaN-to-int conversion error.
     with pytest.raises(ValueError, match="finite"):
         extension_quadrature(PROF2, np.array(x), t)
+
+
+@pytest.mark.parametrize("x, t", [
+    ([math.inf, 0.0], 0.0), ([math.nan, 0.0], 0.0), ([1.0, 0.0], math.inf),
+    ([1.0, 0.0], math.nan), ([[1.0, 0.0], [0.0, math.inf]], [0.0, 1.0]),
+])
+def test_closed_refuses_non_finite_point(x, t):
+    # Used to return NaN with a RuntimeWarning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            extension_closed(PROF2, np.array(x), np.array(t))
 
 
 def test_closed_worked_values():

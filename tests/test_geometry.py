@@ -65,6 +65,13 @@ def test_energy_and_lift():
         lift(P2, [1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize("x", [[math.inf, 0.0], [0.0, -math.inf], [math.nan, 1.0]])
+def test_lift_refuses_non_finite_point(x):
+    # Used to return a point with tau = inf or nan.
+    with pytest.raises(ValueError, match="finite"):
+        lift(P2, x)
+
+
 def test_boost_worked_example():
     # Velocity 0.6 in d = 2 sends (1, 0, 1) to (2, 0, 2).
     out = boost(2, 0.6).apply(SpacetimePoint([1.0, 0.0], 1.0))

@@ -29,12 +29,13 @@ from hyperex.measures import (
     conv_closed,
     conv_pairing_oracle,
     conv_point_oracle,
+    conv_reduced_integral,
     conv_sup_norm,
     conv_support,
     sum_support_predicate,
     surface_integral,
 )
-from hyperex.quadrature import BudgetError, QuadSpec
+from hyperex.quadrature import BudgetError, QuadSpec, gl_panels
 from hyperex.verify import _reduced_pairing_reference
 
 P2 = HyperboloidParams(d=2, s=1.0)
@@ -219,6 +220,47 @@ def test_single_point_calls_are_the_vectorized_rows(d, n):
         rows = sum_support_predicate(s, sheets, xi, tau)
         assert [sum_support_predicate(s, sheets, x, t)
                 for x, t in zip(xi, tau)] == rows.tolist()
+
+
+@pytest.mark.parametrize("xi, tau", [
+    ([0.0, 0.0], math.nan), ([0.0, 0.0], math.inf), ([0.0, 0.0], -math.inf),
+    ([math.inf, 0.0], 5.0), ([0.0, -math.inf], 5.0), ([math.nan, 0.0], 5.0),
+])
+def test_non_finite_points_are_refused(xi, tau):
+    # A NaN tau or an infinite xi used to read as a point outside the support.
+    form = ConvClosedForm(2, 2, 1.0)
+    for call in (conv_support, conv_closed, conv_point_oracle):
+        with pytest.raises(ValueError, match="finite"):
+            call(form, xi, tau)
+    rows = np.array([[1.0, 0.0], xi])
+    with pytest.raises(ValueError, match="finite"):
+        conv_closed(form, rows, np.array([4.0, tau]))
+
+
+def _per_tau_reduction(form, f, tau_nodes, tau_w, n):
+    """The reduction one tau node at a time, one conv_closed call per node."""
+    total = 0.0
+    for tv, tw in zip(tau_nodes, tau_w):
+        r_hi = math.sqrt(max(tv * tv - (form.n * form.s) ** 2, 0.0))
+        r_nodes, r_w = gl_panels(np.array([0.0, r_hi]), n)
+        xi = np.zeros((r_nodes.size, form.d))
+        xi[:, 0] = r_nodes
+        dens = conv_closed(form, xi, np.full(r_nodes.size, tv))
+        vals = dens * f(r_nodes, tv, dens) * r_nodes ** (form.d - 1)
+        total += tw * float(np.sum(r_w * vals))
+    return total
+
+
+@pytest.mark.parametrize("d, n", CLOSED_PAIRS)
+def test_reduced_integral_matches_the_per_tau_loop(d, n):
+    form = ConvClosedForm(d, n, 1.0)
+    base = n * form.s
+    tau, tau_w = gl_panels(np.array([base, base + 2.0, base + 8.0, 30.0]), 160)
+    for f in (lambda r, t, dens: np.exp(-0.4 * r * r - 0.7 * (t - base)),
+              lambda r, t, dens: dens * np.exp(-(t - base))):
+        ref = _per_tau_reduction(form, f, tau, tau_w, 160)
+        got = conv_reduced_integral(form, f, tau, tau_w, 160)
+        assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize(

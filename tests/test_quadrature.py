@@ -1,0 +1,34 @@
+"""Quadrature-layer tests: the kink-graded panel rule."""
+
+import math
+
+import numpy as np
+import pytest
+
+from hyperex.quadrature import gl_panels, gl_sqrt_panels
+
+
+@pytest.mark.parametrize("a", [0.0, 0.5, 2.0])
+@pytest.mark.parametrize("n", [4, 8, 24])
+def test_sqrt_panels_integrate_the_kink_exactly(a, n):
+    # In x = a + v^2 the first panel's integrand sqrt(x - a) x dx becomes the
+    # polynomial 2 v^2 (a + v^2) dv, which n >= 3 Gauss-Legendre nodes integrate
+    # exactly; plain Gauss-Legendre on the panel misses by 1e-8 or more.
+    edges = [a, a + 1.0, a + 3.0, a + 4.0]
+    x, w = gl_sqrt_panels(edges, n)
+    x, w = x[:n], w[:n]
+    assert np.all((a < x) & (x < a + 1.0))
+    exact = 0.4 + a * (2.0 / 3.0)
+    got = float(np.sum(w * np.sqrt(x - a) * x))
+    assert abs(got - exact) <= 1e-15 * max(1.0, exact)
+    xp, wp = gl_panels(np.array(edges[:2]), n)
+    assert abs(float(np.sum(wp * np.sqrt(xp - a) * xp)) - exact) > 1e-9
+
+
+@pytest.mark.parametrize("edges", [[0.0, 1.0, 5.0, 15.0, 60.0], [1.0, 1.25, 2.0], [2.0, 3.0]])
+def test_sqrt_panels_equal_gl_panels_past_the_first(edges):
+    x, w = gl_sqrt_panels(np.array(edges), 12)
+    rest_x, rest_w = gl_panels(np.array(edges[1:]), 12)
+    assert x.size == w.size == 12 * (len(edges) - 1)
+    assert np.array_equal(x[12:], rest_x) and np.array_equal(w[12:], rest_w)
+    assert math.isclose(float(np.sum(w)), edges[-1] - edges[0], rel_tol=1e-15)
