@@ -36,9 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import HyperboloidParams
-from .measures import CLOSED_PAIRS, SPHERE_AREA, ConvClosedForm, conv_reduced_integral
+from .measures import SPHERE_AREA, ConvClosedForm, conv_reduced_integral
 from .quadrature import (
-    BudgetError, QuadResult, gl_nodes, gl_panels, gl_sqrt_panels, two_resolution,
+    QuadResult, check_budget, gl_nodes, gl_panels, gl_sqrt_panels, two_resolution,
 )
 from .specfun import bessel_j0, exp_integral_ei, exp_scaled_en, exp_scaled_k1
 
@@ -77,8 +77,8 @@ def extension_closed(profile: ExpProfile, x, t):
     return 2.0 * np.pi * np.exp(-s * w) / w
 
 
-def extension_quadrature(profile: ExpProfile, x, t: float) -> tuple[complex, float]:
-    """Radial-quadrature extension value at one point; returns (value, error).
+def extension_quadrature(profile: ExpProfile, x, t: float) -> QuadResult:
+    """Radial-quadrature extension value at one point, complex, with its error.
 
     Panels sized to the oscillation frequency |t| + |x|, Gauss-Legendre inside
     each; the error is a two-order difference.  Works for d = 2 and d = 3.
@@ -95,11 +95,7 @@ def extension_quadrature(profile: ExpProfile, x, t: float) -> tuple[complex, flo
     freq = abs(t) + x_norm
     panel = min(0.5 * np.pi / (freq + 1e-9), 3.0 / a, (u_max - s) / 8.0)
     n_panels = int(math.ceil((u_max - s) / panel))
-    if n_panels * 32 > 4_000_000:
-        raise BudgetError(
-            f"extension quadrature would need {n_panels} panels; "
-            "frequency too high for this budget"
-        )
+    check_budget(n_panels * 32, "extension-quadrature nodes")
     edges = np.linspace(s, u_max, n_panels + 1)
 
     def evaluate(n_per: int) -> complex:
@@ -115,43 +111,29 @@ def extension_quadrature(profile: ExpProfile, x, t: float) -> tuple[complex, flo
             vals = (4.0 * np.pi / x_norm) * osc * np.sin(x_norm * r)
         return complex(np.sum(w * vals))
 
-    result = two_resolution(evaluate, 12, 24)
-    return result.value, result.error
+    return two_resolution(evaluate, 12, 24)
 
 
-# Gauss-Legendre nodes per panel of the fixed radial rules below.
+# Gauss-Legendre nodes per panel of the fixed radial rule below.
 _RADIAL_NODES = 24
 
 
-def _d3_radial_mass(a: float, s: float, v_max: float) -> float:
-    """e^{2as} int_s^{s + v_max^2} e^{-2au} sqrt(u^2 - s^2) du for d = 3.
-
-    In u = s + v^2 the integrand 2 v^2 sqrt(2s + v^2) e^{-2a v^2} is analytic
-    in v; panels start at the smaller of its two scales, sqrt(s) and
-    1/sqrt(2a), and double out to v_max.
-    """
-    edges = [0.0, min(math.sqrt(s), 1.0 / math.sqrt(2.0 * a), v_max)]
-    while edges[-1] < v_max:
-        edges.append(min(2.0 * edges[-1], v_max))
-    v, w = gl_panels(np.asarray(edges), _RADIAL_NODES)
-    v2 = v * v
-    return float(np.sum(w * 2.0 * v2 * np.sqrt(2.0 * s + v2) * np.exp(-2.0 * a * v2)))
-
-
-def l2_norm_sq(profile: ExpProfile) -> float:
+def l2_norm_sq(profile: ExpProfile, exp_scaled: bool = False) -> float:
     """||f_a||^2 in L^2 of the sheet measure, in closed form.
 
     d = 2: (pi / a) e^{-2 a s} (the measure is du d(theta) in u = psi);
     d = 3: 4 pi int_s^oo e^{-2au} sqrt(u^2 - s^2) du = 2 pi s K_1(2as) / a.
+    exp_scaled=True returns e^{2as} ||f_a||^2, finite where ||f_a||^2 underflows.
     """
     a, s = profile.a, profile.params.s
+    weight = 1.0 if exp_scaled else math.exp(-2.0 * a * s)
     if profile.params.d == 2:
-        return np.pi / a * math.exp(-2.0 * a * s)
-    return 2.0 * np.pi * s * math.exp(-2.0 * a * s) * exp_scaled_k1(2.0 * a * s) / a
+        return np.pi / a * weight
+    return 2.0 * np.pi * s * weight * exp_scaled_k1(2.0 * a * s) / a
 
 
 def conv_power_l2_sq(
-    profile: ExpProfile, k: int, method: str = "quadrature"
+    profile: ExpProfile, k: int, method: str = "quadrature", exp_scaled: bool = False
 ) -> QuadResult:
     """||(f_a sigma)^{*k}||^2 in L^2(R^{d+1}).
 
@@ -165,24 +147,27 @@ def conv_power_l2_sq(
     closed density.  The outer integral substitutes tau = k s + w' / (2 a) so
     the a -> 0 regime stays well conditioned, on gl_sqrt_panels split at the
     scale changes of e^{-w'}.
+
+    exp_scaled=True returns e^{2kas} times the norm, finite where the norm
+    underflows; value and error scale alike.
     """
     d, s, a = profile.params.d, profile.params.s, profile.a
-    if (d, k) not in CLOSED_PAIRS:
-        raise ValueError(f"no closed convolution shape for (d, k) = ({d}, {k})")
+    form = ConvClosedForm(d, k, s)
     if method == "closed":
         z = a * s
+        weight = 1.0 if exp_scaled else math.exp(-2.0 * k * z)
         if d == 3:
-            value = 8.0 * np.pi**3 * s / a**3 * math.exp(-4.0 * z) * exp_scaled_k1(4.0 * z)
-        elif k == 2:
-            value = -((2.0 * np.pi) ** 3) * exp_integral_ei(-4.0 * a * s) / (2.0 * a)
-        else:
-            e3 = math.exp(-6.0 * z) * exp_scaled_en(3, 6.0 * z)
+            value = 8.0 * np.pi**3 * s / a**3 * weight * exp_scaled_k1(4.0 * z)
+        elif k == 3:
+            e3 = weight * exp_scaled_en(3, 6.0 * z)
             value = (2.0 * np.pi) ** 5 * e3 / (4.0 * a**3)
+        else:
+            e1 = exp_scaled_en(1, 4.0 * z) if exp_scaled else -exp_integral_ei(-4.0 * a * s)
+            value = (2.0 * np.pi) ** 3 * e1 / (2.0 * a)
         return QuadResult(value=value, error=0.0)
     if method != "quadrature":
         raise ValueError("method must be 'closed' or 'quadrature'")
 
-    form = ConvClosedForm(d, k, s)
     base = k * s
 
     # Outer nodes in w' on the panels (0, 1), (1, 5), (5, 15), (15, 60); the
@@ -190,10 +175,11 @@ def conv_power_l2_sq(
     # from the support vertex.
     wp, wp_w = gl_sqrt_panels([0.0, 1.0, 5.0, 15.0, 60.0], _RADIAL_NODES)
     tau, tau_w = base + wp / (2.0 * a), wp_w * np.exp(-wp)
+    weight = 1.0 if exp_scaled else math.exp(-2.0 * a * base)
 
     def outer(n_nodes: int) -> float:
         total = conv_reduced_integral(form, lambda rho, t, dens: dens, tau, tau_w, n_nodes)
-        return total * math.exp(-2.0 * a * base) / (2.0 * a) * SPHERE_AREA[d]
+        return total * weight / (2.0 * a) * SPHERE_AREA[d]
 
     return two_resolution(outer, 48, 96)
 

@@ -23,12 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .extension import (
-    ExpProfile, _d3_radial_mass, l2_norm_sq, lp_norm_extension_via_conv,
-)
+from .extension import ExpProfile, conv_power_l2_sq, l2_norm_sq
 from .geometry import HyperboloidParams
 from .measures import ConvClosedForm, conv_sup_norm
-from .quadrature import QuadResult
+from .quadrature import QuadResult, check_budget, gl_panels
 from .specfun import exp_scaled_en, exp_scaled_k1
 
 SUPPORTED_PAIRS = ((2, 4), (2, 6), (3, 4))
@@ -106,8 +104,7 @@ def best_constant(d: int, p: int, s: float = 1.0, sheet: str = "one") -> SharpCo
     _require_pair(d, p)
     if sheet not in SHEET_LABELS:
         raise ValueError(f"sheet must be one of {SHEET_LABELS}")
-    if not 0.0 < s < math.inf:
-        raise ValueError("s must be finite and positive")
+    HyperboloidParams(d=d, s=s)  # refuses a non-finite or non-positive s
     value = s ** scaling_exponent(d, p) * base_constant(d, p)
     if sheet == "two":
         value *= TWO_SHEET_FACTORS[(d, p)]
@@ -161,14 +158,17 @@ def q_ratio_closed(d: int, p: int, a: float, s: float) -> float:
 def q_ratio_quadrature(d: int, p: int, a: float, s: float) -> QuadResult:
     """Profile ratio through the quadrature convolution route; any pair.
 
-    The oracle for q_ratio_closed.  The error estimate is propagated from the
-    norm quadrature.
+    The oracle for q_ratio_closed:
+    Q^p = (2 pi)^{d+1} e^{2kas} ||(f_a sigma)^{*k}||^2 / (e^{2as} ||f_a||^2)^k
+    with k = p / 2, from exponentially scaled parts, so no factor underflows
+    at large a s.  The error estimate is propagated from the norm quadrature.
     """
     _require_pair(d, p)
     profile = ExpProfile(a=a, params=HyperboloidParams(d=d, s=s))
-    norm = lp_norm_extension_via_conv(profile, p, method="quadrature")
-    f_norm = math.sqrt(l2_norm_sq(profile))
-    return QuadResult(value=norm.value / f_norm, error=norm.error / f_norm)
+    conv = conv_power_l2_sq(profile, p // 2, method="quadrature", exp_scaled=True)
+    f_norm_sq = l2_norm_sq(profile, exp_scaled=True)
+    value = ((2.0 * np.pi) ** (d + 1) * conv.value / f_norm_sq ** (p // 2)) ** (1.0 / p)
+    return QuadResult(value=value, error=value * conv.error / (p * conv.value))
 
 
 def q_ratio(d: int, p: int, a: float, s: float, method: str = "closed") -> QuadResult:
@@ -228,8 +228,6 @@ def scaling_check(d: int, p: int, s: float, profile: ExpProfile) -> float:
     _require_pair(d, p)
     if profile.params.d != d:
         raise ValueError("profile dimension does not match d")
-    if not s > 0:
-        raise ValueError("s must be positive")
     a = profile.a
     factor = s ** scaling_exponent(d, p)
     lhs = q_ratio(d, p, a / s, s).value
@@ -257,6 +255,7 @@ def two_sheeted_combiner_check(samples: int, seed: int | None = None) -> int:
     """
     if samples < 1:
         raise ValueError("samples must be positive")
+    check_budget(samples, "combiner samples")
     rng = np.random.default_rng(0 if seed is None else seed)
     x = rng.exponential(size=samples)
     y = rng.exponential(size=samples)
@@ -280,10 +279,9 @@ def mass_fraction(d: int, s: float, a: float, radius: float) -> float:
     Small for small a (mass escapes to spatial infinity), near 1 for large
     a (mass pins to the vertex).
     """
-    if d not in (2, 3):
-        raise ValueError("d must be 2 or 3")
-    if not all(0.0 < v < math.inf for v in (s, a, radius)):
-        raise ValueError("s, a, radius must be finite and positive")
+    ExpProfile(a=a, params=HyperboloidParams(d=d, s=s))  # refuses d, s and a
+    if not 0.0 < radius < math.inf:
+        raise ValueError("radius must be finite and positive")
     u_ball = math.hypot(s, radius)
     if d == 2:
         return -math.expm1(-2.0 * a * (u_ball - s))
@@ -291,3 +289,18 @@ def mass_fraction(d: int, s: float, a: float, radius: float) -> float:
     v_total = math.sqrt(50.0 / a)
     v_ball = min(math.sqrt(radius * (radius / (u_ball + s))), v_total)
     return _d3_radial_mass(a, s, v_ball) / _d3_radial_mass(a, s, v_total)
+
+
+def _d3_radial_mass(a: float, s: float, v_max: float) -> float:
+    """e^{2as} int_s^{s + v_max^2} e^{-2au} sqrt(u^2 - s^2) du for d = 3.
+
+    In u = s + v^2 the integrand 2 v^2 sqrt(2s + v^2) e^{-2a v^2} is analytic
+    in v; panels start at the smaller of its two scales, sqrt(s) and
+    1/sqrt(2a), and double out to v_max, 24 Gauss-Legendre nodes each.
+    """
+    edges = [0.0, min(math.sqrt(s), 1.0 / math.sqrt(2.0 * a), v_max)]
+    while edges[-1] < v_max:
+        edges.append(min(2.0 * edges[-1], v_max))
+    v, w = gl_panels(np.asarray(edges), 24)
+    v2 = v * v
+    return float(np.sum(w * 2.0 * v2 * np.sqrt(2.0 * s + v2) * np.exp(-2.0 * a * v2)))

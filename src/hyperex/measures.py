@@ -34,6 +34,7 @@ Two numerical oracles cross-check them without reusing their algebra:
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -42,7 +43,8 @@ import numpy as np
 
 from .geometry import HyperboloidParams, SpacetimePoint, boost, energy, normal_form
 from .quadrature import (
-    BudgetError, QuadResult, QuadSpec, gl_nodes, gl_panels, trapezoid_angles, two_resolution,
+    BudgetError, QuadResult, QuadSpec, check_budget, gl_nodes, gl_panels, trapezoid_angles,
+    two_resolution,
 )
 
 SHEETS = ("plus", "minus", "both")
@@ -77,17 +79,21 @@ class ConvClosedForm:
                 f"no closed convolution form for (d, n) = ({self.d}, {self.n}); "
                 f"supported: {CLOSED_PAIRS}"
             )
-        if not 0.0 < self.s < np.inf:
-            raise ValueError("s must be finite and positive")
+        HyperboloidParams(d=self.d, s=self.s)  # refuses a non-finite or non-positive s
 
     @property
     def params(self) -> HyperboloidParams:
         return HyperboloidParams(d=self.d, s=self.s)
 
 
+def _polar_order(n_angular: int) -> int:
+    """Order of the cos(polar) rule of the d = 3 sphere rule."""
+    return max(8, n_angular // 2)
+
+
 def _polar_rule(n_angular: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights in cos(polar) for the d = 3 sphere rule."""
-    return gl_nodes(-1.0, 1.0, max(8, n_angular // 2))
+    return gl_nodes(-1.0, 1.0, _polar_order(n_angular))
 
 
 def _sphere_nodes(d: int, n_angular: int) -> tuple[np.ndarray, np.ndarray]:
@@ -156,6 +162,10 @@ def surface_integral(
     radius is too small for this integrand.
     """
 
+    n_a = 2 * quad.n_angular  # the fine grid, run(2) below
+    sphere = n_a * (_polar_order(n_a) if spec.params.d == 3 else 1)
+    check_budget(2 * (2 * quad.n_radial) * sphere, "sheet nodes")
+
     def run(scale: int) -> tuple[float, float]:
         q = replace(quad, n_radial=quad.n_radial * scale,
                     n_angular=quad.n_angular * scale)
@@ -182,14 +192,23 @@ def conv_support(form: ConvClosedForm, xi, tau):
 
     Returns (inside, m2) with m2 = tau^2 - |xi|^2 and inside the closed set
     tau > 0, m2 >= (n s)^2.  Vectorized like conv_closed; a single point
-    gives exactly the corresponding row of a vectorized call.  Raises
-    ValueError for a non-finite xi or tau.
+    gives exactly the corresponding row of a vectorized call.  Rows where
+    tau^2 or |xi|^2 overflows are redone in units of their largest
+    coordinate, so m2 is +-inf there only when m^2 itself overflows.  Raises
+    ValueError for a non-finite xi or tau, or an xi without d components.
     """
     xi = np.asarray(xi, dtype=float)
     tau = np.asarray(tau, dtype=float)
+    if xi.shape[-1:] != (form.d,):
+        raise ValueError(f"xi must have {form.d} components")
     if not (np.isfinite(xi).all() and np.isfinite(tau).all()):
         raise ValueError("xi and tau must be finite")
-    m2 = tau**2 - np.sum(xi * xi, axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m2 = tau**2 - np.sum(xi * xi, axis=-1)
+        if not np.isfinite(m2).all():
+            c = np.maximum(np.abs(tau), np.max(np.abs(xi), axis=-1))
+            unit = (tau / c) ** 2 - np.sum((xi / c[..., None]) ** 2, axis=-1)
+            m2 = np.where(np.isfinite(m2), m2, unit * c * c)
     return (tau > 0) & (m2 >= (form.n * form.s) ** 2), m2
 
 
@@ -309,6 +328,8 @@ def conv_point_oracle(
     inside, m2 = conv_support(form, p.xi, p.tau)
     if not inside or m2 <= (2.0 * s) ** 2:
         return QuadResult(0.0, 0.0)
+    if not math.isfinite(p.tau * p.tau):
+        raise ValueError("the point oracle needs tau^2 inside the float range")
     if m2 - (2.0 * s) ** 2 < 1e-8 * (1.0 + p.tau**2):
         warnings.warn(
             "point is within 1e-8 (1 + tau^2) of the support boundary; "
@@ -399,9 +420,16 @@ def _pairing_tensor_pair(
     |x + y|^2 = (r - rho)^2 + 2 r rho (1 + c), and y runs over the radial
     rule times _zonal_rule.
     """
+    def grid(scale: int) -> QuadSpec:
+        return replace(quad, n_radial=max(4, quad.n_radial // 2 * scale),
+                       n_angular=max(8, quad.n_angular // 2 * scale))
+
+    fine = grid(2)
+    zonal = _polar_order(fine.n_angular) if params.d == 3 else fine.n_angular
+    check_budget((2 * fine.n_radial) ** 2 * zonal, "tensor-pairing node pairs")
+
     def run(scale: int) -> float:
-        q = replace(quad, n_radial=max(4, quad.n_radial // 2 * scale),
-                    n_angular=max(8, quad.n_angular // 2 * scale))
+        q = grid(scale)
         r, wr, psi, _ = _radial_nodes(params, q)
         c, wc = _zonal_rule(params.d, q.n_angular)
         r_y = np.repeat(r, c.size)
@@ -469,7 +497,15 @@ def sum_support_predicate(s: float, sheets: tuple, xi, tau):
         raise ValueError("sheets must be 2 or 3 entries of 'plus'/'minus'")
     xi = np.asarray(xi, dtype=float)
     tau = np.asarray(tau, dtype=float)
-    b = np.sqrt((n * s) ** 2 + np.sum(xi * xi, axis=-1))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        b = np.sqrt((n * s) ** 2 + np.sum(xi * xi, axis=-1))
+        if not np.isfinite(b).all():
+            # Where |xi|^2 overflowed for a finite xi, redo the row in units of
+            # its largest coordinate.
+            c = np.max(np.abs(xi), axis=-1)
+            unit = np.sqrt((n * s / c) ** 2 + np.sum((xi / c[..., None]) ** 2, axis=-1))
+            redo = ~np.isfinite(b) & np.isfinite(xi).all(axis=-1)
+            b = np.where(redo, unit * c, b)
     plus = sum(1 for sh in sheets if sh == "plus")
     if n == 2:
         out = {2: tau >= b, 1: np.abs(tau) <= b, 0: tau <= -b}[plus]

@@ -9,12 +9,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
+
+# Largest number of nodes (or node pairs) one grid may hold and of samples one
+# Monte-Carlo estimate may draw, and the largest Gauss-Legendre order, whose
+# rule costs O(order^2) memory to build.  Past them a route raises BudgetError
+# before it allocates.
+NODE_BUDGET = 4_000_000
+GL_ORDER_BUDGET = 4096
 
 
 class BudgetError(RuntimeError):
     """Raised when a requested tolerance cannot be met within the node budget."""
+
+
+def check_budget(count: int, what: str, budget: int = NODE_BUDGET) -> None:
+    """Raise BudgetError when `count` of `what` exceeds `budget`."""
+    if count > budget:
+        raise BudgetError(f"{count} {what} exceed the budget of {budget}")
 
 
 @dataclass(frozen=True)
@@ -44,10 +58,10 @@ class QuadSpec:
             raise ValueError("degenerate quadrature spec")
         if self.samples < 100:
             raise ValueError("Monte-Carlo budget too small to estimate an error bar")
+        check_budget(self.samples, "Monte-Carlo samples")
 
 
-@dataclass(frozen=True)
-class QuadResult:
+class QuadResult(NamedTuple):
     """A numerical value with an error estimate.
 
     For tensor rules the error is a two-resolution difference; for Monte Carlo
@@ -60,6 +74,7 @@ class QuadResult:
 
 @lru_cache(maxsize=64)
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    check_budget(n, "Gauss-Legendre nodes in one rule", GL_ORDER_BUDGET)
     return np.polynomial.legendre.leggauss(n)
 
 

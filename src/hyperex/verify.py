@@ -47,7 +47,7 @@ from .measures import (
     sum_support_predicate,
     surface_integral,
 )
-from .quadrature import QuadSpec, gl_panels
+from .quadrature import QuadSpec, check_budget, gl_panels
 from .specfun import bessel_j0, exp_integral_ei, exp_scaled_en
 
 @dataclass(frozen=True)
@@ -550,10 +550,16 @@ def run_checks(
 
     samples overrides the sampling counts of the randomized checks; grid
     rescales the tensor quadrature budgets (percent of default, see _scaled)
-    in the suites that use them (lorentz, oracle).
+    in the suites that use them (lorentz, oracle).  Raises ValueError for
+    grid < 1 and BudgetError for samples past the node budget, before any
+    check runs.
     """
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {('all',) + SUITES}")
+    if grid is not None and grid < 1:
+        raise ValueError("grid must be a positive percentage")
+    if samples is not None:
+        check_budget(samples, "samples")
     rng = np.random.default_rng(0 if seed is None else seed)
     names = SUITES if suite == "all" else (suite,)
     results: list[CheckResult] = []

@@ -30,7 +30,7 @@ from hyperex.extension import (
     _ridge_time_edges,
 )
 from hyperex.geometry import HyperboloidParams
-from hyperex.quadrature import BudgetError, QuadSpec, gl_nodes, gl_panels
+from hyperex.quadrature import BudgetError, QuadResult, QuadSpec, gl_nodes, gl_panels
 from hyperex.specfun import exp_integral_ei
 
 P2 = HyperboloidParams(d=2, s=1.0)
@@ -376,3 +376,36 @@ def test_norm_route_validation():
         lp_norm_extension_via_conv(PROF2, 8)
     with pytest.raises(ValueError):
         conv_power_l2_sq(PROF2, 2, method="montecarlo")
+
+
+def test_quadrature_returns_a_quad_result():
+    res = extension_quadrature(PROF2, np.array([0.5, 0.0]), 0.3)
+    assert isinstance(res, QuadResult)
+    value, error = res
+    assert value == pytest.approx(complex(extension_closed(PROF2, [0.5, 0.0], 0.3)), rel=1e-12)
+    assert error == res.error < 1e-10
+
+
+@pytest.mark.parametrize("params, k", [(P2, 2), (P2, 3), (P3, 2)])
+@pytest.mark.parametrize("a", [1e-3, 0.7, 30.0])
+def test_exp_scaled_norms_carry_the_exponential_factor(params, k, a):
+    prof = ExpProfile(a=a, params=params)
+    z = a * params.s
+    assert l2_norm_sq(prof, exp_scaled=True) * math.exp(-2.0 * z) == pytest.approx(
+        l2_norm_sq(prof), rel=1e-14)
+    for method in ("closed", "quadrature"):
+        plain = conv_power_l2_sq(prof, k, method)
+        scaled = conv_power_l2_sq(prof, k, method, exp_scaled=True)
+        weight = math.exp(-2.0 * k * z)
+        assert scaled.value * weight == pytest.approx(plain.value, rel=1e-14)
+        # The error is a coarse/fine difference: equal up to the value's rounding.
+        assert abs(scaled.error * weight - plain.error) <= 1e-14 * plain.value
+
+
+def test_exp_scaled_norms_stay_finite_where_the_norms_underflow():
+    prof = ExpProfile(a=500.0, params=P3)
+    assert l2_norm_sq(prof) == 0.0
+    assert conv_power_l2_sq(prof, 2, "closed").value == 0.0
+    scaled = conv_power_l2_sq(prof, 2, "closed", exp_scaled=True).value
+    assert scaled == pytest.approx(conv_power_l2_sq(prof, 2, exp_scaled=True).value, rel=1e-12)
+    assert 0.0 < l2_norm_sq(prof, exp_scaled=True) < math.inf

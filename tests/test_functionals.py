@@ -35,6 +35,7 @@ from hyperex.functionals import (
     two_sheeted_combiner_check,
 )
 from hyperex.geometry import HyperboloidParams
+from hyperex.quadrature import BudgetError
 
 
 def test_one_sheet_constants_closed_values():
@@ -350,3 +351,19 @@ def test_mass_fraction_refuses_non_finite_inputs(d, s, a, radius):
     # mass_fraction(3, 1, 1, inf) used to return 0.39: inf/inf is NaN and min drops it.
     with pytest.raises(ValueError, match="finite"):
         mass_fraction(d, s, a, radius)
+
+
+@pytest.mark.parametrize("d, p", SUPPORTED_PAIRS)
+@pytest.mark.parametrize("z", [150.0, 180.0, 200.0, 400.0, 1e4])
+def test_q_ratio_quadrature_holds_at_large_rates(d, p, z):
+    # The unscaled route lost digits from a s = 118 on, read Q = 0 with error
+    # NaN from about 125 (2, 6) and 185 (2, 4), (3, 4), and divided by zero
+    # from about 372.
+    q = q_ratio_quadrature(d, p, z, 1.0)
+    assert math.isfinite(q.error)
+    assert abs(q.value - q_ratio_closed(d, p, z, 1.0)) <= q.error + 1e-13 * q.value
+
+
+def test_combiner_samples_past_the_budget_are_refused():
+    with pytest.raises(BudgetError, match="exceed the budget"):
+        two_sheeted_combiner_check(10**12)

@@ -503,3 +503,70 @@ def test_point_oracle_consistent_with_lifted_sum_geometry():
         assert sum_support_predicate(1.0, ("plus", "plus"), xi, tau)
         res = conv_point_oracle(form, xi, tau)
         assert res.value == pytest.approx(conv_closed(form, xi, tau), rel=1e-7)
+
+
+@pytest.mark.parametrize("d, n, xi", [(2, 2, [1.0, 0.0, 0.0, 0.0]), (2, 3, [1.0]),
+                                      (3, 2, [1.0, 0.0])])
+def test_wrong_dimension_point_is_refused(d, n, xi):
+    # conv_closed(ConvClosedForm(2, 2, 1.0), [1, 0, 0, 0], 5.0) used to return
+    # a density, reading xi as a point of R^4.
+    form = ConvClosedForm(d, n, 1.0)
+    calls = (conv_support, conv_closed) + ((conv_point_oracle,) if n == 2 else ())
+    for call in calls:
+        with pytest.raises(ValueError, match=f"xi must have {d} components"):
+            call(form, xi, 5.0)
+    with pytest.raises(ValueError, match="components"):
+        conv_closed(form, np.zeros((4, d + 1)), np.full(4, 5.0))
+
+
+def test_overflowing_rows_are_decided_without_overflow():
+    # tau^2 and |xi|^2 overflow past about 1.3e154; the verdict must not.
+    xi = np.array([[1e200, 0.0], [0.3, 0.4], [1e200, 0.0], [1e300, -1e300],
+                   [2e200, 0.0], [0.0, 0.0]])
+    tau = np.array([2e200, 5.0, 0.5e200, 1.5e300, -3e200, 4.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for (d, n), want in (((2, 3), [True, True, False, True, False, True]),
+                             ((2, 2), [True, True, False, True, False, True])):
+            form = ConvClosedForm(d, n, 1.0)
+            inside, _ = conv_support(form, xi, tau)
+            assert inside.tolist() == want
+            rows = conv_closed(form, xi, tau)
+            assert rows.tolist() == [conv_closed(form, x, t) for x, t in zip(xi, tau)]
+            assert [conv_support(form, x, t)[0] for x, t in zip(xi, tau)] == want
+        assert conv_closed(ConvClosedForm(2, 3, 1.0), xi[0], tau[0]) == (2 * math.pi) ** 2
+        sheets = ("plus",) * 3
+        verdict = sum_support_predicate(1.0, sheets, xi, tau)
+        assert verdict.tolist() == [True, True, False, True, False, True]
+        assert verdict.tolist() == [sum_support_predicate(1.0, sheets, x, t)
+                                    for x, t in zip(xi, tau)]
+        assert sum_support_predicate(1.0, ("plus", "minus"), [1e300, 1e300], 1e300)
+        assert not sum_support_predicate(1.0, ("plus", "plus"), [1e300, 1e300], 1.4e300)
+
+
+def test_in_range_rows_keep_the_direct_arithmetic():
+    # Where m^2 is finite the verdict and value are today's tau^2 - |xi|^2 ones.
+    rng = np.random.default_rng(5)
+    xi = rng.normal(size=(200, 2)) * 10.0 ** rng.uniform(-3, 100, size=(200, 1))
+    tau = np.hypot(xi[:, 0], xi[:, 1]) * rng.uniform(0.5, 2.0, size=200)
+    form = ConvClosedForm(2, 3, 1.0)
+    inside, m2 = conv_support(form, xi, tau)
+    assert np.array_equal(m2, tau**2 - np.sum(xi * xi, axis=-1))
+    assert np.array_equal(inside, (tau > 0) & (m2 >= 9.0))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: surface_integral(MeasureSpec(P3), lambda xi, tau: tau,
+                             QuadSpec(n_radial=10**6, n_angular=10**6)),
+    lambda: surface_integral(MeasureSpec(P2), lambda xi, tau: tau,
+                             QuadSpec(n_radial=10**12, n_angular=4)),
+    lambda: conv_pairing_oracle(MeasureSpec(P2), 2, lambda r, t: r,
+                                QuadSpec(n_radial=10**6, n_angular=10**6)),
+    lambda: conv_pairing_oracle(MeasureSpec(P3), 2, lambda r, t: r,
+                                QuadSpec(n_radial=10**6, n_angular=8)),
+    lambda: conv_point_oracle(ConvClosedForm(2, 2, 1.0), [0.5, 0.0], 4.0,
+                              QuadSpec(n_radial=10**12)),
+], ids=["sheet-d3", "sheet-radial", "pairing-d2", "pairing-d3", "point-oracle"])
+def test_grids_past_the_budget_are_refused_before_allocating(call):
+    with pytest.raises(BudgetError, match="exceed the budget"):
+        call()

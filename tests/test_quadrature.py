@@ -5,7 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from hyperex.quadrature import gl_panels, gl_sqrt_panels
+from hyperex.quadrature import (
+    GL_ORDER_BUDGET, NODE_BUDGET, BudgetError, QuadResult, QuadSpec, gl_nodes, gl_panels,
+    gl_sqrt_panels, two_resolution,
+)
 
 
 @pytest.mark.parametrize("a", [0.0, 0.5, 2.0])
@@ -32,3 +35,21 @@ def test_sqrt_panels_equal_gl_panels_past_the_first(edges):
     assert x.size == w.size == 12 * (len(edges) - 1)
     assert np.array_equal(x[12:], rest_x) and np.array_equal(w[12:], rest_w)
     assert math.isclose(float(np.sum(w)), edges[-1] - edges[0], rel_tol=1e-15)
+
+
+def test_quad_result_is_a_named_pair():
+    res = QuadResult(1.5, 0.25)
+    value, error = res
+    assert (value, error) == (res.value, res.error) == (1.5, 0.25)
+    assert two_resolution(lambda n: 1.0 / n, 2, 4) == QuadResult(0.25, 0.25)
+
+
+def test_orders_and_samples_past_the_budget_are_refused():
+    with pytest.raises(BudgetError, match="Gauss-Legendre"):
+        gl_nodes(0.0, 1.0, 10**12)
+    with pytest.raises(BudgetError, match="Gauss-Legendre"):
+        gl_panels(np.array([0.0, 1.0]), 10**12)
+    with pytest.raises(BudgetError, match="Monte-Carlo samples"):
+        QuadSpec(rule="montecarlo", samples=10**12)
+    QuadSpec(rule="montecarlo", samples=NODE_BUDGET)
+    gl_nodes(0.0, 1.0, GL_ORDER_BUDGET)

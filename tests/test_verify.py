@@ -3,6 +3,7 @@
 import pytest
 
 from hyperex.functionals import SUPPORTED_PAIRS
+from hyperex.quadrature import BudgetError
 from hyperex.verify import _SCALING_INPUTS, run_checks
 
 
@@ -27,3 +28,21 @@ def test_scaling_identity_inputs_rescale_inexactly():
         assert (a / s) * s != a
     (check,) = [c for c in run_checks("functional") if c.name == "scaling-identity"]
     assert check.passed and check.discrepancy > 0.0
+
+
+def test_grid_below_one_percent_is_refused():
+    # run_checks("lorentz", grid=0) used to run on an 8-node grid and fail.
+    for grid in (0, -5):
+        with pytest.raises(ValueError, match="grid must be a positive percentage"):
+            run_checks("lorentz", grid=grid)
+
+
+@pytest.mark.parametrize("suite", ["support", "sharp", "oracle"])
+def test_samples_past_the_budget_are_refused(suite):
+    with pytest.raises(BudgetError, match="exceed the budget"):
+        run_checks(suite, samples=10**12)
+
+
+def test_grid_past_the_budget_is_refused():
+    with pytest.raises(BudgetError, match="sheet nodes"):
+        run_checks("lorentz", grid=10**7)
