@@ -3,8 +3,11 @@
 Subcommands: constants, curve, conv, verify, concentrate.  JSON is the
 canonical machine format (--json); curve data additionally flows as CSV.
 Every report carries the same six keys: command, inputs, outputs,
-error_estimates, seed, wall_time_ms.  With --no-meta the wall time is pinned
-to 0 so identical flags and seed produce byte-identical output.
+error_estimates, seed, wall_time_ms.  The inputs are the parsed flags, less
+the output switches and the seed.  With --no-meta the wall time is pinned
+to 0 so identical flags and seed produce byte-identical output.  Every
+refusal after argument parsing is a ValueError or BudgetError, which main
+maps to exit 2.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .functionals import (
     monotonicity_scan,
 )
 from .measures import ConvClosedForm, conv_closed, conv_point_oracle, conv_support
-from .quadrature import BudgetError
+from .quadrature import BudgetError, check_budget
 from .verify import SUITES, run_checks
 
 USAGE_ERROR = 2
@@ -56,7 +59,7 @@ def _default_seed(explicit: int | None) -> int:
     try:
         return int(env)
     except ValueError:
-        raise SystemExit(f"hyperex: HYPEREX_SEED must be an integer, got {env!r}")
+        raise ValueError(f"HYPEREX_SEED must be an integer, got {env!r}") from None
 
 
 def _finite_float(text: str) -> float:
@@ -70,10 +73,21 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _emit(args, inputs, outputs, lines, error_estimates=None, seed=None) -> None:
+def _finite_floats(text: str) -> list[float]:
+    """argparse type: comma-separated finite floats."""
+    return [_finite_float(v) for v in text.split(",")]
+
+
+# Parsed attributes that are not inputs of the computation; the seed is one
+# of the report's own keys.
+_NOT_INPUTS = ("command", "func", "started", "json", "no_meta", "csv", "out", "seed")
+
+
+def _emit(args, outputs, lines, error_estimates=None, seed=None) -> None:
     """Print the six-key JSON report under --json, else the text lines.
 
-    wall_time_ms runs from args.started, which main sets after parsing.
+    inputs are the parsed flags less _NOT_INPUTS; wall_time_ms runs from
+    args.started, which main sets after parsing.
     """
     if not args.json:
         print("\n".join(lines))
@@ -81,7 +95,7 @@ def _emit(args, inputs, outputs, lines, error_estimates=None, seed=None) -> None
     wall = 0 if args.no_meta else int(round((time.monotonic() - args.started) * 1000.0))
     report = {
         "command": args.command,
-        "inputs": inputs,
+        "inputs": {k: v for k, v in vars(args).items() if k not in _NOT_INPUTS},
         "outputs": outputs,
         "error_estimates": error_estimates or {},
         "seed": seed,
@@ -95,7 +109,7 @@ def _emit(args, inputs, outputs, lines, error_estimates=None, seed=None) -> None
 def cmd_constants(args) -> int:
     d, p, s = args.d, args.p, args.s
     if (d is None) != (p is None):
-        raise SystemExit("hyperex constants: give both --d and --p or neither")
+        raise ValueError("give both --d and --p or neither")
     if d is None:
         pairs = [(dd, pp, sh) for dd, pp in SUPPORTED_PAIRS for sh in ("one", "two")]
     else:
@@ -121,8 +135,7 @@ def cmd_constants(args) -> int:
             f"{r['expression']}  =  {r['value']:.15g}"
             for r in rows
         ]
-    inputs = {"d": d, "p": p, "s": s, "sheet": args.sheet}
-    _emit(args, inputs, {"rows": rows}, lines)
+    _emit(args, {"rows": rows}, lines)
     return 0
 
 
@@ -130,7 +143,8 @@ def cmd_constants(args) -> int:
 
 def cmd_curve(args) -> int:
     if not (0.0 < args.a_min < args.a_max):
-        raise SystemExit("hyperex curve: need 0 < a-min < a-max")
+        raise ValueError("need 0 < a-min < a-max")
+    check_budget(args.points, "curve points")
     spacing = np.geomspace if args.log_spacing else np.linspace
     grid = spacing(args.a_min, args.a_max, args.points)
     limit_value = best_constant(args.d, args.p, args.s).value
@@ -142,21 +156,11 @@ def cmd_curve(args) -> int:
     ]
     for r in rows:
         if r["ratio"] >= 1.0:
-            raise SystemExit(
-                f"hyperex curve: ratio {float(r['ratio'])!r} >= 1 at a = {r['a']!r} "
+            raise ValueError(
+                f"ratio {float(r['ratio'])!r} >= 1 at a = {r['a']!r} "
                 "contradicts Q < H; Q is not resolved at this rate"
             )
     csv_lines = _csv_lines(rows)
-    inputs = {
-        "d": args.d,
-        "p": args.p,
-        "s": args.s,
-        "a_min": args.a_min,
-        "a_max": args.a_max,
-        "points": args.points,
-        "log_spacing": bool(args.log_spacing),
-        "method": args.method,
-    }
     outputs = {"rows": rows, "monotonicity": verdict, "limit_value": limit_value}
     error_estimates = {}
     if args.method == "quadrature":
@@ -166,23 +170,19 @@ def cmd_curve(args) -> int:
             fh.write("\n".join(csv_lines) + "\n")
         outputs["csv_path"] = args.out
         csv_lines = [f"wrote {len(rows)} rows to {args.out}; trend {verdict}"]
-    _emit(args, inputs, outputs, csv_lines, error_estimates)
+    _emit(args, outputs, csv_lines, error_estimates)
     return 0
 
 
 # --------------------------------------------------------------------- conv
 
 def cmd_conv(args) -> int:
-    try:
-        xi = np.array([_finite_float(v) for v in args.xi.split(",")], dtype=float)
-    except argparse.ArgumentTypeError:
-        raise SystemExit(f"hyperex conv: could not parse --xi {args.xi!r} as finite floats")
     if args.method == "oracle" and args.n != 2:
-        raise SystemExit("hyperex conv: the point oracle covers n = 2 only")
+        raise ValueError("the point oracle covers n = 2 only")
 
     form = ConvClosedForm(args.d, args.n, args.s)
-    value = float(conv_closed(form, xi, args.tau))
-    inside, _ = conv_support(form, xi, args.tau)
+    value = float(conv_closed(form, args.xi, args.tau))
+    inside, _ = conv_support(form, args.xi, args.tau)
     notes = [] if inside else ["outside-support"]
 
     outputs = {"value": value}
@@ -190,7 +190,7 @@ def cmd_conv(args) -> int:
     if args.method == "oracle" and not notes:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            oracle = conv_point_oracle(form, xi, args.tau)
+            oracle = conv_point_oracle(form, args.xi, args.tau)
         if caught:
             notes.append("boundary-proximate")
         outputs["oracle_value"] = oracle.value
@@ -199,14 +199,6 @@ def cmd_conv(args) -> int:
     if notes:
         outputs["notes"] = notes
 
-    inputs = {
-        "d": args.d,
-        "n": args.n,
-        "s": args.s,
-        "xi": [float(v) for v in xi],
-        "tau": args.tau,
-        "method": args.method,
-    }
     lines = [f"value = {_fmt17(value)}"]
     if "oracle_value" in outputs:
         lines += [
@@ -215,7 +207,7 @@ def cmd_conv(args) -> int:
             f"oracle error estimate = {_fmt17(error_estimates['oracle_value'])}",
         ]
     lines += [f"note: {note}" for note in notes]
-    _emit(args, inputs, outputs, lines, error_estimates)
+    _emit(args, outputs, lines, error_estimates)
     return 0
 
 
@@ -242,8 +234,7 @@ def cmd_verify(args) -> int:
         + (f"  ({c.note})" if c.note else "")
         for c in checks
     ] + [f"{len(checks) - failed} passed, {failed} failed"]
-    inputs = {"suite": args.suite, "samples": args.samples, "grid": args.grid}
-    _emit(args, inputs, outputs, lines, error_estimates, seed)
+    _emit(args, outputs, lines, error_estimates, seed)
     return 1 if failed else 0
 
 
@@ -252,14 +243,13 @@ def cmd_verify(args) -> int:
 def cmd_concentrate(args) -> int:
     fraction = mass_fraction(args.d, args.s, args.a, args.radius)
     regime = "vertex" if fraction >= 0.5 else "spatial-infinity"
-    inputs = {"d": args.d, "s": args.s, "a": args.a, "radius": args.radius}
     outputs = {"mass_fraction": fraction, "regime": regime}
     why = "mass pins near the vertex" if regime == "vertex" else "mass escapes to spatial infinity"
     lines = [
         f"mass fraction inside radius {args.radius:g}: {fraction:.15g}",
         f"regime: {regime} ({why})",
     ]
-    _emit(args, inputs, outputs, lines)
+    _emit(args, outputs, lines)
     return 0
 
 
@@ -307,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=_finite_float, default=1.0)
-    p.add_argument("--xi", type=str, required=True, help='point as "v1,v2[,v3]"')
+    p.add_argument("--xi", type=_finite_floats, required=True, help='point as "v1,v2[,v3]"')
     p.add_argument("--tau", type=_finite_float, required=True)
     p.add_argument("--method", choices=("closed", "oracle"), default="closed")
     add_common(p)
@@ -349,13 +339,8 @@ def main(argv=None) -> int:
         print(f"hyperex: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except SystemExit as exc:
-        # Semantic usage errors carry a message; argparse passes codes through.
-        if isinstance(exc.code, str):
-            print(exc.code, file=sys.stderr)
-            return USAGE_ERROR
-        if exc.code is None:
-            return 0
-        return int(exc.code)
+        # argparse's own exits: 0 after --help, 2 after a usage message.
+        return int(exc.code or 0)
 
 
 if __name__ == "__main__":

@@ -77,9 +77,9 @@ def _scaled(spec: QuadSpec, grid: int | None) -> QuadSpec:
     """
     if grid is None:
         return spec
-    factor = grid / 100.0
-    return replace(spec, n_radial=max(8, round(spec.n_radial * factor)),
-                   n_angular=max(4, round(spec.n_angular * factor)))
+    # Integer rounding: a grid past the float range still reaches the budgets.
+    return replace(spec, n_radial=max(8, (spec.n_radial * grid + 50) // 100),
+                   n_angular=max(4, (spec.n_angular * grid + 50) // 100))
 
 
 def _check(suite, name, discrepancy, tolerance, note="", passed=None,

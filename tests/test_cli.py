@@ -175,7 +175,7 @@ class TestCurve:
         )
         assert rc == 2
         assert out == ""
-        assert err.startswith("hyperex curve: ratio 1.0 >= 1 at a = 1e+299")
+        assert err.startswith("hyperex: ratio 1.0 >= 1 at a = 1e+299")
         assert len(err.strip().splitlines()) == 1
 
     def test_closed_is_the_default_route(self, capsys):
@@ -470,20 +470,30 @@ class TestConcentrate:
         assert rc == 2
 
 
-# Refusals that the library states and main maps to exit 2: (argv, the
-# fragment of the one stderr line that names the contract).
-LIBRARY_REFUSALS = {
+# Refusals that main maps to exit 2, whether the library or the CLI states
+# the contract: (argv, the fragment of the one stderr line that names it).
+REFUSALS = {
+    "constants-half-pair": (["constants", "--d", "2"], "give both --d and --p or neither"),
     "constants-pair": (["constants", "--d", "2", "--p", "5"], "unsupported pair (d, p) = (2, 5)"),
     "curve-pair": (["curve", "--d", "2", "--p", "5", "--a-min", "1", "--a-max", "2"],
                    "unsupported pair (d, p) = (2, 5)"),
     "curve-points": (["curve", "--d", "2", "--p", "4", "--a-min", "1", "--a-max", "2",
                       "--points", "1"], "at least 2 points"),
+    "curve-points-budget": (["curve", "--d", "2", "--p", "4", "--a-min", "1", "--a-max", "2",
+                             "--points", str(10 ** 12)],
+                            "1000000000000 curve points exceed the budget"),
+    "curve-rates": (["curve", "--d", "2", "--p", "4", "--a-min", "2", "--a-max", "1"],
+                    "need 0 < a-min < a-max"),
+    "curve-ratio": (["curve", "--d", "2", "--p", "4", "--a-min", "1e299", "--a-max", "1e300",
+                     "--points", "2"], "ratio 1.0 >= 1 at a = 1e+299"),
     "conv-pair": (["conv", "--d", "3", "--n", "3", "--xi", "0,0,0", "--tau", "4"],
                   "no closed convolution form for (d, n) = (3, 3)"),
     "conv-xi": (["conv", "--d", "2", "--n", "2", "--xi", "1,2,3", "--tau", "4"],
                 "xi must have 2 components"),
     "conv-xi-oracle": (["conv", "--d", "3", "--n", "2", "--xi", "1,2", "--tau", "4",
                         "--method", "oracle"], "xi must have 3 components"),
+    "conv-oracle-n": (["conv", "--d", "2", "--n", "3", "--xi", "0,0", "--tau", "4",
+                       "--method", "oracle"], "the point oracle covers n = 2 only"),
     "concentrate-d": (["concentrate", "--d", "4", "--a", "1", "--radius", "1"],
                       "d must be 2 or 3"),
     "concentrate-s": (["concentrate", "--d", "2", "--s", "0", "--a", "1", "--radius", "1"],
@@ -496,13 +506,17 @@ LIBRARY_REFUSALS = {
                     "grid must be a positive percentage"),
     "verify-grid-budget": (["verify", "--suite", "lorentz", "--grid", "10000000"],
                            "sheet nodes exceed the budget"),
+    # Past the float range: the node counts are rounded in integers.
+    "verify-grid-overflow-lorentz": (["verify", "--suite", "lorentz", "--grid", str(10 ** 400)],
+                                     "sheet nodes exceed the budget"),
+    "verify-grid-overflow-oracle": (["verify", "--suite", "oracle", "--grid", str(10 ** 400)],
+                                    "Gauss-Legendre nodes in one rule exceed the budget"),
     "verify-samples-budget": (["verify", "--suite", "sharp", "--samples", str(10 ** 12)],
                               "samples exceed the budget"),
 }
 
 
-@pytest.mark.parametrize("argv, contract", LIBRARY_REFUSALS.values(),
-                         ids=LIBRARY_REFUSALS.keys())
+@pytest.mark.parametrize("argv, contract", REFUSALS.values(), ids=REFUSALS.keys())
 def test_library_refusals_are_one_line_usage_errors(capsys, argv, contract):
     rc, out, err = run_cli(capsys, argv + ["--json"])
     assert (rc, out) == (2, "")
@@ -521,6 +535,8 @@ def test_overflowing_point_is_inside_the_support(capsys):
     assert out == f"value = {(2.0 * math.pi) ** 2:.17g}\n"
 
 
+# Each subcommand's argv and the report's inputs: the parsed flags, without
+# --csv, --out, --seed and the output switches.
 REPORT_ARGV = {
     "constants": ["constants"],
     "curve-d2": ["curve", "--d", "2", "--p", "4", "--a-min", "0.7", "--a-max", "2.9"],
@@ -532,11 +548,24 @@ REPORT_ARGV = {
     "verify-specfun": ["verify", "--suite", "specfun"],
     "concentrate": ["concentrate", "--d", "3", "--a", "0.3", "--radius", "2"],
 }
+REPORT_INPUTS = {
+    "constants": {"d": None, "p": None, "s": 1.0, "sheet": "one"},
+    "curve-d2": {"d": 2, "p": 4, "s": 1.0, "a_min": 0.7, "a_max": 2.9, "points": 25,
+                 "log_spacing": False, "method": "closed"},
+    "curve-d3": {"d": 3, "p": 4, "s": 1.0, "a_min": 1.0, "a_max": 2.0, "points": 2,
+                 "log_spacing": False, "method": "closed"},
+    "conv-closed": {"d": 2, "n": 3, "s": 1.0, "xi": [0.3, 0.4], "tau": 5.0,
+                    "method": "closed"},
+    "conv-oracle": {"d": 2, "n": 2, "s": 1.0, "xi": [0.3, 0.4], "tau": 5.0,
+                    "method": "oracle"},
+    "verify-specfun": {"suite": "specfun", "samples": None, "grid": None},
+    "concentrate": {"d": 3, "s": 1.0, "a": 0.3, "radius": 2.0},
+}
 
 
-@pytest.mark.parametrize("argv", REPORT_ARGV.values(), ids=REPORT_ARGV.keys())
-def test_every_subcommand_keeps_the_report_contract(capsys, argv):
-    argv = argv + ["--json", "--no-meta"]
+@pytest.mark.parametrize("name", REPORT_ARGV)
+def test_every_subcommand_keeps_the_report_contract(capsys, name):
+    argv = REPORT_ARGV[name] + ["--json", "--no-meta"]
     rc1, out1, _ = run_cli(capsys, argv)
     rc2, out2, _ = run_cli(capsys, argv)
     assert rc1 == rc2 == 0
@@ -546,6 +575,39 @@ def test_every_subcommand_keeps_the_report_contract(capsys, argv):
                            "seed", "wall_time_ms"}
     assert report["command"] == argv[0]
     assert report["wall_time_ms"] == 0
+    assert report["inputs"] == REPORT_INPUTS[name]
+
+
+# The directory holding the package under test, for fresh interpreters.
+SRC = str(Path(hyperex.__file__).resolve().parent.parent)
+
+
+def run_module(argv):
+    """Run `python -m hyperex` in a fresh interpreter on this checkout's package."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    env.pop("HYPEREX_SEED", None)
+    return subprocess.run([sys.executable, "-m", "hyperex", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+class TestEntryPoint:
+    def test_verify_report(self):
+        done = run_module(["verify", "--suite", "specfun", "--json", "--no-meta"])
+        assert (done.returncode, done.stderr) == (0, "")
+        report = json.loads(done.stdout)
+        assert set(report) == {"command", "inputs", "outputs", "error_estimates",
+                               "seed", "wall_time_ms"}
+        assert report["outputs"]["failed_count"] == 0
+
+    def test_semantic_refusal(self):
+        done = run_module(["constants", "--d", "2", "--p", "5"])
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == "hyperex: unsupported pair (d, p) = (2, 5)\n"
+
+    def test_malformed_flag(self):
+        done = run_module(["conv", "--d", "2", "--n", "2", "--xi", "a,b", "--tau", "4"])
+        assert (done.returncode, done.stdout) == (2, "")
+        assert "hyperex conv: error: argument --xi: invalid float value: 'a'" in done.stderr
 
 
 class TestTopLevel:
@@ -560,11 +622,10 @@ class TestTopLevel:
 
     def test_import_loads_no_scipy(self):
         # scipy is a test-only dependency; the package must not pull it in.
-        src = str(Path(hyperex.__file__).resolve().parent.parent)
         code = ("import sys, hyperex; "
                 "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
         done = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True,
-            check=True, env={**os.environ, "PYTHONPATH": src},
+            check=True, env={**os.environ, "PYTHONPATH": SRC},
         )
         assert done.stdout.strip() == "[]"

@@ -46,3 +46,11 @@ def test_samples_past_the_budget_are_refused(suite):
 def test_grid_past_the_budget_is_refused():
     with pytest.raises(BudgetError, match="sheet nodes"):
         run_checks("lorentz", grid=10**7)
+
+
+@pytest.mark.parametrize("suite, budget", [("lorentz", "sheet nodes"),
+                                           ("oracle", "Gauss-Legendre nodes")])
+def test_grid_past_the_float_range_is_refused(suite, budget):
+    # grid / 100.0 used to raise OverflowError here.
+    with pytest.raises(BudgetError, match=budget):
+        run_checks(suite, grid=10**400)
