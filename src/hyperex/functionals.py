@@ -29,17 +29,23 @@ from .measures import ConvClosedForm, conv_sup_norm
 from .quadrature import QuadResult, check_budget, gl_panels
 from .specfun import exp_scaled_en, exp_scaled_k1
 
-SUPPORTED_PAIRS = ((2, 4), (2, 6), (3, 4))
-SHEET_LABELS = ("one", "two")
-
-# Factor linking the two-sheet constant to the one-sheet constant; the square
-# combiner (p = 4) gives (3/2)^{1/4} and the cubic combiner (p = 6) gives
-# (25/4)^{1/6} = (5/2)^{1/3}.
-TWO_SHEET_FACTORS = {
-    (2, 4): 1.5 ** 0.25,
-    (2, 6): 2.5 ** (1.0 / 3.0),
-    (3, 4): 1.5 ** 0.25,
+# One-sheet constant at s = 1 of each supported pair, as (expression, value).
+_BASE_CONSTANTS = {
+    (2, 4): ("2^(3/4)*pi", 2.0 ** 0.75 * math.pi),
+    (2, 6): ("(2*pi)^(5/6)", (2.0 * math.pi) ** (5.0 / 6.0)),
+    (3, 4): ("(2*pi)^(5/4)", (2.0 * math.pi) ** 1.25),
 }
+# Factor linking the two-sheet constant to the one-sheet constant, per p, as
+# (expression prefix, value); the square combiner (p = 4) gives (3/2)^{1/4}
+# and the cubic combiner (p = 6) gives (25/4)^{1/6} = (5/2)^{1/3}.
+_TWO_SHEET = {
+    4: ("(3/2)^(1/4)", 1.5 ** 0.25),
+    6: ("(5/2)^(1/3)", 2.5 ** (1.0 / 3.0)),
+}
+
+SUPPORTED_PAIRS = tuple(_BASE_CONSTANTS)
+SHEET_LABELS = ("one", "two")
+TWO_SHEET_FACTORS = {(d, p): _TWO_SHEET[p][1] for d, p in SUPPORTED_PAIRS}
 
 
 @dataclass(frozen=True)
@@ -78,25 +84,14 @@ def _require_pair(d: int, p: int) -> None:
 def base_constant(d: int, p: int) -> float:
     """One-sheet constant at s = 1."""
     _require_pair(d, p)
-    if (d, p) == (2, 4):
-        return 2.0 ** 0.75 * math.pi
-    if (d, p) == (2, 6):
-        return (2.0 * math.pi) ** (5.0 / 6.0)
-    return (2.0 * math.pi) ** 1.25
+    return _BASE_CONSTANTS[(d, p)][1]
 
 
 def constant_expression(d: int, p: int, sheet: str = "one") -> str:
     """Human-readable closed expression for the constant at s = 1."""
     _require_pair(d, p)
-    core = {
-        (2, 4): "2^(3/4)*pi",
-        (2, 6): "(2*pi)^(5/6)",
-        (3, 4): "(2*pi)^(5/4)",
-    }[(d, p)]
-    if sheet == "one":
-        return core
-    prefix = "(3/2)^(1/4)" if p == 4 else "(5/2)^(1/3)"
-    return f"{prefix}*{core}"
+    core = _BASE_CONSTANTS[(d, p)][0]
+    return core if sheet == "one" else f"{_TWO_SHEET[p][0]}*{core}"
 
 
 def best_constant(d: int, p: int, s: float = 1.0, sheet: str = "one") -> SharpConstant:

@@ -185,9 +185,10 @@ def _radicand(params: HyperboloidParams, x: np.ndarray, y: np.ndarray) -> float:
 def quasi_distance(params: HyperboloidParams, x, y) -> float:
     """d_s(x, y) = sqrt(2 (s^2 + psi(x) psi(y) - x.y)) / (2 s) - 1.
 
-    Vanishes iff x = y; symmetric; invariant under the lifted Lorentz action.
-    The radicand is assembled from nonnegative pieces so the result is >= 0
-    in floating point, not just in exact arithmetic.
+    The radicand is (p + q, p + q)_J for p = lift(x), q = lift(y), so for a
+    Lorentz map L preserving the upper sheet d_s(L(p).xi, L(q).xi) = d_s(x, y).
+    Vanishes iff x = y; symmetric.  The radicand is assembled from nonnegative
+    pieces so the result is >= 0 in floating point, not just in exact arithmetic.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -195,16 +196,3 @@ def quasi_distance(params: HyperboloidParams, x, y) -> float:
         raise ValueError(f"expected points in R^{params.d}")
     return float(np.sqrt(_radicand(params, x, y)) / (2.0 * params.s) - 1.0)
 
-
-def quasi_distance_lifted(params: HyperboloidParams, p: SpacetimePoint,
-                          q: SpacetimePoint) -> float:
-    """Quasi-distance through the form on p + q: sqrt((p+q, p+q)_J)/(2s) - 1.
-
-    Agrees with quasi_distance on lifted pairs.  Extended precision keeps the
-    cancellation (tau1+tau2)^2 - |xi1+xi2|^2 harmless out to radii ~ 1e4 s.
-    """
-    v = np.append(p.xi, p.tau).astype(np.longdouble) + np.append(q.xi, q.tau).astype(np.longdouble)
-    msq = v[-1] ** 2 - np.dot(v[:-1], v[:-1])
-    if msq < 0:
-        raise ValueError("p + q is not timelike")
-    return float(np.sqrt(msq) / (2.0 * np.longdouble(params.s)) - 1.0)

@@ -6,11 +6,14 @@ reflection tau -> -tau; "both" is the sum.
 
 Closed forms for the n-fold auto-convolution of the upper-sheet measure exist
 exactly for (d, n) in {(2, 2), (2, 3), (3, 2)}; each is a function of the
-invariant m^2 = tau^2 - |xi|^2 supported on {tau >= sqrt((n s)^2 + |xi|^2)}:
+invariant m^2 = tau^2 - |xi|^2 supported on {tau > 0, m^2 >= (n s)^2}:
 
     d=2, n=2 : 2 pi / sqrt(m^2)               sup pi/s, attained at the vertex
     d=2, n=3 : (2 pi)^2 (1 - 3 s / sqrt(m^2)) sup (2 pi)^2, at timelike infinity
     d=3, n=2 : 2 pi sqrt(1 - 4 s^2 / m^2)     sup 2 pi, at timelike infinity
+
+conv_support decides it from m^2 and the sign of tau, and sum_support_predicate
+reads every plus/minus sheet combination from the same two.
 
 conv_reduced_integral integrates a closed density times a rotation-invariant
 weight over (tau, |xi|) in one vectorized pass.
@@ -187,20 +190,14 @@ def surface_integral(
     return QuadResult(value=fine, error=abs(fine - coarse))
 
 
-def conv_support(form: ConvClosedForm, xi, tau):
-    """Closed support of the closed density at (xi, tau), and the invariant mass.
+def _invariant_mass(xi, tau):
+    """(tau, m2 = tau^2 - |xi|^2) as arrays; ValueError for a non-finite xi or tau.
 
-    Returns (inside, m2) with m2 = tau^2 - |xi|^2 and inside the closed set
-    tau > 0, m2 >= (n s)^2.  Vectorized like conv_closed; a single point
-    gives exactly the corresponding row of a vectorized call.  Rows where
-    tau^2 or |xi|^2 overflows are redone in units of their largest
-    coordinate, so m2 is +-inf there only when m^2 itself overflows.  Raises
-    ValueError for a non-finite xi or tau, or an xi without d components.
+    Rows where tau^2 or |xi|^2 overflows are redone in units of their largest
+    coordinate, so m2 is +-inf there only when m^2 itself overflows.
     """
     xi = np.asarray(xi, dtype=float)
     tau = np.asarray(tau, dtype=float)
-    if xi.shape[-1:] != (form.d,):
-        raise ValueError(f"xi must have {form.d} components")
     if not (np.isfinite(xi).all() and np.isfinite(tau).all()):
         raise ValueError("xi and tau must be finite")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -209,6 +206,21 @@ def conv_support(form: ConvClosedForm, xi, tau):
             c = np.maximum(np.abs(tau), np.max(np.abs(xi), axis=-1))
             unit = (tau / c) ** 2 - np.sum((xi / c[..., None]) ** 2, axis=-1)
             m2 = np.where(np.isfinite(m2), m2, unit * c * c)
+    return tau, m2
+
+
+def conv_support(form: ConvClosedForm, xi, tau):
+    """Closed support of the closed density at (xi, tau), and the invariant mass.
+
+    Returns (inside, m2) with m2 = tau^2 - |xi|^2 and inside the closed set
+    tau > 0, m2 >= (n s)^2.  Vectorized like conv_closed; a single point gives
+    exactly the corresponding row of a vectorized call.  Raises ValueError for
+    a non-finite xi or tau, or an xi without d components.
+    """
+    xi = np.asarray(xi, dtype=float)
+    if xi.shape[-1:] != (form.d,):
+        raise ValueError(f"xi must have {form.d} components")
+    tau, m2 = _invariant_mass(xi, tau)
     return (tau > 0) & (m2 >= (form.n * form.s) ** 2), m2
 
 
@@ -482,33 +494,31 @@ def sum_support_predicate(s: float, sheets: tuple, xi, tau):
 
     sheets is a tuple of "plus"/"minus" of length 2 or 3.  Returns whether
     (xi, tau) can lie in the closed region guaranteed to contain the support
-    of the corresponding convolution:
+    of the corresponding convolution, read from m2 = tau^2 - |xi|^2 of
+    _invariant_mass and the sign of tau, with b = (n s)^2:
 
-        n = 2:  (+,+) tau >= b,   (+,-) |tau| <= b,   (-,-) tau <= -b
-        n = 3:  (+,+,+) tau >= b, (+,+,-) tau >= -b,
-                (+,-,-) tau <= b, (-,-,-) tau <= -b
+        n = 2:  (+,+) tau > 0 and m2 >= b,   (+,-) m2 <= b,
+                (-,-) tau < 0 and m2 >= b
+        n = 3:  (+,+,+) tau > 0 and m2 >= b,   (+,+,-) tau >= 0 or m2 <= b,
+                (+,-,-) tau <= 0 or m2 <= b,   (-,-,-) tau < 0 and m2 >= b
 
-    with b = sqrt((n s)^2 + |xi|^2).  Vectorized over (xi, tau).
+    The all-plus rows are conv_support's decision.  Vectorized over
+    (xi, tau); raises ValueError for a non-finite xi or tau.
     """
     if not s > 0:
         raise ValueError("s must be positive")
     n = len(sheets)
     if n not in (2, 3) or any(sh not in ("plus", "minus") for sh in sheets):
         raise ValueError("sheets must be 2 or 3 entries of 'plus'/'minus'")
-    xi = np.asarray(xi, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        b = np.sqrt((n * s) ** 2 + np.sum(xi * xi, axis=-1))
-        if not np.isfinite(b).all():
-            # Where |xi|^2 overflowed for a finite xi, redo the row in units of
-            # its largest coordinate.
-            c = np.max(np.abs(xi), axis=-1)
-            unit = np.sqrt((n * s / c) ** 2 + np.sum((xi / c[..., None]) ** 2, axis=-1))
-            redo = ~np.isfinite(b) & np.isfinite(xi).all(axis=-1)
-            b = np.where(redo, unit * c, b)
-    plus = sum(1 for sh in sheets if sh == "plus")
-    if n == 2:
-        out = {2: tau >= b, 1: np.abs(tau) <= b, 0: tau <= -b}[plus]
+    tau, m2 = _invariant_mass(xi, tau)
+    b = (n * s) ** 2
+    plus = sheets.count("plus")
+    if plus == n:
+        out = (tau > 0) & (m2 >= b)
+    elif plus == 0:
+        out = (tau < 0) & (m2 >= b)
+    elif n == 2:
+        out = m2 <= b
     else:
-        out = {3: tau >= b, 2: tau >= -b, 1: tau <= b, 0: tau <= -b}[plus]
+        out = ((tau >= 0) if plus == 2 else (tau <= 0)) | (m2 <= b)
     return bool(out) if np.ndim(out) == 0 else out

@@ -26,9 +26,12 @@ class BudgetError(RuntimeError):
 
 
 def check_budget(count: int, what: str, budget: int = NODE_BUDGET) -> None:
-    """Raise BudgetError when `count` of `what` exceeds `budget`."""
+    """Raise BudgetError when `count` of `what` exceeds `budget`; a count past
+    Python's 4,300-digit int-to-str limit is named by a power of ten below it."""
     if count > budget:
-        raise BudgetError(f"{count} {what} exceed the budget of {budget}")
+        exponent = (count.bit_length() - 1) * 30102 // 100_000  # 0.30102 < log10 2
+        shown = count if count < 10**4300 else f"more than 10^{exponent}"
+        raise BudgetError(f"{shown} {what} exceed the budget of {budget}")
 
 
 @dataclass(frozen=True)

@@ -65,8 +65,6 @@ import math
 
 import numpy as np
 
-EULER_GAMMA = 0.5772156649015328606
-
 _LD_GAMMA = np.longdouble("0.57721566490153286060651209008240243104")
 
 # Largest x with e^x (and Ei(x) ~ e^x/x) inside double range, per the contract.

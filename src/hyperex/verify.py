@@ -33,7 +33,6 @@ from .geometry import (
     lift,
     normal_form,
     quasi_distance,
-    quasi_distance_lifted,
     rotation_embed,
 )
 from .measures import (
@@ -373,9 +372,9 @@ def _suite_metric(rng, samples, grid=None):
         params = HyperboloidParams(d=d, s=float(rng.uniform(0.5, 2.0)))
         p = lift(params, rng.normal(size=d) * 3.0)
         q = lift(params, rng.normal(size=d) * 3.0)
-        base = quasi_distance_lifted(params, p, q)
+        base = quasi_distance(params, p.xi, q.xi)
         lmap = _random_map(rng, d)
-        moved = quasi_distance_lifted(params, lmap.apply(p), lmap.apply(q))
+        moved = quasi_distance(params, lmap.apply(p).xi, lmap.apply(q).xi)
         worst = max(worst, abs(base - moved) / (1.0 + abs(base)))
     out.append(_check("metric", "lorentz-invariance", worst, 1e-9,
                       note="40 random boosted pairs"))
@@ -551,17 +550,22 @@ def run_checks(
     samples overrides the sampling counts of the randomized checks; grid
     rescales the tensor quadrature budgets (percent of default, see _scaled)
     in the suites that use them (lorentz, oracle).  Raises ValueError for
-    grid < 1 and BudgetError for samples past the node budget, before any
-    check runs.
+    grid < 1, samples < 1, or, when the oracle suite runs, samples below
+    QuadSpec's Monte-Carlo floor, and BudgetError for samples past the node
+    budget, all before any check runs.
     """
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {('all',) + SUITES}")
+    names = SUITES if suite == "all" else (suite,)
     if grid is not None and grid < 1:
         raise ValueError("grid must be a positive percentage")
     if samples is not None:
+        if samples < 1:
+            raise ValueError("samples must be positive")
         check_budget(samples, "samples")
+        if "oracle" in names:
+            QuadSpec(rule="montecarlo", samples=samples)  # refuses too few for an error bar
     rng = np.random.default_rng(0 if seed is None else seed)
-    names = SUITES if suite == "all" else (suite,)
     results: list[CheckResult] = []
     for name in names:
         results.extend(_SUITE_RUNNERS[name](rng, samples, grid))

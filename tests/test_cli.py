@@ -513,6 +513,9 @@ REFUSALS = {
                                     "Gauss-Legendre nodes in one rule exceed the budget"),
     "verify-samples-budget": (["verify", "--suite", "sharp", "--samples", str(10 ** 12)],
                               "samples exceed the budget"),
+    # About grid^3 sheet nodes, past the 4,300-digit int-to-str limit.
+    "verify-grid-digits": (["verify", "--suite", "lorentz", "--grid", str(10 ** 2000)],
+                           "more than 10^5999 sheet nodes exceed the budget"),
 }
 
 

@@ -222,6 +222,26 @@ def test_single_point_calls_are_the_vectorized_rows(d, n):
                 for x, t in zip(xi, tau)] == rows.tolist()
 
 
+@pytest.mark.parametrize("d, n", CLOSED_PAIRS)
+def test_all_plus_sheet_sums_are_the_closed_support(d, n):
+    # Within 4 ulps of tau = sqrt((n s)^2 + |xi|^2) the all-plus row and
+    # conv_support must make the same rounding call: both read m^2 and the
+    # sign of tau.  Deciding tau >= sqrt((n s)^2 + |xi|^2) instead disagreed
+    # on about 4 % of these points.
+    rng = np.random.default_rng(100 * d + n)
+    s = 1.1
+    form = ConvClosedForm(d, n, s)
+    base = rng.normal(size=(12_500, d)) * rng.exponential(4.0, size=(12_500, 1))
+    edge = np.sqrt((n * s) ** 2 + np.sum(base * base, axis=-1))
+    ulps = np.arange(-4, 5)[None, :] * np.spacing(edge)[:, None]
+    xi = np.repeat(base, 9, axis=0)
+    tau = (edge[:, None] + ulps).ravel()
+    assert tau.size >= 100_000
+    inside, _ = conv_support(form, xi, tau)
+    assert inside.any() and not inside.all()
+    assert np.array_equal(sum_support_predicate(s, ("plus",) * n, xi, tau), inside)
+
+
 @pytest.mark.parametrize("xi, tau", [
     ([0.0, 0.0], math.nan), ([0.0, 0.0], math.inf), ([0.0, 0.0], -math.inf),
     ([math.inf, 0.0], 5.0), ([0.0, -math.inf], 5.0), ([math.nan, 0.0], 5.0),
@@ -229,7 +249,11 @@ def test_single_point_calls_are_the_vectorized_rows(d, n):
 def test_non_finite_points_are_refused(xi, tau):
     # A NaN tau or an infinite xi used to read as a point outside the support.
     form = ConvClosedForm(2, 2, 1.0)
-    for call in (conv_support, conv_closed, conv_point_oracle):
+
+    def sheet_sum(form, xi, tau):
+        return sum_support_predicate(form.s, ("plus", "plus"), xi, tau)
+
+    for call in (conv_support, conv_closed, conv_point_oracle, sheet_sum):
         with pytest.raises(ValueError, match="finite"):
             call(form, xi, tau)
     rows = np.array([[1.0, 0.0], xi])

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from hyperex.quadrature import (
-    GL_ORDER_BUDGET, NODE_BUDGET, BudgetError, QuadResult, QuadSpec, gl_nodes, gl_panels,
-    gl_sqrt_panels, two_resolution,
+    GL_ORDER_BUDGET, NODE_BUDGET, BudgetError, QuadResult, QuadSpec, check_budget, gl_nodes,
+    gl_panels, gl_sqrt_panels, two_resolution,
 )
 
 
@@ -53,3 +53,17 @@ def test_orders_and_samples_past_the_budget_are_refused():
         QuadSpec(rule="montecarlo", samples=10**12)
     QuadSpec(rule="montecarlo", samples=NODE_BUDGET)
     gl_nodes(0.0, 1.0, GL_ORDER_BUDGET)
+
+
+@pytest.mark.parametrize("count, shown", [
+    (NODE_BUDGET + 1, str(NODE_BUDGET + 1)),
+    (10**4300 - 1, "9" * 4300),
+    (10**4300, "more than 10^4299"),
+    (10**6000 + 7, "more than 10^5999"),
+], ids=["in-range", "4300-digits", "4301-digits", "6001-digits"])
+def test_budget_message_names_counts_past_the_digit_limit(count, shown):
+    # A count past Python's 4,300-digit int-to-str limit used to fail in the
+    # f-string with a message that names no contract.
+    with pytest.raises(BudgetError) as err:
+        check_budget(count, "nodes")
+    assert str(err.value) == f"{shown} nodes exceed the budget of {NODE_BUDGET}"

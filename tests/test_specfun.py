@@ -30,7 +30,6 @@ from scipy.integrate import quad
 from hyperex.extension import ExpProfile, extension_closed
 from hyperex.geometry import HyperboloidParams
 from hyperex.specfun import (
-    EULER_GAMMA,
     bessel_j0,
     exp_integral_ei,
     exp_scaled_en,
@@ -309,7 +308,3 @@ def test_laplace_j0_kernel_zero_width_limit_and_domain():
             laplace_j0_kernel(bad, 1.0, 1.0)
     with pytest.raises(ValueError):
         laplace_j0_kernel(1.0, 1.0, -1.0)
-
-
-def test_euler_gamma_constant():
-    assert EULER_GAMMA == pytest.approx(float(np.euler_gamma), abs=1e-16)

@@ -2,9 +2,10 @@
 
 import pytest
 
+import hyperex.verify
 from hyperex.functionals import SUPPORTED_PAIRS
 from hyperex.quadrature import BudgetError
-from hyperex.verify import _SCALING_INPUTS, run_checks
+from hyperex.verify import _SCALING_INPUTS, SUITES, run_checks
 
 
 @pytest.mark.parametrize("suite", ["metric", "functional"])
@@ -35,6 +36,27 @@ def test_grid_below_one_percent_is_refused():
     for grid in (0, -5):
         with pytest.raises(ValueError, match="grid must be a positive percentage"):
             run_checks("lorentz", grid=grid)
+
+
+@pytest.mark.parametrize("suite, samples, message", [
+    ("support", 0, "samples must be positive"),
+    ("all", -3, "samples must be positive"),
+    ("oracle", 99, "too small to estimate an error bar"),
+    ("all", 50, "too small to estimate an error bar"),
+])
+def test_bad_samples_are_refused_before_any_suite_runs(monkeypatch, suite, samples, message):
+    # verify --samples 0 and --samples 50 used to run the specfun, lorentz and
+    # support suites (about 1.5 s) before sharp or oracle refused the count.
+    def unreachable(rng, samples, grid=None):
+        raise AssertionError("a suite ran before the samples were refused")
+
+    monkeypatch.setattr(hyperex.verify, "_SUITE_RUNNERS", dict.fromkeys(SUITES, unreachable))
+    with pytest.raises(ValueError, match=message):
+        run_checks(suite, samples=samples)
+
+
+def test_few_samples_run_where_no_monte_carlo_needs_them():
+    assert len(run_checks("support", samples=50)) == 2
 
 
 @pytest.mark.parametrize("suite", ["support", "sharp", "oracle"])
