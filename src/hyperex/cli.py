@@ -13,7 +13,9 @@ maps to exit 2.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -329,18 +331,32 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; its standard output is written once it has finished.
+
+    A reader that closes the pipe early (`hyperex constants | head -c1`)
+    drops the rest of the output and leaves the exit code as it was.
+    """
     parser = build_parser()
+    out = io.StringIO()
     try:
-        args = parser.parse_args(argv)
-        args.started = time.monotonic()
-        return args.func(args)
+        with contextlib.redirect_stdout(out):
+            args = parser.parse_args(argv)
+            args.started = time.monotonic()
+            code = args.func(args)
     except (ValueError, BudgetError) as exc:
         # A library refusal: a usage error, not a failed verification.
         print(f"hyperex: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except SystemExit as exc:
         # argparse's own exits: 0 after --help, 2 after a usage message.
-        return int(exc.code or 0)
+        code = int(exc.code or 0)
+    try:
+        sys.stdout.write(out.getvalue())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at devnull so the flush at interpreter exit cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ only in a concentration limit: a -> oo (vertex) for (2, 4), a -> 0+
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -265,25 +266,38 @@ def two_sheeted_combiner_check(samples: int, seed: int | None = None) -> int:
     return int(np.sum(broken | mismatched | equality_wrong))
 
 
+# Range of a s over which the d = 3 quadrature of mass_fraction stays inside
+# the float range: below it the radial mass overflows, above it underflows.
+_MASS_RATE_RANGE = (1e-150, 1e150)
+
+
 def mass_fraction(d: int, s: float, a: float, radius: float) -> float:
     """Share of ||f_a||^2 carried by the centered ball of the given radius.
 
     d = 2 closed: 1 - e^{-2a(sqrt(s^2 + R^2) - s)}; d = 3 by quadrature of
     the radial density e^{-2au} sqrt(u^2 - s^2) in the energy variable, over
     the ball and over the whole sheet (truncated at e^{-2a(u - s)} = e^{-100}).
-    Small for small a (mass escapes to spatial infinity), near 1 for large
-    a (mass pins to the vertex).
+    The d = 3 share depends on a s and R / s alone, so it is computed at
+    s = 1 with rate a s and radius R / s, and refused (ValueError) for a s
+    outside _MASS_RATE_RANGE.  Small for small a (mass escapes to spatial
+    infinity), near 1 for large a (mass pins to the vertex).
     """
     ExpProfile(a=a, params=HyperboloidParams(d=d, s=s))  # refuses d, s and a
     if not 0.0 < radius < math.inf:
         raise ValueError("radius must be finite and positive")
-    u_ball = math.hypot(s, radius)
     if d == 2:
-        return -math.expm1(-2.0 * a * (u_ball - s))
-    # u_ball - s = R^2 / (u_ball + s), without the cancellation at small R.
-    v_total = math.sqrt(50.0 / a)
-    v_ball = min(math.sqrt(radius * (radius / (u_ball + s))), v_total)
-    return _d3_radial_mass(a, s, v_ball) / _d3_radial_mass(a, s, v_total)
+        return -math.expm1(-2.0 * a * (math.hypot(s, radius) - s))
+    rate = a * s
+    lo, hi = _MASS_RATE_RANGE
+    if not lo <= rate <= hi:
+        raise ValueError(f"d = 3 mass fraction needs {lo:g} <= a s <= {hi:g}, got a s = {rate:g}")
+    # An R / s past the float range is clamped: at float max the ball
+    # already holds the whole truncated sheet.
+    r = min(radius / s, sys.float_info.max)
+    # u_ball - 1 = r^2 / (u_ball + 1), without the cancellation at small r.
+    v_total = math.sqrt(50.0 / rate)
+    v_ball = min(math.sqrt(r * (r / (math.hypot(1.0, r) + 1.0))), v_total)
+    return _d3_radial_mass(rate, 1.0, v_ball) / _d3_radial_mass(rate, 1.0, v_total)
 
 
 def _d3_radial_mass(a: float, s: float, v_max: float) -> float:

@@ -51,6 +51,18 @@ def energy(params: HyperboloidParams, r):
     return np.sqrt(params.s**2 + np.square(r))
 
 
+def norm_sq(xi):
+    """|xi|^2 over the last axis, summed column by column from the first.
+
+    The same bits as np.sum(xi * xi, axis=-1), which adds fewer than 8 terms
+    in sequence, at a fraction of its cost on a 2- or 3-wide last axis.
+    """
+    out = xi[..., 0] * xi[..., 0]
+    for k in range(1, xi.shape[-1]):
+        out += xi[..., k] * xi[..., k]
+    return out
+
+
 def lift(params: HyperboloidParams, x) -> SpacetimePoint:
     """Lift a finite base point x in R^d onto the upper sheet."""
     x = np.asarray(x, dtype=float)

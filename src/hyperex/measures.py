@@ -44,7 +44,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import HyperboloidParams, SpacetimePoint, boost, energy, normal_form
+from .geometry import HyperboloidParams, SpacetimePoint, boost, energy, norm_sq, normal_form
 from .quadrature import (
     BudgetError, QuadResult, QuadSpec, check_budget, gl_nodes, gl_panels, trapezoid_angles,
     two_resolution,
@@ -130,28 +130,30 @@ def _zonal_rule(d: int, n_angular: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _radial_nodes(params: HyperboloidParams, quad: QuadSpec):
-    """Radial nodes (r, w, psi, outer) of the sheet measure, radius-truncated.
+    """Radial nodes (r, w, psi) of the sheet measure, radius-truncated.
 
-    Gauss-Legendre on [0, radius/2] and [radius/2, radius], with weights
-    r^{d-1} w_r / psi(r) so that d(sigma) = w d(omega); `outer` marks the
-    outer half, whose share doubles as a truncation-tail estimate.
+    Gauss-Legendre on [0, radius/2] and [radius/2, radius], quad.n_radial
+    nodes each in increasing r, with weights r^{d-1} w_r / psi(r) so that
+    d(sigma) = w d(omega).
     """
     r, wr = gl_panels(np.array([0.0, 0.5 * quad.radius, quad.radius]), quad.n_radial)
     psi = energy(params, r)
-    return r, r ** (params.d - 1) / psi * wr, psi, np.arange(r.size) >= quad.n_radial
+    return r, r ** (params.d - 1) / psi * wr, psi
 
 
 def _sheet_nodes(params: HyperboloidParams, quad: QuadSpec):
-    """Quadrature nodes (xi, tau, w, tail) for the upper sheet, radius-truncated.
+    """Quadrature nodes (xi, tau, w) for the upper sheet, radius-truncated.
 
     The radial rule of _radial_nodes times the sphere rule of _sphere_nodes,
-    as flat arrays (radius-major); tail marks the outer radial half.
+    as flat arrays.  They are radius-major, every direction of one radial
+    node before the next, so the outer radial half [radius/2, radius] is the
+    back half of each array.
     """
-    r, wr, psi, outer = _radial_nodes(params, quad)
+    r, wr, psi = _radial_nodes(params, quad)
     omega, wo = _sphere_nodes(params.d, quad.n_angular)
     xi = np.kron(r[:, None], omega)
     w = np.outer(wr, wo).ravel()
-    return xi, np.repeat(psi, wo.size), w, np.repeat(outer, wo.size)
+    return xi, np.repeat(psi, wo.size), w
 
 
 def surface_integral(
@@ -160,9 +162,11 @@ def surface_integral(
     """int f d(sigma) over the requested sheet(s).
 
     f must be vectorized: f(xi, tau) with xi of shape (N, d) and tau of shape
-    (N,) returning (N,).  Raises BudgetError when the outer radial half
-    contributes more than max(1e-3 |value|, 1e-10), i.e. the truncation
-    radius is too small for this integrand.
+    (N,) returning (N,); it must not write into its arguments.  The grid is
+    _sheet_nodes', radius-major, so the outer radial half is the back half of
+    the values.  Raises BudgetError when that half contributes more than
+    max(1e-3 |value|, 1e-10), i.e. the truncation radius is too small for
+    this integrand.
     """
 
     n_a = 2 * quad.n_angular  # the fine grid, run(2) below
@@ -172,12 +176,13 @@ def surface_integral(
     def run(scale: int) -> tuple[float, float]:
         q = replace(quad, n_radial=quad.n_radial * scale,
                     n_angular=quad.n_angular * scale)
-        xi, tau, w, tail = _sheet_nodes(spec.params, q)
+        xi, tau, w = _sheet_nodes(spec.params, q)
+        outer = tau.size // 2
         total = tail_part = 0.0
-        for sign in {"plus": (1.0,), "minus": (-1.0,), "both": (1.0, -1.0)}[spec.sheet]:
-            vals = w * np.asarray(f(xi, sign * tau), dtype=float)
+        for sign in {"plus": (1,), "minus": (-1,), "both": (1, -1)}[spec.sheet]:
+            vals = w * np.asarray(f(xi, tau if sign > 0 else -tau), dtype=float)
             total += float(np.sum(vals))
-            tail_part += float(np.sum(np.abs(vals[tail])))
+            tail_part += float(np.sum(np.abs(vals[outer:])))
         return total, tail_part
 
     coarse, _ = run(1)
@@ -193,18 +198,21 @@ def surface_integral(
 def _invariant_mass(xi, tau):
     """(tau, m2 = tau^2 - |xi|^2) as arrays; ValueError for a non-finite xi or tau.
 
-    Rows where tau^2 or |xi|^2 overflows are redone in units of their largest
-    coordinate, so m2 is +-inf there only when m^2 itself overflows.
+    xi holds its components on the last axis, at least one.  Rows where tau^2
+    or |xi|^2 overflows are redone in units of their largest coordinate, so
+    m2 is +-inf there only when m^2 itself overflows.
     """
     xi = np.asarray(xi, dtype=float)
     tau = np.asarray(tau, dtype=float)
+    if xi.shape[-1:] in ((), (0,)):
+        raise ValueError("xi must have one or more components on its last axis")
     if not (np.isfinite(xi).all() and np.isfinite(tau).all()):
         raise ValueError("xi and tau must be finite")
     with np.errstate(over="ignore", invalid="ignore"):
-        m2 = tau**2 - np.sum(xi * xi, axis=-1)
+        m2 = tau**2 - norm_sq(xi)
         if not np.isfinite(m2).all():
             c = np.maximum(np.abs(tau), np.max(np.abs(xi), axis=-1))
-            unit = (tau / c) ** 2 - np.sum((xi / c[..., None]) ** 2, axis=-1)
+            unit = (tau / c) ** 2 - norm_sq(xi / c[..., None])
             m2 = np.where(np.isfinite(m2), m2, unit * c * c)
     return tau, m2
 
@@ -442,7 +450,7 @@ def _pairing_tensor_pair(
 
     def run(scale: int) -> float:
         q = grid(scale)
-        r, wr, psi, _ = _radial_nodes(params, q)
+        r, wr, psi = _radial_nodes(params, q)
         c, wc = _zonal_rule(params.d, q.n_angular)
         r_y = np.repeat(r, c.size)
         c_y = np.tile(c, r.size)

@@ -31,6 +31,7 @@ from .geometry import (
     boost,
     compose,
     lift,
+    norm_sq,
     normal_form,
     quasi_distance,
     rotation_embed,
@@ -184,7 +185,11 @@ def _suite_lorentz(rng, samples, grid=None):
         beta = float(rng.uniform(0.1, 0.5))
 
         def g(xi, tau):
-            return np.exp(-alpha * np.sum(xi * xi, axis=-1) - beta * tau)
+            # exp(-alpha |xi|^2 - beta tau), each step in place on one temporary.
+            out = norm_sq(xi)
+            out *= -alpha
+            out -= beta * tau
+            return np.exp(out, out=out)
 
         inv = lmap.inverse()
 

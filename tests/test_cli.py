@@ -459,6 +459,19 @@ class TestConcentrate:
         assert report["outputs"]["mass_fraction"] == pytest.approx(0.0, abs=1e-10)
         assert report["outputs"]["regime"] == "spatial-infinity"
 
+    @pytest.mark.filterwarnings("error")
+    def test_d3_extreme_scales(self, capsys):
+        # The first used to end in a ZeroDivisionError traceback; the second
+        # wrote numpy's overflow RuntimeWarning to stderr.
+        report = run_json(capsys, ["concentrate", "--d", "3", "--s", "1e-300",
+                                   "--a", "1e300", "--radius", "1"])
+        assert report["outputs"] == {"mass_fraction": 1.0, "regime": "vertex"}
+        rc, out, err = run_cli(capsys, ["concentrate", "--d", "3", "--a", "1e-300",
+                                        "--radius", "1"])
+        assert (rc, out) == (2, "")
+        assert err == ("hyperex: d = 3 mass fraction needs 1e-150 <= a s <= 1e+150, "
+                       "got a s = 1e-300\n")
+
     def test_bad_inputs(self, capsys):
         rc, _, _ = run_cli(
             capsys, ["concentrate", "--d", "4", "--a", "1", "--radius", "1"]
@@ -585,12 +598,12 @@ def test_every_subcommand_keeps_the_report_contract(capsys, name):
 SRC = str(Path(hyperex.__file__).resolve().parent.parent)
 
 
-def run_module(argv):
+def run_module(argv, stdout=subprocess.PIPE):
     """Run `python -m hyperex` in a fresh interpreter on this checkout's package."""
     env = {**os.environ, "PYTHONPATH": SRC}
     env.pop("HYPEREX_SEED", None)
     return subprocess.run([sys.executable, "-m", "hyperex", *argv],
-                          capture_output=True, text=True, env=env)
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
 
 
 class TestEntryPoint:
@@ -606,6 +619,23 @@ class TestEntryPoint:
         done = run_module(["constants", "--d", "2", "--p", "5"])
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr == "hyperex: unsupported pair (d, p) = (2, 5)\n"
+
+    @pytest.mark.parametrize("argv, code", [
+        (["constants"], 0),
+        (["verify", "--suite", "sharp", "--samples", "1000", "--json", "--no-meta"], 0),
+        (["verify", "--suite", "lorentz", "--grid", "1"], 1),  # fails its checks
+    ])
+    def test_closed_stdout_keeps_the_exit_code(self, argv, code):
+        # `hyperex constants | head -c1` used to end in a BrokenPipeError
+        # traceback with exit 1.  With the read end closed first, every write
+        # to stdout fails.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = run_module(argv, stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (code, "")
 
     def test_malformed_flag(self):
         done = run_module(["conv", "--d", "2", "--n", "2", "--xi", "a,b", "--tau", "4"])

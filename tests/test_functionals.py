@@ -343,6 +343,38 @@ def test_mass_fraction_validation():
         mass_fraction(2, 1.0, -1.0, 1.0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_mass_fraction_d3_depends_on_a_s_and_r_over_s():
+    # s = 1e-300, a = 1e300 used to divide 0 by 0: sqrt(50 / a) and the radial
+    # mass underflowed.  At a s = 1 the ball of radius 1e300 s holds it all.
+    assert mass_fraction(3, 1e-300, 1e300, 1.0) == 1.0
+    for s, a, radius in ((1e-300, 2e300, 1e-300), (1e300, 3e-300, 5e299), (1e-10, 1.0, 1e290)):
+        assert mass_fraction(3, s, a, radius) == mass_fraction(3, 1.0, a * s, radius / s)
+    # Powers of two rescale exactly, so the share must not move at all.
+    for e in (-300, -2, 3, 350):
+        s = 2.0 ** e
+        assert mass_fraction(3, s, 0.3 / s, 2.0 * s) == mass_fraction(3, 1.0, 0.3, 2.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("s, a", [(1.0, 1e-300), (1.0, 1e300), (1e300, 1e300), (1e-300, 1e-300)])
+def test_mass_fraction_d3_refuses_a_s_outside_its_range(s, a):
+    # a = 1e-300 used to return 0 with numpy's overflow RuntimeWarning.
+    with pytest.raises(ValueError, match="d = 3 mass fraction needs 1e-150 <= a s <= 1e"):
+        mass_fraction(3, s, a, 1.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_mass_fraction_d3_is_a_share_across_the_float_range():
+    scales = (5e-324, 1e-300, 1e-150, 1e-10, 1.0, 1e10, 1e150, 1e300, 1.7e308)
+    for s in scales:
+        for a in scales:
+            for radius in scales:
+                if not 1e-150 <= a * s <= 1e150:
+                    continue
+                assert 0.0 <= mass_fraction(3, s, a, radius) <= 1.0
+
+
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("s, a, radius", [
     (1.0, 1.0, math.inf), (1.0, 1.0, math.nan), (math.inf, 1.0, 1.0), (1.0, math.inf, 1.0),

@@ -9,6 +9,7 @@ pairs (d = 2) and against verify's closed-density reduction (d = 3).
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from hyperex.geometry import (
 )
 from hyperex.measures import (
     CLOSED_PAIRS,
+    SHEETS,
     ConvClosedForm,
     MeasureSpec,
     conv_closed,
@@ -35,7 +37,8 @@ from hyperex.measures import (
     sum_support_predicate,
     surface_integral,
 )
-from hyperex.quadrature import BudgetError, QuadSpec, gl_panels
+from hyperex.measures import _sheet_nodes
+from hyperex.quadrature import BudgetError, QuadResult, QuadSpec, gl_panels
 from hyperex.verify import _reduced_pairing_reference
 
 P2 = HyperboloidParams(d=2, s=1.0)
@@ -151,6 +154,68 @@ def test_surface_integral_budget_guard():
         surface_integral(MeasureSpec(P3), lambda xi, tau: 1.0 / tau**2)
 
 
+def _grid_sum(params, sheet, f, quad):
+    """surface_integral's value, error and budget verdict, summed from _sheet_nodes.
+
+    The outer radial half is picked by |xi| > radius / 2, not by position.
+    """
+    sums = []
+    for scale in (1, 2):
+        q = replace(quad, n_radial=quad.n_radial * scale, n_angular=quad.n_angular * scale)
+        xi, tau, w = _sheet_nodes(params, q)
+        outer = np.sqrt(np.sum(xi * xi, axis=-1)) > 0.5 * quad.radius
+        total = tail = 0.0
+        for sign in {"plus": (1.0,), "minus": (-1.0,), "both": (1.0, -1.0)}[sheet]:
+            vals = w * np.asarray(f(xi, sign * tau), dtype=float)
+            total += float(np.sum(vals))
+            tail += float(np.sum(np.abs(vals[outer])))
+        sums.append((total, tail))
+    (coarse, _), (fine, tail) = sums
+    return QuadResult(fine, abs(fine - coarse)), tail > max(1e-3 * abs(fine), 1e-10)
+
+
+def _tilted_gaussian(xi, tau):
+    return np.exp(-0.3 * np.sum(xi * xi, axis=-1) - 0.2 * np.abs(tau)) * (1.0 + 0.1 * xi[:, 0])
+
+
+def _slow_tail(xi, tau):
+    return 1.0 / tau**2
+
+
+@pytest.mark.parametrize("f", [_tilted_gaussian, _slow_tail])
+@pytest.mark.parametrize("sheet", SHEETS)
+@pytest.mark.parametrize("params", [P2, P3], ids=["d2", "d3"])
+def test_surface_integral_is_the_grid_sum_bit_for_bit(params, sheet, f):
+    quad = QuadSpec(radius=30.0, n_radial=12, n_angular=8)
+    want, refused = _grid_sum(params, sheet, f, quad)
+    assert refused == (f is _slow_tail)
+    if refused:
+        with pytest.raises(BudgetError, match="outer-half contribution"):
+            surface_integral(MeasureSpec(params, sheet), f, quad)
+    else:
+        assert surface_integral(MeasureSpec(params, sheet), f, quad) == want
+
+
+def test_surface_integral_leaves_the_grid_it_passes_unchanged():
+    # An integrand may return its tau argument; an in-place multiply of that
+    # return value would write the weights into the grid.
+    passed = []
+
+    def echo(xi, tau):
+        passed.append((tau, tau.copy(), xi, xi.copy()))
+        return tau
+
+    messages = []
+    for _ in range(2):
+        with pytest.raises(BudgetError) as refusal:
+            surface_integral(MeasureSpec(P2, "both"), echo, QuadSpec(n_radial=8, n_angular=8))
+        messages.append(str(refusal.value))
+    assert messages[0] == messages[1]
+    assert len(passed) == 8
+    for tau, tau_then, xi, xi_then in passed:
+        assert np.array_equal(tau, tau_then) and np.array_equal(xi, xi_then)
+
+
 def test_conv_closed_worked_values():
     s = 1.0
     f22 = ConvClosedForm(2, 2, s)
@@ -259,6 +324,12 @@ def test_non_finite_points_are_refused(xi, tau):
     rows = np.array([[1.0, 0.0], xi])
     with pytest.raises(ValueError, match="finite"):
         conv_closed(form, rows, np.array([4.0, tau]))
+
+
+@pytest.mark.parametrize("xi", [3.0, np.zeros((4, 0))], ids=["scalar", "no-components"])
+def test_sheet_sums_without_components_are_refused(xi):
+    with pytest.raises(ValueError, match="components on its last axis"):
+        sum_support_predicate(1.0, ("plus", "plus"), xi, 5.0)
 
 
 def _per_tau_reduction(form, f, tau_nodes, tau_w, n):

@@ -1,10 +1,11 @@
 """Verify-suite tests: every suite passes at the default seed."""
 
+import numpy as np
 import pytest
 
 import hyperex.verify
 from hyperex.functionals import SUPPORTED_PAIRS
-from hyperex.quadrature import BudgetError
+from hyperex.quadrature import BudgetError, QuadResult, QuadSpec
 from hyperex.verify import _SCALING_INPUTS, SUITES, run_checks
 
 
@@ -76,3 +77,24 @@ def test_grid_past_the_float_range_is_refused(suite, budget):
     # grid / 100.0 used to raise OverflowError here.
     with pytest.raises(BudgetError, match=budget):
         run_checks(suite, grid=10**400)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 1000, 1007, 2000])
+def test_lorentz_pairs_draw_their_dimension_first(monkeypatch, seed):
+    # Per measure pair the suite draws integers(2, 4) for d, then six uniforms
+    # (s, two rapidities, the angle, alpha, beta) before its surface
+    # integrals; replaying that order predicts how many pairs are d = 3.
+    dims = []
+
+    def record(spec, f, quad=QuadSpec()):
+        dims.append(spec.params.d)
+        return QuadResult(0.0, 0.0)
+
+    monkeypatch.setattr(hyperex.verify, "surface_integral", record)
+    hyperex.verify._suite_lorentz(np.random.default_rng(seed), None)
+    replay = np.random.default_rng(seed)
+    want = []
+    for _ in range(20):
+        want.append(int(replay.integers(2, 4)))
+        replay.uniform(size=6)
+    assert dims == [d for d in want for _ in range(2)]
