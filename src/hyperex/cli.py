@@ -179,9 +179,6 @@ def cmd_curve(args) -> int:
 # --------------------------------------------------------------------- conv
 
 def cmd_conv(args) -> int:
-    if args.method == "oracle" and args.n != 2:
-        raise ValueError("the point oracle covers n = 2 only")
-
     form = ConvClosedForm(args.d, args.n, args.s)
     value = float(conv_closed(form, args.xi, args.tau))
     inside, _ = conv_support(form, args.xi, args.tau)
@@ -189,15 +186,17 @@ def cmd_conv(args) -> int:
 
     outputs = {"value": value}
     error_estimates = {}
-    if args.method == "oracle" and not notes:
+    if args.method == "oracle":
+        # Outside the support too, so that it refuses an n it does not cover.
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             oracle = conv_point_oracle(form, args.xi, args.tau)
-        if caught:
-            notes.append("boundary-proximate")
-        outputs["oracle_value"] = oracle.value
-        outputs["abs_difference"] = abs(oracle.value - value)
-        error_estimates["oracle_value"] = oracle.error
+        if inside:
+            if caught:
+                notes.append("boundary-proximate")
+            outputs["oracle_value"] = oracle.value
+            outputs["abs_difference"] = abs(oracle.value - value)
+            error_estimates["oracle_value"] = oracle.error
     if notes:
         outputs["notes"] = notes
 

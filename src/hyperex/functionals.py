@@ -286,7 +286,10 @@ def mass_fraction(d: int, s: float, a: float, radius: float) -> float:
     if not 0.0 < radius < math.inf:
         raise ValueError("radius must be finite and positive")
     if d == 2:
-        return -math.expm1(-2.0 * a * (math.hypot(s, radius) - s))
+        # u_ball - s; below R = s as R^2 / (u_ball + s), where it would cancel.
+        u = math.hypot(s, radius)
+        gap = u - s if radius >= s else radius * (radius / (u + s))
+        return -math.expm1(-2.0 * (a * gap))
     rate = a * s
     lo, hi = _MASS_RATE_RANGE
     if not lo <= rate <= hi:

@@ -21,10 +21,10 @@ weight over (tau, |xi|) in one vectorized pass.
 Two numerical oracles cross-check them without reusing their algebra:
 
   * conv_point_oracle reduces a point to normal form, re-boosts to an off-axis
-    canonical representative, finds the admissible chord of the bipolar
-    parametrization by bisection on the support predicates, and integrates
-    the delta-resolved density along the chord (d = 2) or reads off the chord
-    length (d = 3, where the bipolar density is constant).
+    canonical representative, takes the admissible chord of the bipolar
+    parametrization from the closed root of the triangle conditions, and
+    integrates the delta-resolved density along the chord (d = 2) or reads
+    off the chord length (d = 3, where the bipolar density is constant).
   * conv_pairing_oracle integrates a rotation-invariant test function
     g(r, tau), r = |xi|, against the n-fold convolution as an integral over
     n copies of the sheet.  For n = 2 it is the rotation-reduced tensor
@@ -282,43 +282,20 @@ def conv_sup_norm(form: ConvClosedForm) -> tuple[float, str]:
     return 2.0 * np.pi, "infinity"
 
 
-def _chord_halfwidth(s: float, xi_norm: float, tau: float) -> float:
-    """Bisection for the admissible chord endpoint of the bipolar coordinates.
+def _chord_endpoint(s: float, xq: float, tq: float) -> np.longdouble:
+    """Closed chord endpoint t* = xq sqrt(1 - 4 s^2 / m^2), m^2 = tq^2 - xq^2.
 
-    On the line u + v = tau (both factors at energies u, v >= s) the pair of
-    spatial radii rho = sqrt(u^2 - s^2), zeta = sqrt(v^2 - s^2) must satisfy
-    the triangle conditions rho + zeta >= |xi| and |rho - zeta| <= |xi|.
-    The admissible set in t = u - v is an interval [-t*, t*]; the predicate
-    is true at t = 0 for interior points and false at t = tau - 2s.
+    On u + v = tq the radii rho = sqrt(u^2 - s^2), zeta = sqrt(v^2 - s^2)
+    meet the triangle conditions rho + zeta >= xq >= |rho - zeta| exactly for
+    t = u - v in [-t*, t*].  In extended precision, as the chord integral;
+    ValueError where rounding has left (xq, tq) without a chord.
     """
-
-    # Extended precision: near the support boundary the predicate margins sink
-    # to ~ (m^2 - 4 s^2), and double rounding would shift the bisection root.
-    s_l = np.longdouble(s)
-    xi_l = np.longdouble(xi_norm)
-    tau_l = np.longdouble(tau)
-
-    def admissible(t) -> bool:
-        u = 0.5 * (tau_l + t)
-        v = 0.5 * (tau_l - t)
-        if u < s_l or v < s_l:
-            return False
-        rho = np.sqrt(max(u * u - s_l * s_l, np.longdouble(0.0)))
-        zeta = np.sqrt(max(v * v - s_l * s_l, np.longdouble(0.0)))
-        return (rho + zeta >= xi_l) and (abs(rho - zeta) <= xi_l)
-
-    lo, hi = np.longdouble(0.0), tau_l - 2.0 * s_l
-    if not admissible(lo):
-        raise ValueError("point is not in the open support")
-    if admissible(hi):
-        return float(hi)
-    for _ in range(110):
-        mid = 0.5 * (lo + hi)
-        if admissible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return float(0.5 * (lo + hi))
+    x, t = np.longdouble(xq), np.longdouble(tq)
+    m2 = (t - x) * (t + x)
+    gap = m2 - 4 * np.longdouble(s) ** 2
+    if not gap > 0:
+        raise ValueError("point is within rounding of the support boundary; its chord is empty")
+    return x * np.sqrt(gap / m2)
 
 
 # Velocity of the canonical off-axis representative used by the point oracle;
@@ -334,16 +311,16 @@ def conv_point_oracle(
     The point is reduced to (0, m) by normal_form, then re-boosted to the
     canonical representative (0.75 m, 0, ..., 1.25 m) so the bipolar
     parametrization is exercised off-axis.  Only the measure definition is
-    shared with conv_closed; the chord endpoint comes from bisection on the
-    support predicates and the d = 2 chord integral is done by Gauss-Legendre
-    after a sin substitution that absorbs the inverse-square-root endpoints.
+    shared with conv_closed; the chord endpoint is the closed root of the
+    triangle conditions and the d = 2 chord integral is done by
+    Gauss-Legendre after a sin substitution that absorbs the
+    inverse-square-root endpoints.  The error is a round-off floor,
+    8 eps (tau^2 + |xi|^2) / (m^2 - 4 s^2) times the value, for the rounding
+    of m^2, plus (d = 2) the two-resolution difference.
     """
     if form.n != 2:
-        raise ValueError(
-            "point oracle covers n = 2 only; use conv_pairing_oracle for n = 3"
-        )
-    params = form.params
-    s = form.s
+        raise ValueError("the point oracle covers n = 2 only; use conv_pairing_oracle for n = 3")
+    params, s = form.params, form.s
     p = SpacetimePoint(xi, tau)
     inside, m2 = conv_support(form, p.xi, p.tau)
     if not inside or m2 <= (2.0 * s) ** 2:
@@ -357,26 +334,21 @@ def conv_point_oracle(
             stacklevel=2,
         )
     _, m = normal_form(params, p)
-    rep = boost(params.d, _CANONICAL_VELOCITY).apply(
-        SpacetimePoint(np.zeros(params.d), m)
-    )
-    xq = float(np.linalg.norm(rep.xi))
-    tq = rep.tau
-    t_star = _chord_halfwidth(s, xq, tq)
+    rep = boost(params.d, _CANONICAL_VELOCITY).apply(SpacetimePoint(np.zeros(params.d), m))
+    xq, tq = float(np.linalg.norm(rep.xi)), rep.tau
+    t_star = _chord_endpoint(s, xq, tq)
+    floor = float(8.0 * np.finfo(float).eps * (p.tau**2 + norm_sq(p.xi)) / (m2 - (2.0 * s) ** 2))
     if form.d == 3:
         # The bipolar density is constant on the chord: value = 2 pi t*/|xi|.
-        width = (tq - 2.0 * s) * 2.0**-90
-        return QuadResult(
-            value=2.0 * np.pi * t_star / xq,
-            error=2.0 * np.pi * max(width, 1e-15 * t_star) / xq,
-        )
+        value = float(2.0 * np.pi * t_star / xq)
+        return QuadResult(value, floor * value)
 
     def chord_integral(n_nodes: int) -> float:
         phi, w = gl_nodes(-0.5 * np.pi, 0.5 * np.pi, n_nodes)
         # Extended precision: near the boundary both factors below are tiny
         # differences of order-one squares, outside double's reach at the
         # outermost nodes.
-        t = np.longdouble(t_star) * np.sin(phi.astype(np.longdouble))
+        t = t_star * np.sin(phi.astype(np.longdouble))
         u = 0.5 * (np.longdouble(tq) + t)
         v = 0.5 * (np.longdouble(tq) - t)
         s2 = np.longdouble(s) ** 2
@@ -384,18 +356,19 @@ def conv_point_oracle(
         rho = np.sqrt(u * u - s2)
         zeta = np.sqrt(v * v - s2)
         fac = ((rho + zeta) ** 2 - x2) * (x2 - (rho - zeta) ** 2)
-        # Strictly positive on the open chord; a sign flip is rounding noise
-        # at a node hugging an endpoint unless it happens en masse.
-        if np.count_nonzero(fac <= 0) > max(2, n_nodes // 50):
+        # Strictly positive on the open chord; a sign flip is rounding noise at
+        # a node hugging an endpoint unless en masse, but a zero divides by 0.
+        if np.count_nonzero(fac <= 0) > max(2, n_nodes // 50) or not fac.all():
             raise RuntimeError("chord parametrization failed; point degenerate?")
         fac = np.abs(fac)
         # d(t) = t* cos(phi) d(phi); the 1/sqrt endpoint of the chord density
         # cancels against cos(phi), keeping the integrand bounded.
-        integrand = np.longdouble(2.0 * t_star) * np.cos(phi.astype(np.longdouble))
+        integrand = 2 * t_star * np.cos(phi.astype(np.longdouble))
         return float(np.sum(w.astype(np.longdouble) * integrand / np.sqrt(fac)))
 
     n = max(32, quad.n_radial)
-    return two_resolution(chord_integral, n, 2 * n)
+    value, error = two_resolution(chord_integral, n, 2 * n)
+    return QuadResult(value, error + floor * value)
 
 
 def conv_pairing_oracle(

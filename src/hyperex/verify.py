@@ -415,7 +415,7 @@ def _suite_oracle(rng, samples, grid=None):
             closed = float(conv_closed(form, xi, tau))
             oracle = conv_point_oracle(form, xi, tau, _scaled(QuadSpec(), grid))
             worst = max(worst, abs(oracle.value - closed) / closed)
-    out.append(_check("oracle", "point-oracle-vs-closed", worst, 1e-6,
+    out.append(_check("oracle", "point-oracle-vs-closed", worst, 1e-10,
                       note=f"{2 * _POINT_ORACLE_POINTS} random interior points"))
 
     # Tensor pairing vs the 2-D reduction of the closed density.

@@ -472,6 +472,20 @@ class TestConcentrate:
         assert err == ("hyperex: d = 3 mass fraction needs 1e-150 <= a s <= 1e+150, "
                        "got a s = 1e-300\n")
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("a, radius, expected", [
+        # u_ball - s = R^2 / (u_ball + s); the subtraction used to cancel to 0.
+        ("1e20", "1e-10", -math.expm1(-1.0)),
+        ("1e15", "1e-7", 0.9999546000702375),
+        # 2 (a (u_ball - s)) is finite where 2 a overflowed to inf times 0.
+        ("1.7e308", "1e-10", 1.0),
+        # R^2 underflows: the share is 0, without a warning.
+        ("1", "1e-170", 0.0),
+    ])
+    def test_d2_radius_below_s(self, capsys, a, radius, expected):
+        report = run_json(capsys, ["concentrate", "--d", "2", "--a", a, "--radius", radius])
+        assert report["outputs"]["mass_fraction"] == pytest.approx(expected, rel=1e-15)
+
     def test_bad_inputs(self, capsys):
         rc, _, _ = run_cli(
             capsys, ["concentrate", "--d", "4", "--a", "1", "--radius", "1"]
@@ -507,6 +521,12 @@ REFUSALS = {
                         "--method", "oracle"], "xi must have 3 components"),
     "conv-oracle-n": (["conv", "--d", "2", "--n", "3", "--xi", "0,0", "--tau", "4",
                        "--method", "oracle"], "the point oracle covers n = 2 only"),
+    "conv-oracle-n-outside": (["conv", "--d", "2", "--n", "3", "--xi", "5,0", "--tau", "4",
+                               "--method", "oracle"], "the point oracle covers n = 2 only"),
+    # m^2 = 4 s^2 + 8.9e-16, but m rounds to 2 s: the oracle's chord is empty.
+    "conv-oracle-rounded-boundary": (["conv", "--d", "2", "--n", "2", "--xi", "1,0",
+                                      "--tau", "2.23606797749979", "--method", "oracle"],
+                                     "within rounding of the support boundary"),
     "concentrate-d": (["concentrate", "--d", "4", "--a", "1", "--radius", "1"],
                       "d must be 2 or 3"),
     "concentrate-s": (["concentrate", "--d", "2", "--s", "0", "--a", "1", "--radius", "1"],

@@ -11,6 +11,7 @@ import math
 import warnings
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -37,7 +38,7 @@ from hyperex.measures import (
     sum_support_predicate,
     surface_integral,
 )
-from hyperex.measures import _sheet_nodes
+from hyperex.measures import _CANONICAL_VELOCITY, _chord_endpoint, _sheet_nodes
 from hyperex.quadrature import BudgetError, QuadResult, QuadSpec, gl_panels
 from hyperex.verify import _reduced_pairing_reference
 
@@ -392,6 +393,61 @@ def test_point_oracle_matches_closed_interior(d):
         assert res.value == pytest.approx(conv_closed(form, xi, tau), rel=1e-8)
 
 
+def test_chord_endpoint_is_the_root_of_the_triangle_conditions():
+    # On canonical representatives of the point oracle, with gaps
+    # (m^2 - 4 s^2) / m^2 from 1e-6 up, the triangle conditions of the
+    # bipolar chord hold just inside t* and fail just outside it.
+    rng = np.random.default_rng(17)
+
+    def admissible(s, xq, tq, t):
+        u, v = (tq + t) / 2, (tq - t) / 2
+        if u < s or v < s:
+            return False
+        rho, zeta = mpmath.sqrt(u * u - s * s), mpmath.sqrt(v * v - s * s)
+        return rho + zeta >= xq and abs(rho - zeta) <= xq
+
+    with mpmath.workdps(40):
+        for _ in range(500):
+            s = float(rng.uniform(0.3, 3.0))
+            gap = 10 ** rng.uniform(math.log10(1.1e-6), math.log10(0.99))
+            m = 2.0 * s / math.sqrt(1.0 - gap)
+            rep = boost(2, _CANONICAL_VELOCITY).apply(SpacetimePoint(np.zeros(2), m))
+            xq, tq = float(np.linalg.norm(rep.xi)), rep.tau
+            t_star = mpmath.mpf(float(_chord_endpoint(s, xq, tq)))
+            s_mp, xq_mp, tq_mp = mpmath.mpf(s), mpmath.mpf(xq), mpmath.mpf(tq)
+            assert (tq_mp**2 - xq_mp**2 - 4 * s_mp**2) / (tq_mp**2 - xq_mp**2) >= 1e-6
+            assert admissible(s_mp, xq_mp, tq_mp, t_star * (1 - mpmath.mpf(1e-10)))
+            assert not admissible(s_mp, xq_mp, tq_mp, t_star * (1 + mpmath.mpf(1e-10)))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_point_oracle_error_covers_its_deviation_from_mpmath(d):
+    # The density at the input doubles, in mpmath, against the oracle's value
+    # and error; gaps (m^2 - 4 s^2) / m^2 log-uniform down to 1e-6, so |xi|
+    # runs up to and past 0.999 of its largest value sqrt(tau^2 - 4 s^2).
+    rng = np.random.default_rng(100 + d)
+    near_edge = 0
+    with mpmath.workdps(30), warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="point is within 1e-8")
+        warnings.simplefilter("error", RuntimeWarning)
+        for _ in range(2000):
+            s = float(rng.uniform(0.3, 3.0))
+            tau = float(rng.uniform(2.05 * s, 30.0))
+            gap = 10 ** rng.uniform(-6.0, math.log10(1.0 - (2.0 * s / tau) ** 2))
+            r = math.sqrt(max(tau * tau - 4.0 * s * s / (1.0 - gap), 0.0))
+            direction = rng.normal(size=d)
+            xi = r * direction / np.linalg.norm(direction)
+            near_edge += r >= 0.999 * math.sqrt(tau * tau - 4.0 * s * s)
+            res = conv_point_oracle(ConvClosedForm(d, 2, s), xi, tau)
+            m2 = mpmath.mpf(tau) ** 2 - mpmath.fsum(mpmath.mpf(float(x)) ** 2 for x in xi)
+            if d == 2:
+                exact = 2 * mpmath.pi / mpmath.sqrt(m2)
+            else:
+                exact = 2 * mpmath.pi * mpmath.sqrt(1 - 4 * mpmath.mpf(s) ** 2 / m2)
+            assert abs(res.value - exact) <= res.error, (s, list(xi), tau)
+    assert near_edge > 100
+
+
 def test_point_oracle_edge_behavior():
     form = ConvClosedForm(2, 2, 1.0)
     assert conv_point_oracle(form, [0.0, 0.0], 1.5).value == 0.0
@@ -401,6 +457,10 @@ def test_point_oracle_edge_behavior():
     assert res.value > 0
     with pytest.raises(ValueError, match="n = 2"):
         conv_point_oracle(ConvClosedForm(2, 3, 1.0), [0.0, 0.0], 4.0)
+    # m^2 = 5 + 8.9e-16 > 4 s^2 + 1, but m rounds to 2 s: no chord is left.
+    with pytest.warns(UserWarning, match="boundary"), \
+            pytest.raises(ValueError, match="within rounding of the support boundary"):
+        conv_point_oracle(form, [1.0, 0.0], 2.23606797749979)
 
 
 def test_pairing_tensor_22_vs_closed():

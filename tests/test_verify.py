@@ -1,5 +1,8 @@
 """Verify-suite tests: every suite passes at the default seed."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,10 +19,23 @@ def test_suite_passes_at_default_seed(suite):
     assert [c.name for c in checks if not c.passed] == []
 
 
-def test_all_suites_pass_at_default_seed():
-    checks = run_checks("all")
-    assert len(checks) == 32
-    assert [f"{c.suite}/{c.name}" for c in checks if not c.passed] == []
+@pytest.fixture(scope="module")
+def all_checks():
+    return run_checks("all", seed=0)
+
+
+def test_all_suites_pass_at_default_seed(all_checks):
+    assert len(all_checks) == 32
+    assert [f"{c.suite}/{c.name}" for c in all_checks if not c.passed] == []
+
+
+def test_tolerances_only_tighten(all_checks):
+    # bench/tolerances.json records each check's tolerance; a check may
+    # tighten its tolerance below the record but never loosen it.
+    table = json.loads((Path(__file__).parents[1] / "bench" / "tolerances.json").read_text())
+    got = {f"{c.suite}/{c.name}": c.tolerance for c in all_checks}
+    assert set(table) <= set(got)
+    assert {k: (got[k], v) for k, v in table.items() if got[k] > v} == {}
 
 
 def test_scaling_identity_inputs_rescale_inexactly():
