@@ -20,11 +20,12 @@ weight over (tau, |xi|) in one vectorized pass.
 
 Two numerical oracles cross-check them without reusing their algebra:
 
-  * conv_point_oracle reduces a point to normal form, re-boosts to an off-axis
-    canonical representative, takes the admissible chord of the bipolar
-    parametrization from the closed root of the triangle conditions, and
-    integrates the delta-resolved density along the chord (d = 2) or reads
-    off the chord length (d = 3, where the bipolar density is constant).
+  * conv_point_oracle takes the invariant mass m of the point from
+    conv_support, places it at the off-axis representative (0.75 m, 1.25 m),
+    takes the admissible chord of the bipolar parametrization from the closed
+    root of the triangle conditions, and integrates the delta-resolved
+    density along the chord (d = 2) or reads off the chord length (d = 3,
+    where the bipolar density is constant).
   * conv_pairing_oracle integrates a rotation-invariant test function
     g(r, tau), r = |xi|, against the n-fold convolution as an integral over
     n copies of the sheet.  For n = 2 it is the rotation-reduced tensor
@@ -44,7 +45,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import HyperboloidParams, SpacetimePoint, boost, energy, norm_sq, normal_form
+from .geometry import HyperboloidParams, energy, norm_sq
 from .quadrature import (
     BudgetError, QuadResult, QuadSpec, check_budget, gl_nodes, gl_panels, trapezoid_angles,
     two_resolution,
@@ -83,10 +84,8 @@ class ConvClosedForm:
                 f"supported: {CLOSED_PAIRS}"
             )
         HyperboloidParams(d=self.d, s=self.s)  # refuses a non-finite or non-positive s
-
-    @property
-    def params(self) -> HyperboloidParams:
-        return HyperboloidParams(d=self.d, s=self.s)
+        if not 0.0 < (self.n * self.s) * (self.n * self.s) < math.inf:
+            raise ValueError(f"(n s)^2 = ({self.n} * {self.s!r})^2 leaves the float range")
 
 
 def _polar_order(n_angular: int) -> int:
@@ -282,6 +281,9 @@ def conv_sup_norm(form: ConvClosedForm) -> tuple[float, str]:
     return 2.0 * np.pi, "infinity"
 
 
+_NO_CHORD = "point is within rounding of the support boundary; its chord is empty"
+
+
 def _chord_endpoint(s: float, xq: float, tq: float) -> np.longdouble:
     """Closed chord endpoint t* = xq sqrt(1 - 4 s^2 / m^2), m^2 = tq^2 - xq^2.
 
@@ -294,50 +296,48 @@ def _chord_endpoint(s: float, xq: float, tq: float) -> np.longdouble:
     m2 = (t - x) * (t + x)
     gap = m2 - 4 * np.longdouble(s) ** 2
     if not gap > 0:
-        raise ValueError("point is within rounding of the support boundary; its chord is empty")
+        raise ValueError(_NO_CHORD)
     return x * np.sqrt(gap / m2)
 
 
-# Velocity of the canonical off-axis representative used by the point oracle;
-# any value in (0, 1) works, this one keeps the numbers rational.
-_CANONICAL_VELOCITY = 0.6
-
-
-def conv_point_oracle(
-    form: ConvClosedForm, xi, tau: float, quad: QuadSpec = QuadSpec()
-) -> QuadResult:
+def conv_point_oracle(form: ConvClosedForm, xi, tau: float) -> QuadResult:
     """Numerical n = 2 convolution density at one point, without the closed form.
 
-    The point is reduced to (0, m) by normal_form, then re-boosted to the
-    canonical representative (0.75 m, 0, ..., 1.25 m) so the bipolar
-    parametrization is exercised off-axis.  Only the measure definition is
+    The density depends on the point only through m = sqrt(tau^2 - |xi|^2),
+    so it is evaluated at the off-axis representative (0.75 m, 0, ..., 1.25 m),
+    the boost of velocity 0.6 of (0, m), which exercises the bipolar
+    parametrization away from the axis.  Only the measure definition is
     shared with conv_closed; the chord endpoint is the closed root of the
     triangle conditions and the d = 2 chord integral is done by
-    Gauss-Legendre after a sin substitution that absorbs the
-    inverse-square-root endpoints.  The error is a round-off floor,
+    Gauss-Legendre, 96 and 192 nodes, after a sin substitution that absorbs
+    the inverse-square-root endpoints.  The error is a round-off floor,
     8 eps (tau^2 + |xi|^2) / (m^2 - 4 s^2) times the value, for the rounding
-    of m^2, plus (d = 2) the two-resolution difference.
+    of m^2, plus (d = 2) the two-resolution difference.  Every refusal is a
+    ValueError.
     """
     if form.n != 2:
         raise ValueError("the point oracle covers n = 2 only; use conv_pairing_oracle for n = 3")
-    params, s = form.params, form.s
-    p = SpacetimePoint(xi, tau)
-    inside, m2 = conv_support(form, p.xi, p.tau)
+    xi = np.asarray(xi, dtype=float)
+    if xi.ndim != 1 or np.ndim(tau) != 0:
+        raise ValueError("the point oracle takes one point: a 1-D xi and a scalar tau")
+    tau, s = float(tau), form.s
+    inside, m2 = conv_support(form, xi, tau)
     if not inside or m2 <= (2.0 * s) ** 2:
         return QuadResult(0.0, 0.0)
-    if not math.isfinite(p.tau * p.tau):
-        raise ValueError("the point oracle needs tau^2 inside the float range")
-    if m2 - (2.0 * s) ** 2 < 1e-8 * (1.0 + p.tau**2):
+    # |xi| < tau here, so |xi|^2 is finite wherever tau^2 is.
+    scale = tau**2 + float(norm_sq(xi)) if math.isfinite(tau * tau) else math.inf
+    if not math.isfinite(scale):
+        raise ValueError("the point oracle needs tau^2 + |xi|^2 inside the float range")
+    if m2 - (2.0 * s) ** 2 < 1e-8 * (1.0 + tau**2):
         warnings.warn(
             "point is within 1e-8 (1 + tau^2) of the support boundary; "
             "the oracle loses accuracy there",
             stacklevel=2,
         )
-    _, m = normal_form(params, p)
-    rep = boost(params.d, _CANONICAL_VELOCITY).apply(SpacetimePoint(np.zeros(params.d), m))
-    xq, tq = float(np.linalg.norm(rep.xi)), rep.tau
+    m = math.sqrt(m2)
+    xq, tq = 0.75 * m, 1.25 * m
     t_star = _chord_endpoint(s, xq, tq)
-    floor = float(8.0 * np.finfo(float).eps * (p.tau**2 + norm_sq(p.xi)) / (m2 - (2.0 * s) ** 2))
+    floor = float(8.0 * np.finfo(float).eps * scale / (m2 - (2.0 * s) ** 2))
     if form.d == 3:
         # The bipolar density is constant on the chord: value = 2 pi t*/|xi|.
         value = float(2.0 * np.pi * t_star / xq)
@@ -359,15 +359,14 @@ def conv_point_oracle(
         # Strictly positive on the open chord; a sign flip is rounding noise at
         # a node hugging an endpoint unless en masse, but a zero divides by 0.
         if np.count_nonzero(fac <= 0) > max(2, n_nodes // 50) or not fac.all():
-            raise RuntimeError("chord parametrization failed; point degenerate?")
+            raise ValueError(_NO_CHORD)
         fac = np.abs(fac)
         # d(t) = t* cos(phi) d(phi); the 1/sqrt endpoint of the chord density
         # cancels against cos(phi), keeping the integrand bounded.
         integrand = 2 * t_star * np.cos(phi.astype(np.longdouble))
         return float(np.sum(w.astype(np.longdouble) * integrand / np.sqrt(fac)))
 
-    n = max(32, quad.n_radial)
-    value, error = two_resolution(chord_integral, n, 2 * n)
+    value, error = two_resolution(chord_integral, 96, 192)
     return QuadResult(value, error + floor * value)
 
 

@@ -413,7 +413,7 @@ def _suite_oracle(rng, samples, grid=None):
             xi = np.zeros(d)
             xi[0] = r
             closed = float(conv_closed(form, xi, tau))
-            oracle = conv_point_oracle(form, xi, tau, _scaled(QuadSpec(), grid))
+            oracle = conv_point_oracle(form, xi, tau)
             worst = max(worst, abs(oracle.value - closed) / closed)
     out.append(_check("oracle", "point-oracle-vs-closed", worst, 1e-10,
                       note=f"{2 * _POINT_ORACLE_POINTS} random interior points"))

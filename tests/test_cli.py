@@ -527,6 +527,13 @@ REFUSALS = {
     "conv-oracle-rounded-boundary": (["conv", "--d", "2", "--n", "2", "--xi", "1,0",
                                       "--tau", "2.23606797749979", "--method", "oracle"],
                                      "within rounding of the support boundary"),
+    # (m^2 - 4 s^2) / m^2 is about 1e-15: the chord integral's factor fails.
+    "conv-oracle-chord-integral": (["conv", "--d", "2", "--n", "2", "--xi", "3,0",
+                                    "--tau", "3.60555127546399", "--method", "oracle"],
+                                   "within rounding of the support boundary"),
+    "conv-oracle-floor-overflow": (["conv", "--d", "2", "--n", "2", "--xi", "1.2e154,0",
+                                    "--tau", "1.3e154", "--method", "oracle"],
+                                   "needs tau^2 + |xi|^2 inside the float range"),
     "concentrate-d": (["concentrate", "--d", "4", "--a", "1", "--radius", "1"],
                       "d must be 2 or 3"),
     "concentrate-s": (["concentrate", "--d", "2", "--s", "0", "--a", "1", "--radius", "1"],
@@ -543,7 +550,7 @@ REFUSALS = {
     "verify-grid-overflow-lorentz": (["verify", "--suite", "lorentz", "--grid", str(10 ** 400)],
                                      "sheet nodes exceed the budget"),
     "verify-grid-overflow-oracle": (["verify", "--suite", "oracle", "--grid", str(10 ** 400)],
-                                    "Gauss-Legendre nodes in one rule exceed the budget"),
+                                    "tensor-pairing node pairs exceed the budget"),
     "verify-samples-budget": (["verify", "--suite", "sharp", "--samples", str(10 ** 12)],
                               "samples exceed the budget"),
     # About grid^3 sheet nodes, past the 4,300-digit int-to-str limit.
@@ -558,6 +565,33 @@ def test_library_refusals_are_one_line_usage_errors(capsys, argv, contract):
     assert (rc, out) == (2, "")
     assert len(err.splitlines()) == 1
     assert err.startswith("hyperex: ") and contract in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["conv", "--d", "3", "--n", "2", "--s", "1e200", "--xi", "0,0,0", "--tau", "1"],
+    ["conv", "--d", "2", "--n", "3", "--s", "1e-300", "--xi", "0,0.5", "--tau", "0.5"],
+    ["conv", "--d", "2", "--n", "2", "--s", "1e-170", "--xi", "0,0", "--tau", "1e-200"],
+    ["conv", "--d", "2", "--n", "3", "--s", "1.7e308", "--xi", "17,0", "--tau", "35"],
+], ids=["overflow-traceback", "minus-inf", "plus-inf", "overflow-warning"])
+def test_n_s_squared_outside_the_float_range_is_refused(capsys, argv):
+    # These ended in an OverflowError traceback, printed -inf or inf, or
+    # wrote a RuntimeWarning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run_cli(capsys, argv)
+    assert (rc, out) == (2, "")
+    assert err.startswith("hyperex: (n s)^2 = ") and err.count("\n") == 1
+
+
+def test_smallest_in_range_s_still_runs_the_quadrature_route(capsys):
+    # (2 s)^2 = 4e-320 is subnormal but positive, so the route still runs.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run_cli(capsys, ["curve", "--d", "2", "--p", "4", "--s", "1e-160",
+                                        "--a-min", "1", "--a-max", "2", "--points", "2",
+                                        "--method", "quadrature"])
+    assert (rc, err) == (0, "")
+    assert len(out.splitlines()) == 3
 
 
 def test_overflowing_point_is_inside_the_support(capsys):

@@ -38,7 +38,7 @@ from hyperex.measures import (
     sum_support_predicate,
     surface_integral,
 )
-from hyperex.measures import _CANONICAL_VELOCITY, _chord_endpoint, _sheet_nodes
+from hyperex.measures import _chord_endpoint, _sheet_nodes
 from hyperex.quadrature import BudgetError, QuadResult, QuadSpec, gl_panels
 from hyperex.verify import _reduced_pairing_reference
 
@@ -65,6 +65,20 @@ def test_conv_form_validation():
 def test_conv_form_refuses_non_finite_s(s):
     with pytest.raises(ValueError, match="finite"):
         ConvClosedForm(2, 2, s)
+
+
+@pytest.mark.parametrize("d, n, s", [(3, 2, 1e200), (2, 3, 1.7e308), (2, 3, 1e-300),
+                                     (2, 2, 1e-170), (2, 2, 5e-324)])
+def test_conv_form_refuses_n_s_squared_outside_the_float_range(d, n, s):
+    # (n s)^2 overflowed in conv_support, or underflowed to 0 and let m^2 = 0
+    # into the support, where the density read +-inf.
+    with pytest.raises(ValueError, match=r"\(n s\)\^2 .* leaves the float range"):
+        ConvClosedForm(d, n, s)
+
+
+def test_conv_form_keeps_the_smallest_and_largest_in_range_n_s():
+    for n, s in ((2, 1e-160), (3, 1e-160), (2, 6e153), (3, 4e153)):
+        assert ConvClosedForm(2, n, s).s == s
 
 
 def test_surface_integral_exponential_profile_d2():
@@ -411,13 +425,53 @@ def test_chord_endpoint_is_the_root_of_the_triangle_conditions():
             s = float(rng.uniform(0.3, 3.0))
             gap = 10 ** rng.uniform(math.log10(1.1e-6), math.log10(0.99))
             m = 2.0 * s / math.sqrt(1.0 - gap)
-            rep = boost(2, _CANONICAL_VELOCITY).apply(SpacetimePoint(np.zeros(2), m))
-            xq, tq = float(np.linalg.norm(rep.xi)), rep.tau
+            xq, tq = 0.75 * m, 1.25 * m
             t_star = mpmath.mpf(float(_chord_endpoint(s, xq, tq)))
             s_mp, xq_mp, tq_mp = mpmath.mpf(s), mpmath.mpf(xq), mpmath.mpf(tq)
             assert (tq_mp**2 - xq_mp**2 - 4 * s_mp**2) / (tq_mp**2 - xq_mp**2) >= 1e-6
             assert admissible(s_mp, xq_mp, tq_mp, t_star * (1 - mpmath.mpf(1e-10)))
             assert not admissible(s_mp, xq_mp, tq_mp, t_star * (1 + mpmath.mpf(1e-10)))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_point_oracle_representative_is_the_boost_of_the_normal_form(d):
+    # The oracle places m at (0.75 m, 1.25 m) without building the boost of
+    # velocity 0.6; its matrix entries are exactly 0.75 and 1.25.
+    rng = np.random.default_rng(60 + d)
+    lorentz = boost(d, 0.6)
+    for m in 10.0 ** rng.uniform(-150.0, 150.0, size=4000):
+        rep = lorentz.apply(SpacetimePoint(np.zeros(d), m))
+        assert (float(np.linalg.norm(rep.xi)), rep.tau) == (0.75 * m, 1.25 * m)
+        assert rep.xi[0] == 0.75 * m and not rep.xi[1:].any()
+
+
+def test_point_oracle_refuses_or_resolves_points_at_the_boundary():
+    # Points within 40 ulps of tau = sqrt(4 + x^2), s = 1, on the first axis:
+    # each is outside, refused with a ValueError, or within its error of the
+    # density at the input doubles.  The chord integral raised RuntimeError.
+    form = ConvClosedForm(2, 2, 1.0)
+    rng = np.random.default_rng(23)
+    outcomes = {"outside": 0, "refused": 0, "value": 0}
+    with mpmath.workdps(40), warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="point is within 1e-8")
+        for x in rng.uniform(0.1, 20.0, size=10):
+            edge = math.sqrt(4.0 + x * x)
+            for tau in edge + np.arange(-20, 20) * np.spacing(edge):
+                try:
+                    res = conv_point_oracle(form, [x, 0.0], float(tau))
+                except ValueError as exc:
+                    assert "within rounding of the support boundary" in str(exc)
+                    outcomes["refused"] += 1
+                    continue
+                if res == (0.0, 0.0):
+                    outcomes["outside"] += 1
+                    continue
+                outcomes["value"] += 1
+                m2 = mpmath.mpf(float(tau)) ** 2 - mpmath.mpf(x) ** 2
+                exact = 2 * mpmath.pi / mpmath.sqrt(m2)
+                assert abs(res.value - exact) <= res.error, (x, float(tau))
+    assert sum(outcomes.values()) == 400
+    assert outcomes["outside"] > 0 and outcomes["refused"] > 0, outcomes
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -457,6 +511,13 @@ def test_point_oracle_edge_behavior():
     assert res.value > 0
     with pytest.raises(ValueError, match="n = 2"):
         conv_point_oracle(ConvClosedForm(2, 3, 1.0), [0.0, 0.0], 4.0)
+    for xi, tau in ((3.0, 4.0), ([[0.5, 0.0]], 4.0), ([0.5, 0.0], [4.0])):
+        with pytest.raises(ValueError, match="one point: a 1-D xi and a scalar tau"):
+            conv_point_oracle(form, xi, tau)
+    # tau^2 fits, but tau^2 + |xi|^2, which scales the round-off floor, does not.
+    with pytest.raises(ValueError, match=r"tau\^2 \+ \|xi\|\^2 inside the float range"):
+        conv_point_oracle(form, [1.2e154, 0.0], 1.3e154)
+    assert conv_point_oracle(form, [0.0, 0.0], 1.3e154).value > 0
     # m^2 = 5 + 8.9e-16 > 4 s^2 + 1, but m rounds to 2 s: no chord is left.
     with pytest.warns(UserWarning, match="boundary"), \
             pytest.raises(ValueError, match="within rounding of the support boundary"):
@@ -719,9 +780,7 @@ def test_in_range_rows_keep_the_direct_arithmetic():
                                 QuadSpec(n_radial=10**6, n_angular=10**6)),
     lambda: conv_pairing_oracle(MeasureSpec(P3), 2, lambda r, t: r,
                                 QuadSpec(n_radial=10**6, n_angular=8)),
-    lambda: conv_point_oracle(ConvClosedForm(2, 2, 1.0), [0.5, 0.0], 4.0,
-                              QuadSpec(n_radial=10**12)),
-], ids=["sheet-d3", "sheet-radial", "pairing-d2", "pairing-d3", "point-oracle"])
+], ids=["sheet-d3", "sheet-radial", "pairing-d2", "pairing-d3"])
 def test_grids_past_the_budget_are_refused_before_allocating(call):
     with pytest.raises(BudgetError, match="exceed the budget"):
         call()

@@ -88,7 +88,7 @@ def test_grid_past_the_budget_is_refused():
 
 
 @pytest.mark.parametrize("suite, budget", [("lorentz", "sheet nodes"),
-                                           ("oracle", "Gauss-Legendre nodes")])
+                                           ("oracle", "tensor-pairing node pairs")])
 def test_grid_past_the_float_range_is_refused(suite, budget):
     # grid / 100.0 used to raise OverflowError here.
     with pytest.raises(BudgetError, match=budget):
