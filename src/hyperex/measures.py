@@ -140,19 +140,10 @@ def _radial_nodes(params: HyperboloidParams, quad: QuadSpec):
     return r, r ** (params.d - 1) / psi * wr, psi
 
 
-def _sheet_nodes(params: HyperboloidParams, quad: QuadSpec):
-    """Quadrature nodes (xi, tau, w) for the upper sheet, radius-truncated.
-
-    The radial rule of _radial_nodes times the sphere rule of _sphere_nodes,
-    as flat arrays.  They are radius-major, every direction of one radial
-    node before the next, so the outer radial half [radius/2, radius] is the
-    back half of each array.
-    """
-    r, wr, psi = _radial_nodes(params, quad)
-    omega, wo = _sphere_nodes(params.d, quad.n_angular)
-    xi = np.kron(r[:, None], omega)
-    w = np.outer(wr, wo).ravel()
-    return xi, np.repeat(psi, wo.size), w
+# Sheet nodes integrated at once by _sheet_integrals: whole radial rows of
+# the radius-major grid, at least one, so the temporaries of an integrand
+# stay cache-sized however fine the grid.
+_SHEET_BLOCK_NODES = 2**14
 
 
 def surface_integral(
@@ -161,37 +152,64 @@ def surface_integral(
     """int f d(sigma) over the requested sheet(s).
 
     f must be vectorized: f(xi, tau) with xi of shape (N, d) and tau of shape
-    (N,) returning (N,); it must not write into its arguments.  The grid is
-    _sheet_nodes', radius-major, so the outer radial half is the back half of
-    the values.  Raises BudgetError when that half contributes more than
-    max(1e-3 |value|, 1e-10), i.e. the truncation radius is too small for
-    this integrand.
+    (N,) returning (N,).  It is called on blocks of consecutive rows of the
+    grid, so it must act row by row, and it must not write into its
+    arguments.  The grid is the radial rule of _radial_nodes times the sphere
+    rule of _sphere_nodes, radius-major, so the outer radial half is the back
+    half of the values.  Raises BudgetError when that half contributes more
+    than max(1e-3 |value|, 1e-10), i.e. the truncation radius is too small
+    for this integrand.
     """
+    return _sheet_integrals(spec, (f,), quad)[0]
 
+
+def _sheet_integrals(spec: MeasureSpec, fs, quad: QuadSpec) -> list[QuadResult]:
+    """surface_integral of each integrand of fs, all on one grid per resolution.
+
+    The grid is built a block of _SHEET_BLOCK_NODES at a time; the weighted
+    values of each integrand and sheet go into one whole-grid array, summed
+    whole, so each result has the bits of a lone surface_integral call.
+    """
     n_a = 2 * quad.n_angular  # the fine grid, run(2) below
     sphere = n_a * (_polar_order(n_a) if spec.params.d == 3 else 1)
     check_budget(2 * (2 * quad.n_radial) * sphere, "sheet nodes")
+    signs = {"plus": (1,), "minus": (-1,), "both": (1, -1)}[spec.sheet]
 
-    def run(scale: int) -> tuple[float, float]:
+    def run(scale: int) -> list[tuple[float, float]]:
         q = replace(quad, n_radial=quad.n_radial * scale,
                     n_angular=quad.n_angular * scale)
-        xi, tau, w = _sheet_nodes(spec.params, q)
-        outer = tau.size // 2
-        total = tail_part = 0.0
-        for sign in {"plus": (1,), "minus": (-1,), "both": (1, -1)}[spec.sheet]:
-            vals = w * np.asarray(f(xi, tau if sign > 0 else -tau), dtype=float)
-            total += float(np.sum(vals))
-            tail_part += float(np.sum(np.abs(vals[outer:])))
-        return total, tail_part
+        r, wr, psi = _radial_nodes(spec.params, q)
+        omega, wo = _sphere_nodes(spec.params.d, q.n_angular)
+        m = wo.size
+        vals = np.empty((len(fs), len(signs), r.size * m))
+        rows = max(1, _SHEET_BLOCK_NODES // m)
+        for i0 in range(0, r.size, rows):
+            xi = np.kron(r[i0:i0 + rows, None], omega)
+            tau = np.repeat(psi[i0:i0 + rows], m)
+            w = np.outer(wr[i0:i0 + rows], wo).ravel()
+            block = slice(i0 * m, i0 * m + w.size)
+            for f, f_vals in zip(fs, vals):
+                for sign, out in zip(signs, f_vals):
+                    np.multiply(w, f(xi, tau if sign > 0 else -tau), out=out[block])
+        outer = vals.shape[-1] // 2
+        sums = []
+        for f_vals in vals:
+            total = tail_part = 0.0
+            for out in f_vals:
+                total += float(np.sum(out))
+                tail_part += float(np.sum(np.abs(out[outer:])))
+            sums.append((total, tail_part))
+        return sums
 
-    coarse, _ = run(1)
-    fine, tail = run(2)
-    if tail > max(1e-3 * abs(fine), 1e-10):
-        raise BudgetError(
-            f"outer-half contribution {tail:.3e} vs total {fine:.3e}: "
-            f"integrand decays too slowly for radius {quad.radius}"
-        )
-    return QuadResult(value=fine, error=abs(fine - coarse))
+    results = []
+    for (coarse, _), (fine, tail) in zip(run(1), run(2)):
+        if tail > max(1e-3 * abs(fine), 1e-10):
+            raise BudgetError(
+                f"outer-half contribution {tail:.3e} vs total {fine:.3e}: "
+                f"integrand decays too slowly for radius {quad.radius}"
+            )
+        results.append(QuadResult(value=fine, error=abs(fine - coarse)))
+    return results
 
 
 def _invariant_mass(xi, tau):
@@ -322,8 +340,10 @@ def conv_point_oracle(form: ConvClosedForm, xi, tau: float) -> QuadResult:
         raise ValueError("the point oracle takes one point: a 1-D xi and a scalar tau")
     tau, s = float(tau), form.s
     inside, m2 = conv_support(form, xi, tau)
-    if not inside or m2 <= (2.0 * s) ** 2:
+    if not inside:
         return QuadResult(0.0, 0.0)
+    if m2 == (2.0 * s) ** 2:
+        raise ValueError(_NO_CHORD)
     # |xi| < tau here, so |xi|^2 is finite wherever tau^2 is.
     scale = tau**2 + float(norm_sq(xi)) if math.isfinite(tau * tau) else math.inf
     if not math.isfinite(scale):

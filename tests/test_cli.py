@@ -527,6 +527,12 @@ REFUSALS = {
     "conv-oracle-rounded-boundary": (["conv", "--d", "2", "--n", "2", "--xi", "1,0",
                                       "--tau", "2.23606797749979", "--method", "oracle"],
                                      "within rounding of the support boundary"),
+    # m^2 rounds to 4 s^2 exactly, where the density is still about 1.43e-5.
+    "conv-oracle-exact-boundary": (["conv", "--d", "3", "--n", "2",
+                                    "--xi=-1129.808007433157,-0.6622742686834313,"
+                                    "-0.16094515910797458",
+                                    "--tau", "1129.8099832142711", "--method", "oracle"],
+                                   "within rounding of the support boundary"),
     # (m^2 - 4 s^2) / m^2 is about 1e-15: the chord integral's factor fails.
     "conv-oracle-chord-integral": (["conv", "--d", "2", "--n", "2", "--xi", "3,0",
                                     "--tau", "3.60555127546399", "--method", "oracle"],

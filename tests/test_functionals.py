@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import hyperex.functionals
 from hyperex.extension import ExpProfile
 from hyperex.functionals import (
     SUPPORTED_PAIRS,
@@ -278,6 +279,34 @@ def test_combiner_equality_on_diagonal():
 
 def test_combiner_check_million_samples():
     assert two_sheeted_combiner_check(10 ** 6, seed=7) == 0
+
+
+@pytest.mark.parametrize("samples", [1000, 2 * 2**16, 3 * 2**16 + 123])
+@pytest.mark.parametrize("seed", [0, 5, 11])
+def test_combiner_check_counts_every_block(monkeypatch, samples, seed):
+    # A gap broken on purpose in three ways, so the count is far from zero;
+    # the blocked count must equal one pass over the whole sample.
+    def faulty_gap(x, y):
+        gap = combiner_gap(x, y)
+        gap[x > 2.0] = 0.0      # equality claimed off the diagonal
+        gap[y > 3.0] -= 1.0     # inequality broken
+        gap[x < 0.01] += 1e-6   # gap off the identity
+        return gap
+
+    monkeypatch.setattr(hyperex.functionals, "combiner_gap", faulty_gap)
+    rng = np.random.default_rng(seed)
+    x = rng.exponential(size=samples)
+    y = rng.exponential(size=samples)
+    x[: samples // 100 + 1] = y[: samples // 100 + 1]
+    gap = faulty_gap(x, y)
+    scale = (1.0 + x + y) ** 2
+    want = np.count_nonzero(
+        (gap < -1e-12 * scale)
+        | (np.abs(gap - 0.5 * (x - y) ** 2) > 1e-12 * scale)
+        | ((np.abs(gap) <= 1e-15 * scale) & (np.abs(x - y) > 1e-7 * (1 + x + y)))
+    )
+    assert want > samples // 20
+    assert two_sheeted_combiner_check(samples, seed=seed) == want
 
 
 def test_combiner_check_deterministic():

@@ -38,7 +38,7 @@ from hyperex.measures import (
     sum_support_predicate,
     surface_integral,
 )
-from hyperex.measures import _chord_endpoint, _sheet_nodes
+from hyperex.measures import _chord_endpoint, _radial_nodes, _sheet_integrals, _sphere_nodes
 from hyperex.quadrature import BudgetError, QuadResult, QuadSpec, gl_panels
 from hyperex.verify import _reduced_pairing_reference
 
@@ -169,6 +169,19 @@ def test_surface_integral_budget_guard():
         surface_integral(MeasureSpec(P3), lambda xi, tau: 1.0 / tau**2)
 
 
+def _sheet_nodes(params, quad):
+    """The whole sheet grid as flat arrays (xi, tau, w), built in one piece.
+
+    The radial rule of _radial_nodes times the sphere rule of _sphere_nodes,
+    radius-major: every direction of one radial node before the next.
+    """
+    r, wr, psi = _radial_nodes(params, quad)
+    omega, wo = _sphere_nodes(params.d, quad.n_angular)
+    xi = np.kron(r[:, None], omega)
+    w = np.outer(wr, wo).ravel()
+    return xi, np.repeat(psi, wo.size), w
+
+
 def _grid_sum(params, sheet, f, quad):
     """surface_integral's value, error and budget verdict, summed from _sheet_nodes.
 
@@ -201,14 +214,29 @@ def _slow_tail(xi, tau):
 @pytest.mark.parametrize("sheet", SHEETS)
 @pytest.mark.parametrize("params", [P2, P3], ids=["d2", "d3"])
 def test_surface_integral_is_the_grid_sum_bit_for_bit(params, sheet, f):
-    quad = QuadSpec(radius=30.0, n_radial=12, n_angular=8)
-    want, refused = _grid_sum(params, sheet, f, quad)
-    assert refused == (f is _slow_tail)
-    if refused:
-        with pytest.raises(BudgetError, match="outer-half contribution"):
-            surface_integral(MeasureSpec(params, sheet), f, quad)
-    else:
-        assert surface_integral(MeasureSpec(params, sheet), f, quad) == want
+    # The first grid fits in one block of surface_integral's; at d = 3 the
+    # second spans several, the last of them ragged.
+    for quad in (QuadSpec(radius=30.0, n_radial=12, n_angular=8),
+                 QuadSpec(radius=30.0, n_radial=20, n_angular=24)):
+        want, refused = _grid_sum(params, sheet, f, quad)
+        assert refused == (f is _slow_tail)
+        if refused:
+            with pytest.raises(BudgetError, match="outer-half contribution"):
+                surface_integral(MeasureSpec(params, sheet), f, quad)
+        else:
+            assert surface_integral(MeasureSpec(params, sheet), f, quad) == want
+
+
+@pytest.mark.parametrize("sheet", SHEETS)
+@pytest.mark.parametrize("params", [P2, P3], ids=["d2", "d3"])
+def test_sheet_integrals_are_the_lone_surface_integrals(params, sheet):
+    spec = MeasureSpec(params, sheet)
+    quad = QuadSpec(radius=30.0, n_radial=20, n_angular=24)
+    fs = (_tilted_gaussian, lambda xi, tau: np.exp(-0.5 * np.sum(xi * xi, axis=-1)))
+    assert _sheet_integrals(spec, fs, quad) == [surface_integral(spec, f, quad) for f in fs]
+    # A slowly decaying integrand is refused even behind one that decays fast.
+    with pytest.raises(BudgetError, match="outer-half contribution"):
+        _sheet_integrals(spec, (_tilted_gaussian, _slow_tail), quad)
 
 
 def test_surface_integral_leaves_the_grid_it_passes_unchanged():
@@ -506,6 +534,9 @@ def test_point_oracle_edge_behavior():
     form = ConvClosedForm(2, 2, 1.0)
     assert conv_point_oracle(form, [0.0, 0.0], 1.5).value == 0.0
     assert conv_point_oracle(form, [9.0, 0.0], 3.0).value == 0.0
+    # The vertex, where the density is pi / s: m^2 = 4 s^2 exactly leaves no chord.
+    with pytest.raises(ValueError, match="within rounding of the support boundary"):
+        conv_point_oracle(form, [0.0, 0.0], 2.0)
     with pytest.warns(UserWarning, match="boundary"):
         res = conv_point_oracle(form, [1.0, 0.0], math.sqrt(1.0 + 4.0 + 1e-9))
     assert res.value > 0

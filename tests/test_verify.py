@@ -8,8 +8,8 @@ import pytest
 
 import hyperex.verify
 from hyperex.functionals import SUPPORTED_PAIRS
-from hyperex.quadrature import BudgetError, QuadResult, QuadSpec
-from hyperex.verify import _SCALING_INPUTS, SUITES, run_checks
+from hyperex.quadrature import BudgetError, QuadResult
+from hyperex.verify import _SCALING_INPUTS, SUITES, _exp_in_place, run_checks
 
 
 @pytest.mark.parametrize("suite", ["metric", "functional"])
@@ -95,6 +95,17 @@ def test_grid_past_the_float_range_is_refused(suite, budget):
         run_checks(suite, grid=10**400)
 
 
+def test_exp_in_place_is_np_exp_bit_for_bit():
+    # Across [-800, 0], densely through the band [-745.2, -708] where exp is
+    # subnormal, and at the bound where it stops being computed.
+    edge = np.nextafter(-746.0, [-np.inf, np.inf])
+    x = np.concatenate([np.linspace(-800.0, 0.0, 100_001),
+                        np.linspace(-745.2, -708.0, 100_001), edge, [-746.0, -745.14]])
+    got = x.copy()
+    assert _exp_in_place(got) is got
+    assert np.array_equal(got.view(np.int64), np.exp(x).view(np.int64))
+
+
 @pytest.mark.parametrize("seed", [0, 7, 1000, 1007, 2000])
 def test_lorentz_pairs_draw_their_dimension_first(monkeypatch, seed):
     # Per measure pair the suite draws integers(2, 4) for d, then six uniforms
@@ -102,11 +113,11 @@ def test_lorentz_pairs_draw_their_dimension_first(monkeypatch, seed):
     # integrals; replaying that order predicts how many pairs are d = 3.
     dims = []
 
-    def record(spec, f, quad=QuadSpec()):
-        dims.append(spec.params.d)
-        return QuadResult(0.0, 0.0)
+    def record(spec, fs, quad):
+        dims.extend([spec.params.d] * len(fs))
+        return [QuadResult(0.0, 0.0)] * len(fs)
 
-    monkeypatch.setattr(hyperex.verify, "surface_integral", record)
+    monkeypatch.setattr(hyperex.verify, "_sheet_integrals", record)
     hyperex.verify._suite_lorentz(np.random.default_rng(seed), None)
     replay = np.random.default_rng(seed)
     want = []
