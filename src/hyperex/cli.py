@@ -181,8 +181,12 @@ def cmd_curve(args) -> int:
 def cmd_conv(args) -> int:
     form = ConvClosedForm(args.d, args.n, args.s)
     value = float(conv_closed(form, args.xi, args.tau))
-    inside, _ = conv_support(form, args.xi, args.tau)
+    inside, m2 = conv_support(form, args.xi, args.tau)
     notes = [] if inside else ["outside-support"]
+    if inside and m2 == (form.n * form.s) ** 2:
+        # On the computed boundary the closed value (0 at d = 3) rides on the
+        # rounding of m^2; the oracle refuses such a point.
+        notes.append("boundary-proximate")
 
     outputs = {"value": value}
     error_estimates = {}

@@ -396,7 +396,8 @@ def conv_pairing_oracle(
     """<sigma^{*n}, g> as an integral over n copies of the sheet.
 
     g is a rotation-invariant test function g(r, tau) of r = |xi|, vectorized
-    over (M,) arrays.  Supported routes: the rotation-reduced tensor
+    over (M,) arrays; it is called on blocks of nodes or samples, so it must
+    act elementwise.  Supported routes: the rotation-reduced tensor
     Gauss-Legendre sum for n = 2 (d = 2 or 3, see _pairing_tensor_pair) and
     importance-sampled Monte Carlo for n in {2, 3} with d = 2.  The Monte
     Carlo error is a one-sigma standard error; tensor errors are
@@ -458,6 +459,11 @@ def _pairing_tensor_pair(
     return two_resolution(run, 1, 2)
 
 
+# Samples per block of the Monte-Carlo pairing's elementwise updates; the
+# temporaries of a block stay cache-sized however many samples are drawn.
+_MC_BLOCK = 2**14
+
+
 def _pairing_montecarlo(
     params: HyperboloidParams, n: int, g: Callable, quad: QuadSpec, flip: float
 ) -> QuadResult:
@@ -470,20 +476,26 @@ def _pairing_montecarlo(
     rng = np.random.Generator(np.random.PCG64(quad.seed if quad.seed is not None else 0))
     s = params.s
     N = quad.samples
-    sum_xi = np.zeros((N, 2))
-    sum_tau = np.zeros(N)
-    log_weight = np.zeros(N)
+    blocks = [slice(b, b + _MC_BLOCK) for b in range(0, N, _MC_BLOCK)]
+    # Every step but the mean and the deviation is elementwise, so block by
+    # block it gives the bits of the whole-array steps.
+    sum_x, sum_y, sum_tau, log_weight = np.zeros((4, N))
     for _ in range(n):
         u = s + rng.exponential(size=N)
         theta = rng.uniform(0.0, 2.0 * np.pi, size=N)
-        r = np.sqrt(u * u - s * s)
-        sum_xi += np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
-        sum_tau += u
-        log_weight += u - s
-    vals = np.asarray(
-        g(np.hypot(sum_xi[:, 0], sum_xi[:, 1]), flip * sum_tau), dtype=float
-    )
-    samples = vals * (2.0 * np.pi) ** n * np.exp(log_weight)
+        for block in blocks:
+            ub, tb = u[block], theta[block]
+            r = np.sqrt(ub * ub - s * s)
+            sum_x[block] += r * np.cos(tb)
+            sum_y[block] += r * np.sin(tb)
+            sum_tau[block] += ub
+            log_weight[block] += ub - s
+        del u, theta  # before the next factor's draws
+    samples = np.empty(N)
+    for block in blocks:
+        vals = np.asarray(g(np.hypot(sum_x[block], sum_y[block]), flip * sum_tau[block]),
+                          dtype=float)
+        samples[block] = vals * (2.0 * np.pi) ** n * np.exp(log_weight[block])
     value = float(np.mean(samples))
     error = float(np.std(samples, ddof=1) / np.sqrt(N))
     return QuadResult(value=value, error=error)

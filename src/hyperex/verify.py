@@ -3,11 +3,17 @@
 Each suite bundles the invariants of one layer into named checks that report
 a measured discrepancy against a tolerance.  All randomness flows through a
 single seeded generator, so a fixed seed reproduces every number exactly.
+
+The lorentz pair integrals and the oracle's tensor pairings draw nothing from
+it; run_checks hands them to one background thread (see _Tasks) while the
+other suites go on, and builds their checks once the suites have run, so the
+checks and their bits are those of a run in one thread.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -103,9 +109,63 @@ def _check(suite, name, discrepancy, tolerance, note="", passed=None,
     )
 
 
+class _Done:
+    """A task run at once, where there is no background thread."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def result(self):
+        return self.value
+
+
+class _Tasks:
+    """Where the suites run their work that draws nothing from the generator.
+
+    With a pool of one thread, submit queues the work there and later defers
+    a check's build until every suite has run; without one, both happen at
+    once, as in a single thread.  The one thread runs the work in submission
+    order, so its finished tasks are always a prefix of the queue.
+    """
+
+    def __init__(self, pool=None):
+        self.pool = pool
+        self.futures = []
+
+    def submit(self, fn, *args):
+        if self.pool is None:
+            return _Done(fn(*args))
+        future = self.pool.submit(fn, *args)
+        self.futures.append(future)
+        return future
+
+    def later(self, build):
+        """build() now without a pool; else build itself, called by run_checks."""
+        return build if self.pool is not None else build()
+
+    def raise_failure(self, wait: bool) -> None:
+        """Raise the first failure of the submitted work, in submission order;
+        without wait, only among the work that has already finished."""
+        for future in self.futures:
+            if not (wait or future.done()):
+                return
+            future.result()
+
+
+_AT_ONCE = _Tasks()
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 # ---------------------------------------------------------------- specfun
 
-def _suite_specfun(rng, samples, grid=None):
+def _suite_specfun(rng, samples, grid=None, tasks=_AT_ONCE):
     out = []
     out.append(
         _check(
@@ -186,40 +246,51 @@ def _random_map(rng, d):
     return compose(boost(d, t1, axis=0), rotation_embed(rot), boost(d, t2, axis=d - 1))
 
 
-def _suite_lorentz(rng, samples, grid=None):
-    out = []
-    worst = worst_err = 0.0
+def _invariance_pair(lmap, alpha, beta):
+    """g = exp(-alpha |xi|^2 - beta tau) and g composed with lmap's inverse."""
+    def g(xi, tau):
+        # Each step in place on one temporary.
+        out = norm_sq(xi)
+        out *= -alpha
+        out -= beta * tau
+        return _exp_in_place(out)
+
+    inv = lmap.inverse()
+
+    def g_mapped(xi, tau):
+        vec = np.concatenate([xi, tau[..., None]], axis=-1)
+        moved = vec @ inv.matrix.T
+        return g(moved[..., :-1], moved[..., -1])
+
+    return g, g_mapped
+
+
+def _suite_lorentz(rng, samples, grid=None, tasks=_AT_ONCE):
     n_pairs = 20
+    draws = []
     for _ in range(n_pairs):
         d = int(rng.integers(2, 4))
         params = HyperboloidParams(d=d, s=float(rng.uniform(0.5, 2.0)))
         lmap = _random_map(rng, d)
         alpha = float(rng.uniform(0.3, 1.0))
         beta = float(rng.uniform(0.1, 0.5))
+        draws.append((params, lmap, alpha, beta))
+    quad = _scaled(QuadSpec(radius=60.0, n_radial=48, n_angular=32), grid)
+    pairs = [tasks.submit(_sheet_integrals, MeasureSpec(params, sheet="plus"),
+                          _invariance_pair(lmap, alpha, beta), quad)
+             for params, lmap, alpha, beta in draws]
 
-        def g(xi, tau):
-            # exp(-alpha |xi|^2 - beta tau), each step in place on one temporary.
-            out = norm_sq(xi)
-            out *= -alpha
-            out -= beta * tau
-            return _exp_in_place(out)
-
-        inv = lmap.inverse()
-
-        def g_mapped(xi, tau):
-            vec = np.concatenate([xi, tau[..., None]], axis=-1)
-            moved = vec @ inv.matrix.T
-            return g(moved[..., :-1], moved[..., -1])
-
-        spec = MeasureSpec(params, sheet="plus")
-        quad = _scaled(QuadSpec(radius=60.0, n_radial=48, n_angular=32), grid)
-        a_val, b_val = _sheet_integrals(spec, (g, g_mapped), quad)
-        worst = max(worst, abs(a_val.value - b_val.value))
-        worst_err = max(worst_err, a_val.error, b_val.error)
-    out.append(_check("lorentz", "measure-invariance", worst, 1e-6,
+    def measure_invariance():
+        worst = worst_err = 0.0
+        for pair in pairs:
+            a_val, b_val = pair.result()
+            worst = max(worst, abs(a_val.value - b_val.value))
+            worst_err = max(worst_err, a_val.error, b_val.error)
+        return _check("lorentz", "measure-invariance", worst, 1e-6,
                       note=f"{n_pairs} random (g, L) pairs",
-                      error_estimate=worst_err))
+                      error_estimate=worst_err)
 
+    out = [tasks.later(measure_invariance)]
     worst = 0.0
     for _ in range(50):
         d = int(rng.integers(2, 4))
@@ -262,19 +333,18 @@ def _random_sheet_points(rng, d, s, n, sign):
     return xi, sign * u
 
 
-def _suite_support(rng, samples, grid=None):
+def _suite_support(rng, samples, grid=None, tasks=_AT_ONCE):
     total = samples if samples is not None else 1_000_000
-    combos2 = [("plus", "plus"), ("plus", "minus"), ("minus", "plus"),
-               ("minus", "minus")]
-    combos3 = [("plus",) * 3, ("plus", "plus", "minus"),
-               ("plus", "minus", "minus"), ("minus",) * 3]
-    combos = [(2, c) for c in combos2] + [(3, c) for c in combos3]
+    # Every sheet tuple of two and of three factors, in each dimension.
+    combos = [("plus", "plus"), ("plus", "minus"), ("minus", "plus"), ("minus", "minus"),
+              ("plus",) * 3, ("plus", "plus", "minus"), ("plus", "minus", "minus"),
+              ("minus",) * 3]
     per = max(1, total // (len(combos) * 2))
     violations = 0
     tested = 0
     for d in (2, 3):
         s = 1.0
-        for n, sheets in combos:
+        for sheets in combos:
             xi = np.zeros((per, d))
             tau = np.zeros(per)
             for sheet in sheets:
@@ -308,7 +378,7 @@ def _suite_support(rng, samples, grid=None):
 
 # ---------------------------------------------------------------- sharp
 
-def _suite_sharp(rng, samples, grid=None):
+def _suite_sharp(rng, samples, grid=None, tasks=_AT_ONCE):
     out = []
     worst = 0.0
     for d, p in SUPPORTED_PAIRS:
@@ -356,7 +426,7 @@ def _suite_sharp(rng, samples, grid=None):
 
 # ---------------------------------------------------------------- metric
 
-def _suite_metric(rng, samples, grid=None):
+def _suite_metric(rng, samples, grid=None, tasks=_AT_ONCE):
     out = []
     n = 200
     worst_sym = 0.0
@@ -413,7 +483,7 @@ def _reduced_pairing_reference(form: ConvClosedForm, g_radial, tau_hi, n=160):
 _POINT_ORACLE_POINTS = 15
 
 
-def _suite_oracle(rng, samples, grid=None):
+def _suite_oracle(rng, samples, grid=None, tasks=_AT_ONCE):
     out = []
     worst = 0.0
     for d in (2, 3):
@@ -431,7 +501,6 @@ def _suite_oracle(rng, samples, grid=None):
                       note=f"{2 * _POINT_ORACLE_POINTS} random interior points"))
 
     # Tensor pairing vs the 2-D reduction of the closed density.
-    worst = 0.0
     budgets = {
         2: _scaled(QuadSpec(radius=30.0, n_radial=48, n_angular=48), grid),
         3: _scaled(QuadSpec(radius=25.0, n_radial=40, n_angular=40), grid),
@@ -440,12 +509,16 @@ def _suite_oracle(rng, samples, grid=None):
     def g_pair(r, tau):
         return np.exp(-0.4 * r * r - 0.7 * (tau - 2.0))
 
-    for d in (2, 3):
+    def deviation(d):
         spec = MeasureSpec(HyperboloidParams(d=d, s=1.0), sheet="plus")
         ref = _reduced_pairing_reference(ConvClosedForm(d, 2, 1.0), g_pair, tau_hi=30.0)
         got = conv_pairing_oracle(spec, 2, g_pair, budgets[d])
-        worst = max(worst, abs(got.value - ref) / ref)
-    out.append(_check("oracle", "tensor-pairing-vs-closed", worst, 1e-6))
+        return abs(got.value - ref) / ref
+
+    deviations = [tasks.submit(deviation, d) for d in (2, 3)]
+    out.append(tasks.later(lambda: _check(
+        "oracle", "tensor-pairing-vs-closed",
+        max(0.0, *(dev.result() for dev in deviations)), 1e-6)))
 
     # Monte Carlo pairing for the triple convolution, d = 2.
     n_mc = samples if samples is not None else 400_000
@@ -474,7 +547,7 @@ def _suite_oracle(rng, samples, grid=None):
 _SCALING_INPUTS = ((2, 4, 3.1, 0.9), (2, 6, 3.1, 0.9), (3, 4, 3.1, 0.9))
 
 
-def _suite_functional(rng, samples, grid=None):
+def _suite_functional(rng, samples, grid=None, tasks=_AT_ONCE):
     out = []
     # Q/H near its concentration limit, inside [lo, 1).
     for d, p, a, lo in ((2, 6, 1e-3, 0.997), (2, 4, 100.0, 0.999), (3, 4, 1e-2, 0.95)):
@@ -570,6 +643,10 @@ def run_checks(
     grid < 1, samples < 1, or, when the oracle suite runs, samples below
     QuadSpec's Monte-Carlo floor, and BudgetError for samples past the node
     budget, all before any check runs.
+
+    Where the process may use more than one CPU, the suites' rng-free work
+    runs on one background thread, joined before this returns or raises;
+    the checks, and the first refusal, are those of a run in one thread.
     """
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {('all',) + SUITES}")
@@ -583,7 +660,25 @@ def run_checks(
         if "oracle" in names:
             QuadSpec(rule="montecarlo", samples=samples)  # refuses too few for an error bar
     rng = np.random.default_rng(0 if seed is None else seed)
-    results: list[CheckResult] = []
-    for name in names:
-        results.extend(_SUITE_RUNNERS[name](rng, samples, grid))
-    return results
+    pool = None
+    if _usable_cpus() > 1:
+        # Imported here, so that `import hyperex` does not load it.
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(1, thread_name_prefix="hyperex-verify")
+    tasks = _Tasks(pool)
+    results = []
+    try:
+        for name in names:
+            try:
+                results.extend(_SUITE_RUNNERS[name](rng, samples, grid, tasks))
+            except Exception:
+                # In one thread, the work queued before this suite ran first.
+                tasks.raise_failure(wait=True)
+                raise
+            # A refusal of the queued work ends the run here, not after the last suite.
+            tasks.raise_failure(wait=False)
+        return [check() if callable(check) else check for check in results]
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)

@@ -323,6 +323,15 @@ class TestConv:
         )
         assert "boundary-proximate" in report["outputs"]["notes"]
 
+    def test_closed_value_on_the_computed_boundary_is_flagged(self, capsys):
+        # m^2 rounds to exactly 4 s^2 here, so the closed d = 3 density reads 0
+        # where mpmath gives 1.43e-5 at the input doubles; it used to print no note.
+        out = run_json(capsys, ["conv", "--d", "3", "--n", "2",
+                                "--xi=-1129.808007433157,-0.6622742686834313,"
+                                "-0.16094515910797458", "--tau", "1129.8099832142711"])["outputs"]
+        assert out["value"] == 0.0
+        assert out["notes"] == ["boundary-proximate"]
+
     def test_usage_errors(self, capsys):
         rc, _, _ = run_cli(
             capsys, ["conv", "--d", "3", "--n", "3", "--xi", "0,0,0", "--tau", "4"]
@@ -722,3 +731,13 @@ class TestTopLevel:
             check=True, env={**os.environ, "PYTHONPATH": SRC},
         )
         assert done.stdout.strip() == "[]"
+
+    def test_import_loads_no_thread_pool(self):
+        # verify imports concurrent.futures when it runs, so that the import
+        # time of the package (the benchmark's setup_s) does not carry it.
+        code = "import sys, hyperex; print('concurrent.futures' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert done.stdout.strip() == "False"

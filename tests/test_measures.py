@@ -669,6 +669,29 @@ def test_pairing_montecarlo_determinism_and_sheets():
     assert minus.value == pytest.approx(a.value, rel=1e-12)
 
 
+@pytest.mark.parametrize("n, samples, flip", [(3, 50_001, 1.0), (2, 2**14, -1.0), (3, 100, 1.0)])
+def test_pairing_montecarlo_blocks_give_the_whole_array_bits(n, samples, flip):
+    # The whole-array estimator, step for step; the oracle streams the same
+    # draws through blocks of samples.
+    g = lambda r, tau: np.exp(-0.5 * r * r - 0.8 * (np.abs(tau) - 3.0))
+    rng = np.random.Generator(np.random.PCG64(5))
+    sum_xi, sum_tau, log_weight = np.zeros((samples, 2)), np.zeros(samples), np.zeros(samples)
+    for _ in range(n):
+        u = 1.0 + rng.exponential(size=samples)
+        theta = rng.uniform(0.0, 2.0 * np.pi, size=samples)
+        r = np.sqrt(u * u - 1.0)
+        sum_xi += np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
+        sum_tau += u
+        log_weight += u - 1.0
+    vals = g(np.hypot(sum_xi[:, 0], sum_xi[:, 1]), flip * sum_tau)
+    whole = vals * (2.0 * np.pi) ** n * np.exp(log_weight)
+    want = (float(np.mean(whole)), float(np.std(whole, ddof=1) / np.sqrt(samples)))
+    sheet = "minus" if flip < 0 else "plus"
+    got = conv_pairing_oracle(MeasureSpec(P2, sheet), n, g,
+                              QuadSpec(rule="montecarlo", samples=samples, seed=5))
+    assert got == want
+
+
 def test_pairing_rejects_unsupported_routes():
     g = lambda r, tau: np.exp(-np.abs(tau))
     with pytest.raises(ValueError, match="one sheet"):

@@ -1,12 +1,15 @@
 """Verify-suite tests: every suite passes at the default seed."""
 
 import json
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hyperex.verify
+from hyperex.cli import main
 from hyperex.functionals import SUPPORTED_PAIRS
 from hyperex.quadrature import BudgetError, QuadResult
 from hyperex.verify import _SCALING_INPUTS, SUITES, _exp_in_place, run_checks
@@ -125,3 +128,78 @@ def test_lorentz_pairs_draw_their_dimension_first(monkeypatch, seed):
         want.append(int(replay.integers(2, 4)))
         replay.uniform(size=6)
     assert dims == [d for d in want for _ in range(2)]
+
+
+def _thread_names_of_sheet_integrals(monkeypatch):
+    """Record the thread of every lorentz pair integral run by verify."""
+    names = []
+    integrals = hyperex.verify._sheet_integrals
+
+    def record(*args):
+        names.append(threading.current_thread().name)
+        return integrals(*args)
+
+    monkeypatch.setattr(hyperex.verify, "_sheet_integrals", record)
+    return names
+
+
+@pytest.mark.parametrize("seed", [7, 1007])
+def test_background_thread_gives_the_checks_of_one_thread(monkeypatch, seed):
+    names = _thread_names_of_sheet_integrals(monkeypatch)
+    monkeypatch.setattr(hyperex.verify, "_usable_cpus", lambda: 2)
+    threaded = run_checks("all", seed=seed)
+    assert len(names) == 20 and threading.main_thread().name not in names
+    names.clear()
+    monkeypatch.setattr(hyperex.verify, "_usable_cpus", lambda: 1)
+    assert run_checks("all", seed=seed) == threaded
+    assert names == [threading.main_thread().name] * 20
+
+
+_SHEET_REFUSAL = "hyperex: 4116000 sheet nodes exceed the budget of 4000000\n"
+_PAIRING_REFUSAL = "hyperex: 4244832 tensor-pairing node pairs exceed the budget of 4000000\n"
+
+
+# Grid 212 first runs the lorentz pairs at that grid, about 4 s, so it runs
+# with the background thread only; test_grid_past_the_float_range_is_refused
+# covers the oracle's refusal in one thread.
+@pytest.mark.parametrize("cpus, grid, message", [(1, "218", _SHEET_REFUSAL),
+                                                 (2, "218", _SHEET_REFUSAL),
+                                                 (2, "212", _PAIRING_REFUSAL)])
+def test_grid_refusals_of_the_queued_work_keep_their_message(monkeypatch, capsys, cpus,
+                                                             grid, message):
+    monkeypatch.setattr(hyperex.verify, "_usable_cpus", lambda: cpus)
+    assert main(["verify", "--suite", "all", "--grid", grid]) == 2
+    assert capsys.readouterr() == ("", message)
+
+
+def test_the_background_thread_is_joined_on_every_return(monkeypatch):
+    monkeypatch.setattr(hyperex.verify, "_usable_cpus", lambda: 2)
+    start = threading.active_count()
+    assert run_checks("oracle", samples=1000)
+    assert threading.active_count() == start
+    with pytest.raises(BudgetError, match="sheet nodes"):
+        run_checks("lorentz", grid=218)
+    assert threading.active_count() == start
+
+
+def test_a_queued_refusal_precedes_a_later_suites_failure(monkeypatch):
+    # In one thread the lorentz pairs refuse grid 218 before the support suite
+    # runs; queued, they have not failed yet when it fails, and must still win.
+    def fails(rng, samples, grid=None, tasks=None):
+        raise ValueError("support failed")
+
+    monkeypatch.setattr(hyperex.verify, "_usable_cpus", lambda: 2)
+    monkeypatch.setitem(hyperex.verify._SUITE_RUNNERS, "support", fails)
+    start = threading.active_count()
+    with pytest.raises(ValueError, match="support failed"):
+        run_checks("all", grid=50)
+    integrals = hyperex.verify._sheet_integrals
+
+    def slow(*args):
+        time.sleep(0.2)
+        return integrals(*args)
+
+    monkeypatch.setattr(hyperex.verify, "_sheet_integrals", slow)
+    with pytest.raises(BudgetError, match="4116000 sheet nodes"):
+        run_checks("all", grid=218)
+    assert threading.active_count() == start
