@@ -163,6 +163,14 @@ def surface_integral(
     return _sheet_integrals(spec, (f,), quad)[0]
 
 
+def _check_sheet_budget(d: int, quad: QuadSpec) -> None:
+    """Refuse a sheet grid whose fine resolution, run(2) of _sheet_integrals,
+    has more nodes than the budget."""
+    n_a = 2 * quad.n_angular
+    sphere = n_a * (_polar_order(n_a) if d == 3 else 1)
+    check_budget(2 * (2 * quad.n_radial) * sphere, "sheet nodes")
+
+
 def _sheet_integrals(spec: MeasureSpec, fs, quad: QuadSpec) -> list[QuadResult]:
     """surface_integral of each integrand of fs, all on one grid per resolution.
 
@@ -170,9 +178,7 @@ def _sheet_integrals(spec: MeasureSpec, fs, quad: QuadSpec) -> list[QuadResult]:
     values of each integrand and sheet go into one whole-grid array, summed
     whole, so each result has the bits of a lone surface_integral call.
     """
-    n_a = 2 * quad.n_angular  # the fine grid, run(2) below
-    sphere = n_a * (_polar_order(n_a) if spec.params.d == 3 else 1)
-    check_budget(2 * (2 * quad.n_radial) * sphere, "sheet nodes")
+    _check_sheet_budget(spec.params.d, quad)
     signs = {"plus": (1,), "minus": (-1,), "both": (1, -1)}[spec.sheet]
 
     def run(scale: int) -> list[tuple[float, float]]:
@@ -421,6 +427,19 @@ def conv_pairing_oracle(
     return _pairing_tensor_pair(spec.params, g, quad, flip)
 
 
+def _pairing_grid(quad: QuadSpec, scale: int) -> QuadSpec:
+    """The coarse (scale 1) or fine (scale 2) grid of _pairing_tensor_pair."""
+    return replace(quad, n_radial=max(4, quad.n_radial // 2 * scale),
+                   n_angular=max(8, quad.n_angular // 2 * scale))
+
+
+def _check_pairing_budget(d: int, quad: QuadSpec) -> None:
+    """Refuse a tensor pairing whose fine grid has more node pairs than the budget."""
+    fine = _pairing_grid(quad, 2)
+    zonal = _polar_order(fine.n_angular) if d == 3 else fine.n_angular
+    check_budget((2 * fine.n_radial) ** 2 * zonal, "tensor-pairing node pairs")
+
+
 def _pairing_tensor_pair(
     params: HyperboloidParams, g: Callable, quad: QuadSpec, flip: float
 ) -> QuadResult:
@@ -433,16 +452,10 @@ def _pairing_tensor_pair(
     |x + y|^2 = (r - rho)^2 + 2 r rho (1 + c), and y runs over the radial
     rule times _zonal_rule.
     """
-    def grid(scale: int) -> QuadSpec:
-        return replace(quad, n_radial=max(4, quad.n_radial // 2 * scale),
-                       n_angular=max(8, quad.n_angular // 2 * scale))
-
-    fine = grid(2)
-    zonal = _polar_order(fine.n_angular) if params.d == 3 else fine.n_angular
-    check_budget((2 * fine.n_radial) ** 2 * zonal, "tensor-pairing node pairs")
+    _check_pairing_budget(params.d, quad)
 
     def run(scale: int) -> float:
-        q = grid(scale)
+        q = _pairing_grid(quad, scale)
         r, wr, psi = _radial_nodes(params, q)
         c, wc = _zonal_rule(params.d, q.n_angular)
         r_y = np.repeat(r, c.size)

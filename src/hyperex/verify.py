@@ -7,13 +7,12 @@ single seeded generator, so a fixed seed reproduces every number exactly.
 The lorentz pair integrals and the oracle's tensor pairings draw nothing from
 it; run_checks hands them to one background thread (see _Tasks) while the
 other suites go on, and builds their checks once the suites have run, so the
-checks and their bits are those of a run in one thread.
+checks and their bits are those of the suites run one after another.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -51,6 +50,8 @@ from .measures import (
     conv_point_oracle,
     conv_reduced_integral,
     sum_support_predicate,
+    _check_pairing_budget,
+    _check_sheet_budget,
     _sheet_integrals,
 )
 from .quadrature import QuadSpec, check_budget, gl_panels
@@ -122,10 +123,11 @@ class _Done:
 class _Tasks:
     """Where the suites run their work that draws nothing from the generator.
 
-    With a pool of one thread, submit queues the work there and later defers
-    a check's build until every suite has run; without one, both happen at
-    once, as in a single thread.  The one thread runs the work in submission
-    order, so its finished tasks are always a prefix of the queue.
+    With a pool of one thread, as in run_checks, submit queues the work there
+    and later defers a check's build until every suite has run; without one,
+    as for a suite called directly, both happen at once.  The one thread runs
+    the work in submission order, so its finished tasks are always a prefix
+    of the queue.
     """
 
     def __init__(self, pool=None):
@@ -153,14 +155,6 @@ class _Tasks:
 
 
 _AT_ONCE = _Tasks()
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------- specfun
@@ -265,6 +259,14 @@ def _invariance_pair(lmap, alpha, beta):
     return g, g_mapped
 
 
+# The default grids of the lorentz pairs and of the oracle's tensor pairings.
+_LORENTZ_QUAD = QuadSpec(radius=60.0, n_radial=48, n_angular=32)
+_PAIRING_QUADS = {
+    2: QuadSpec(radius=30.0, n_radial=48, n_angular=48),
+    3: QuadSpec(radius=25.0, n_radial=40, n_angular=40),
+}
+
+
 def _suite_lorentz(rng, samples, grid=None, tasks=_AT_ONCE):
     n_pairs = 20
     draws = []
@@ -275,7 +277,7 @@ def _suite_lorentz(rng, samples, grid=None, tasks=_AT_ONCE):
         alpha = float(rng.uniform(0.3, 1.0))
         beta = float(rng.uniform(0.1, 0.5))
         draws.append((params, lmap, alpha, beta))
-    quad = _scaled(QuadSpec(radius=60.0, n_radial=48, n_angular=32), grid)
+    quad = _scaled(_LORENTZ_QUAD, grid)
     pairs = [tasks.submit(_sheet_integrals, MeasureSpec(params, sheet="plus"),
                           _invariance_pair(lmap, alpha, beta), quad)
              for params, lmap, alpha, beta in draws]
@@ -501,18 +503,13 @@ def _suite_oracle(rng, samples, grid=None, tasks=_AT_ONCE):
                       note=f"{2 * _POINT_ORACLE_POINTS} random interior points"))
 
     # Tensor pairing vs the 2-D reduction of the closed density.
-    budgets = {
-        2: _scaled(QuadSpec(radius=30.0, n_radial=48, n_angular=48), grid),
-        3: _scaled(QuadSpec(radius=25.0, n_radial=40, n_angular=40), grid),
-    }
-
     def g_pair(r, tau):
         return np.exp(-0.4 * r * r - 0.7 * (tau - 2.0))
 
     def deviation(d):
         spec = MeasureSpec(HyperboloidParams(d=d, s=1.0), sheet="plus")
         ref = _reduced_pairing_reference(ConvClosedForm(d, 2, 1.0), g_pair, tau_hi=30.0)
-        got = conv_pairing_oracle(spec, 2, g_pair, budgets[d])
+        got = conv_pairing_oracle(spec, 2, g_pair, _scaled(_PAIRING_QUADS[d], grid))
         return abs(got.value - ref) / ref
 
     deviations = [tasks.submit(deviation, d) for d in (2, 3)]
@@ -641,12 +638,12 @@ def run_checks(
     rescales the tensor quadrature budgets (percent of default, see _scaled)
     in the suites that use them (lorentz, oracle).  Raises ValueError for
     grid < 1, samples < 1, or, when the oracle suite runs, samples below
-    QuadSpec's Monte-Carlo floor, and BudgetError for samples past the node
-    budget, all before any check runs.
+    QuadSpec's Monte-Carlo floor, and BudgetError for samples or a grid past
+    the node budgets, all before any check runs.
 
-    Where the process may use more than one CPU, the suites' rng-free work
-    runs on one background thread, joined before this returns or raises;
-    the checks, and the first refusal, are those of a run in one thread.
+    The suites' rng-free work runs on one background thread, joined before
+    this returns or raises; the checks, and the first failure, are those of
+    the suites run one after another.
     """
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {('all',) + SUITES}")
@@ -659,13 +656,19 @@ def run_checks(
         check_budget(samples, "samples")
         if "oracle" in names:
             QuadSpec(rule="montecarlo", samples=samples)  # refuses too few for an error bar
-    rng = np.random.default_rng(0 if seed is None else seed)
-    pool = None
-    if _usable_cpus() > 1:
-        # Imported here, so that `import hyperex` does not load it.
-        from concurrent.futures import ThreadPoolExecutor
+    if grid is not None:
+        # The tensor budgets depend on grid and d alone.  The lorentz pairs
+        # are checked at d = 3, the larger grid, whatever dimensions they draw.
+        if "lorentz" in names:
+            _check_sheet_budget(3, _scaled(_LORENTZ_QUAD, grid))
+        if "oracle" in names:
+            for d in (2, 3):
+                _check_pairing_budget(d, _scaled(_PAIRING_QUADS[d], grid))
+    # Imported here, so that `import hyperex` does not load it.
+    from concurrent.futures import ThreadPoolExecutor
 
-        pool = ThreadPoolExecutor(1, thread_name_prefix="hyperex-verify")
+    rng = np.random.default_rng(0 if seed is None else seed)
+    pool = ThreadPoolExecutor(1, thread_name_prefix="hyperex-verify")
     tasks = _Tasks(pool)
     results = []
     try:
@@ -680,5 +683,4 @@ def run_checks(
             tasks.raise_failure(wait=False)
         return [check() if callable(check) else check for check in results]
     finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+        pool.shutdown(cancel_futures=True)

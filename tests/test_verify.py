@@ -144,62 +144,73 @@ def _thread_names_of_sheet_integrals(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", [7, 1007])
-def test_background_thread_gives_the_checks_of_one_thread(monkeypatch, seed):
+def test_background_thread_gives_the_checks_of_the_suites_run_in_turn(monkeypatch, seed):
+    # A suite called directly runs its tasks at once, on the calling thread.
     names = _thread_names_of_sheet_integrals(monkeypatch)
-    monkeypatch.setattr(hyperex.verify, "_usable_cpus", lambda: 2)
     threaded = run_checks("all", seed=seed)
     assert len(names) == 20 and threading.main_thread().name not in names
     names.clear()
-    monkeypatch.setattr(hyperex.verify, "_usable_cpus", lambda: 1)
-    assert run_checks("all", seed=seed) == threaded
+    rng = np.random.default_rng(seed)
+    in_turn = [check for name in SUITES
+               for check in hyperex.verify._SUITE_RUNNERS[name](rng, None)]
+    assert in_turn == threaded
     assert names == [threading.main_thread().name] * 20
+
+
+def _unreachable(rng, samples, grid=None, tasks=None):
+    raise AssertionError("a suite ran before the grid was refused")
 
 
 _SHEET_REFUSAL = "hyperex: 4116000 sheet nodes exceed the budget of 4000000\n"
 _PAIRING_REFUSAL = "hyperex: 4244832 tensor-pairing node pairs exceed the budget of 4000000\n"
 
 
-# Grid 212 first runs the lorentz pairs at that grid, about 4 s, so it runs
-# with the background thread only; test_grid_past_the_float_range_is_refused
-# covers the oracle's refusal in one thread.
-@pytest.mark.parametrize("cpus, grid, message", [(1, "218", _SHEET_REFUSAL),
-                                                 (2, "218", _SHEET_REFUSAL),
-                                                 (2, "212", _PAIRING_REFUSAL)])
-def test_grid_refusals_of_the_queued_work_keep_their_message(monkeypatch, capsys, cpus,
-                                                             grid, message):
-    monkeypatch.setattr(hyperex.verify, "_usable_cpus", lambda: cpus)
-    assert main(["verify", "--suite", "all", "--grid", grid]) == 2
+# verify --suite all --grid 212 used to run the lorentz pairs at that grid and
+# the support, sharp and metric suites, about 4 s, before the oracle refused.
+@pytest.mark.parametrize("suite, grid, message", [("all", "218", _SHEET_REFUSAL),
+                                                  ("lorentz", "218", _SHEET_REFUSAL),
+                                                  ("all", "212", _PAIRING_REFUSAL),
+                                                  ("oracle", "212", _PAIRING_REFUSAL)])
+def test_grids_past_the_budgets_are_refused_before_any_suite_runs(monkeypatch, capsys, suite,
+                                                                   grid, message):
+    monkeypatch.setattr(hyperex.verify, "_SUITE_RUNNERS", dict.fromkeys(SUITES, _unreachable))
+    assert main(["verify", "--suite", suite, "--grid", grid]) == 2
     assert capsys.readouterr() == ("", message)
 
 
+def test_the_largest_oracle_grid_is_not_refused():
+    assert len(run_checks("oracle", grid=211, samples=1000)) == 3
+
+
+def _failing_sheet_integrals(monkeypatch, delay):
+    def fail(*args):
+        time.sleep(delay)
+        raise BudgetError("queued work failed")
+
+    monkeypatch.setattr(hyperex.verify, "_sheet_integrals", fail)
+
+
 def test_the_background_thread_is_joined_on_every_return(monkeypatch):
-    monkeypatch.setattr(hyperex.verify, "_usable_cpus", lambda: 2)
     start = threading.active_count()
     assert run_checks("oracle", samples=1000)
     assert threading.active_count() == start
-    with pytest.raises(BudgetError, match="sheet nodes"):
-        run_checks("lorentz", grid=218)
+    _failing_sheet_integrals(monkeypatch, 0.0)
+    with pytest.raises(BudgetError, match="queued work failed"):
+        run_checks("lorentz")
     assert threading.active_count() == start
 
 
-def test_a_queued_refusal_precedes_a_later_suites_failure(monkeypatch):
-    # In one thread the lorentz pairs refuse grid 218 before the support suite
-    # runs; queued, they have not failed yet when it fails, and must still win.
+def test_a_queued_failure_precedes_a_later_suites_failure(monkeypatch):
+    # Run in turn, the lorentz pairs fail before the support suite runs;
+    # queued, they have not failed yet when it fails, and must still win.
     def fails(rng, samples, grid=None, tasks=None):
         raise ValueError("support failed")
 
-    monkeypatch.setattr(hyperex.verify, "_usable_cpus", lambda: 2)
     monkeypatch.setitem(hyperex.verify._SUITE_RUNNERS, "support", fails)
     start = threading.active_count()
     with pytest.raises(ValueError, match="support failed"):
         run_checks("all", grid=50)
-    integrals = hyperex.verify._sheet_integrals
-
-    def slow(*args):
-        time.sleep(0.2)
-        return integrals(*args)
-
-    monkeypatch.setattr(hyperex.verify, "_sheet_integrals", slow)
-    with pytest.raises(BudgetError, match="4116000 sheet nodes"):
-        run_checks("all", grid=218)
+    _failing_sheet_integrals(monkeypatch, 0.2)
+    with pytest.raises(BudgetError, match="queued work failed"):
+        run_checks("all", grid=50)
     assert threading.active_count() == start
