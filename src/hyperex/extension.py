@@ -82,6 +82,7 @@ def extension_quadrature(profile: ExpProfile, x, t: float) -> QuadResult:
 
     Panels sized to the oscillation frequency |t| + |x|, Gauss-Legendre inside
     each; the error is a two-order difference.  Works for d = 2 and d = 3.
+    At x = 0 the kernel is its limit, J0(0) = 1 or sin(|x| r)/|x| -> r.
     """
     a, s, d = profile.a, profile.params.s, profile.params.d
     x = np.asarray(x, dtype=float)
@@ -103,10 +104,10 @@ def extension_quadrature(profile: ExpProfile, x, t: float) -> QuadResult:
         u, w = gl_sqrt_panels(edges, n_per)
         r = np.sqrt(np.maximum(u * u - s * s, 0.0))
         osc = np.exp(-(a - 1j * t) * u)
-        if d == 2:
+        if x_norm == 0.0:
+            vals = 2.0 * np.pi * osc if d == 2 else 4.0 * np.pi * osc * r
+        elif d == 2:
             vals = 2.0 * np.pi * osc * bessel_j0(x_norm * r)
-        elif x_norm == 0.0:
-            vals = 4.0 * np.pi * osc * r
         else:
             vals = (4.0 * np.pi / x_norm) * osc * np.sin(x_norm * r)
         return complex(np.sum(w * vals))

@@ -157,11 +157,15 @@ def q_ratio_quadrature(d: int, p: int, a: float, s: float) -> QuadResult:
     The oracle for q_ratio_closed:
     Q^p = (2 pi)^{d+1} e^{2kas} ||(f_a sigma)^{*k}||^2 / (e^{2as} ||f_a||^2)^k
     with k = p / 2, from exponentially scaled parts, so no factor underflows
-    at large a s.  The error estimate is propagated from the norm quadrature.
+    at large a s.  The error estimate is propagated from the norm quadrature;
+    a norm that reads 0 or is not finite (past a s ~ 1e18) is refused.
     """
     _require_pair(d, p)
     profile = ExpProfile(a=a, params=HyperboloidParams(d=d, s=s))
     conv = conv_power_l2_sq(profile, p // 2, method="quadrature", exp_scaled=True)
+    if not 0.0 < conv.value < math.inf:
+        raise ValueError(f"quadrature norm is {conv.value} at a = {a}, s = {s}; "
+                         "use the closed route")
     f_norm_sq = l2_norm_sq(profile, exp_scaled=True)
     value = ((2.0 * np.pi) ** (d + 1) * conv.value / f_norm_sq ** (p // 2)) ** (1.0 / p)
     return QuadResult(value=value, error=value * conv.error / (p * conv.value))

@@ -44,10 +44,12 @@ bessel_j0
                  periodic analytic integrands the rule is spectrally accurate
                  (the error is an aliasing term ~ 2 J_N(x), superexponentially
                  small once N comfortably exceeds |x|); 88 = ceil(1.6 * 25)
-                 + 48 keeps that margin up to the split.  The (points x N)
-                 product is evaluated in row blocks of at most 2^20 cells, so
-                 memory stays near 8 MB per block whatever the number of
-                 points.
+                 + 48 keeps that margin up to the split.  cos(x cos theta)
+                 depends on |cos theta| only, so the rule folds onto the 23
+                 quarter-circle nodes j = 0..22 with multiplicities 2, 4, ...,
+                 4, 2 (23 cosines per point, not 88); the (points x 23)
+                 product is evaluated in row blocks of at most 2^18 cells,
+                 about 2.1 MB each whatever the number of points.
       |x| >= 25  the Hankel expansion (DLMF 10.17.3)
                  J0(x) = sqrt(2/(pi x)) (P cos(x - pi/4) - Q sin(x - pi/4)),
                  a_k = a_{k-1} (-(2k-1)^2)/(8k) up to the first K with
@@ -55,8 +57,8 @@ bessel_j0
                  1/x^2), and the phase taken as (cos x +- sin x)/sqrt(2) so
                  x - pi/4 is never rounded.
 
-    Against mpmath the absolute deviation is below 4.5e-16 on [0, 25) and
-    below 6e-17 from 25 on.
+    Against mpmath the absolute deviation is at most 8.3e-16 (rms 1.6e-16) on
+    60,000 random points of [0, 25) (default_rng(0)), below 6e-17 from 25 on.
 """
 
 from __future__ import annotations
@@ -189,8 +191,8 @@ def exp_scaled_k1(z: float) -> float:
 # the Hankel expansion.
 _J0_SPLIT = 25.0
 _J0_TRAPEZOID_N = 88
-# Cells of the (points x N) trapezoid product evaluated at once by bessel_j0.
-_J0_BLOCK_CELLS = 2**20
+# Cells of the folded (points x N/4 + 1) product evaluated at once by bessel_j0.
+_J0_BLOCK_CELLS = 2**18
 
 
 def _hankel_j0_coefficients() -> tuple[np.ndarray, np.ndarray]:
@@ -213,14 +215,17 @@ _HANKEL_P, _HANKEL_Q = _hankel_j0_coefficients()
 
 
 def _j0_trapezoid(x: np.ndarray) -> np.ndarray:
-    # (1/N) sum cos(x cos theta_j), a block of rows at a time.
-    n = _J0_TRAPEZOID_N
-    cos_theta = np.cos(np.arange(n) * (2.0 * np.pi / n))
+    # (1/N) sum_k m_k cos(x cos(2 pi k / N)) over k = 0..N/4, m = 2, 4, ...,
+    # 4, 2 summing to N (so J0(0) is exactly 1); a block of rows at a time.
+    k = np.arange(_J0_TRAPEZOID_N // 4 + 1)
+    cos_theta = np.cos(k * (2.0 * np.pi / _J0_TRAPEZOID_N))
+    m = np.where((k == 0) | (k == k[-1]), 2.0, 4.0)
     vals = np.empty(x.size)
-    rows = _J0_BLOCK_CELLS // n
+    rows = _J0_BLOCK_CELLS // k.size
     for lo in range(0, x.size, rows):
         block = np.multiply.outer(x[lo:lo + rows], cos_theta)
-        vals[lo:lo + rows] = np.cos(block, out=block).mean(axis=-1)
+        np.multiply(np.cos(block, out=block), m, out=block)
+        vals[lo:lo + rows] = block.sum(axis=-1) / _J0_TRAPEZOID_N
     return vals
 
 

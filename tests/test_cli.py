@@ -178,6 +178,19 @@ class TestCurve:
         assert err.startswith("hyperex: ratio 1.0 >= 1 at a = 1e+299")
         assert len(err.strip().splitlines()) == 1
 
+    def test_vanishing_quadrature_norm_is_refused(self, capsys):
+        # Past a s ~ 1e18 the tau nodes k s + w'/(2a) round to k s and the
+        # quadrature norm reads 0.
+        rc, out, err = run_cli(
+            capsys,
+            ["curve", "--d", "2", "--p", "4", "--method", "quadrature",
+             "--a-min", "1e19", "--a-max", "1e20", "--points", "2"],
+        )
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("hyperex: quadrature norm is 0.0 at a = 1e+19")
+        assert len(err.strip().splitlines()) == 1
+
     def test_closed_is_the_default_route(self, capsys):
         argv = ["curve", "--d", "3", "--p", "4", "--a-min", "0.01", "--a-max", "1",
                 "--points", "6", "--log-spacing", "--json", "--no-meta"]

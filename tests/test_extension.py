@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import hyperex.extension
 from hyperex.extension import (
     ExpProfile,
     conv_power_l2_sq,
@@ -107,6 +108,19 @@ def test_closed_vs_quadrature_grid_d2():
             closed = extension_closed(PROF2, x, t)
             val, err = extension_quadrature(PROF2, x, t)
             assert abs(val - closed) <= max(1e-9, 5.0 * err)
+
+
+@pytest.mark.parametrize("t", [0.0, -2.0, 5.0])
+def test_quadrature_d2_at_the_origin_calls_no_bessel(monkeypatch, t):
+    # At x = 0 the kernel is J0(0) = 1, so no J0 is evaluated.
+    def no_j0(x):
+        raise AssertionError("bessel_j0 called at x = 0")
+
+    monkeypatch.setattr(hyperex.extension, "bessel_j0", no_j0)
+    x = np.zeros(2)
+    val, err = extension_quadrature(PROF2, x, t)
+    floor = 1e-13 * abs(extension_closed(PROF2, x, 0.0))
+    assert abs(val - extension_closed(PROF2, x, t)) <= err + floor
 
 
 @pytest.mark.parametrize("t", [8.0, 0.0])

@@ -36,7 +36,7 @@ from hyperex.functionals import (
     two_sheeted_combiner_check,
 )
 from hyperex.geometry import HyperboloidParams
-from hyperex.quadrature import BudgetError
+from hyperex.quadrature import BudgetError, QuadResult
 
 
 def test_one_sheet_constants_closed_values():
@@ -180,6 +180,21 @@ def test_q_ratio_quadrature_matches_closed_d2():
         closed = q_ratio_closed(2, p, 1.0, 1.0)
         numeric = q_ratio_quadrature(2, p, 1.0, 1.0)
         assert numeric.value == pytest.approx(closed, rel=1e-6)
+
+
+@pytest.mark.parametrize("d,p", [(2, 4), (2, 6), (3, 4)])
+def test_q_ratio_quadrature_refuses_a_vanishing_norm(d, p):
+    with pytest.raises(ValueError, match="quadrature norm is 0.0"):
+        q_ratio_quadrature(d, p, 1e19, 1.0)
+
+
+def test_q_ratio_quadrature_refuses_a_non_finite_norm(monkeypatch):
+    def conv(*args, **kwargs):
+        return QuadResult(value=math.inf, error=0.0)
+
+    monkeypatch.setattr(hyperex.functionals, "conv_power_l2_sq", conv)
+    with pytest.raises(ValueError, match="quadrature norm is inf"):
+        q_ratio_quadrature(2, 4, 1.0, 1.0)
 
 
 def test_q_ratio_quadrature_d3_limit():

@@ -250,6 +250,34 @@ def test_j0_matches_mpmath_across_both_regimes():
     assert np.max(np.abs(got - want)) <= 1e-15
 
 
+def test_j0_at_zero_is_exactly_one():
+    # The multiplicities of the folded rule sum to N, so at x = 0 the
+    # weighted sum of ones divided by N is exact.
+    assert bessel_j0(0.0) == 1.0
+    assert np.array_equal(bessel_j0(np.zeros(5)), np.ones(5))
+
+
+def test_j0_matches_mpmath_at_random_points_below_the_split():
+    x = np.random.default_rng(21).uniform(0.0, 25.0, 2_000)
+    got = bessel_j0(x)
+    with mpmath.workdps(30):
+        want = np.array([float(mpmath.besselj(0, float(v))) for v in x])
+    assert np.max(np.abs(got - want)) <= 1e-15
+
+
+def test_j0_memory_stays_bounded_below_the_split():
+    # 20,000 trapezoid points: two blocks of the folded (points x 23)
+    # product, about 2.1 MB each.
+    x = np.random.default_rng(2).uniform(0.0, 25.0, 20_000)
+    tracemalloc.start()
+    try:
+        bessel_j0(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
+
+
 def test_j0_memory_stays_bounded():
     # The (points x N) trapezoid product is taken in blocks: 20,000 points at
     # |x| <= 1000 (N = 1648) would need about 0.5 GB in one piece.
