@@ -140,9 +140,8 @@ def _radial_nodes(params: HyperboloidParams, quad: QuadSpec):
     return r, r ** (params.d - 1) / psi * wr, psi
 
 
-# Sheet nodes integrated at once by _sheet_integrals: whole radial rows of
-# the radius-major grid, at least one, so the temporaries of an integrand
-# stay cache-sized however fine the grid.
+# Most sheet nodes integrated at once by _sheet_integrals, so the
+# temporaries of an integrand stay cache-sized however fine the grid.
 _SHEET_BLOCK_NODES = 2**14
 
 
@@ -174,9 +173,10 @@ def _check_sheet_budget(d: int, quad: QuadSpec) -> None:
 def _sheet_integrals(spec: MeasureSpec, fs, quad: QuadSpec) -> list[QuadResult]:
     """surface_integral of each integrand of fs, all on one grid per resolution.
 
-    The grid is built a block of _SHEET_BLOCK_NODES at a time; the weighted
-    values of each integrand and sheet go into one whole-grid array, summed
-    whole, so each result has the bits of a lone surface_integral call.
+    The grid is cut into blocks of at most _SHEET_BLOCK_NODES nodes along
+    np.sum's pairwise split of the whole grid, and each block is summed as it
+    is built, so each value has the bits of one np.sum over a whole-grid
+    array that is never built.
     """
     _check_sheet_budget(spec.params.d, quad)
     signs = {"plus": (1,), "minus": (-1,), "both": (1, -1)}[spec.sheet]
@@ -187,25 +187,29 @@ def _sheet_integrals(spec: MeasureSpec, fs, quad: QuadSpec) -> list[QuadResult]:
         r, wr, psi = _radial_nodes(spec.params, q)
         omega, wo = _sphere_nodes(spec.params.d, q.n_angular)
         m = wo.size
-        vals = np.empty((len(fs), len(signs), r.size * m))
-        rows = max(1, _SHEET_BLOCK_NODES // m)
-        for i0 in range(0, r.size, rows):
-            xi = np.kron(r[i0:i0 + rows, None], omega)
-            tau = np.repeat(psi[i0:i0 + rows], m)
-            w = np.outer(wr[i0:i0 + rows], wo).ravel()
-            block = slice(i0 * m, i0 * m + w.size)
-            for f, f_vals in zip(fs, vals):
-                for sign, out in zip(signs, f_vals):
-                    np.multiply(w, f(xi, tau if sign > 0 else -tau), out=out[block])
-        outer = vals.shape[-1] // 2
-        sums = []
-        for f_vals in vals:
-            total = tail_part = 0.0
-            for out in f_vals:
-                total += float(np.sum(out))
-                tail_part += float(np.sum(np.abs(out[outer:])))
-            sums.append((total, tail_part))
-        return sums
+        outer = q.n_radial * m  # the first node of the outer radial panel
+
+        def sums(lo: int, n: int) -> np.ndarray:
+            """Per integrand, the sums of nodes lo..lo+n-1 for each sign,
+            then their outer-half |.| tail."""
+            if n > _SHEET_BLOCK_NODES:
+                half = n // 2 - n // 2 % 8  # numpy's pairwise summation split
+                return sums(lo, half) + sums(lo + half, n - half)
+            # The radial rows that hold nodes lo..lo+n-1, then those nodes.
+            rows, nodes = slice(lo // m, -(-(lo + n) // m)), slice(lo % m, lo % m + n)
+            xi = np.kron(r[rows, None], omega)[nodes]
+            tau = np.repeat(psi[rows], m)[nodes]
+            w = np.outer(wr[rows], wo).ravel()[nodes]
+            tail = slice(max(0, outer - lo), None)
+            out = np.zeros((len(fs), len(signs) + 1))
+            for f, row in zip(fs, out):
+                for k, sign in enumerate(signs):
+                    vals = w * f(xi, tau if sign > 0 else -tau)
+                    row[k] = np.sum(vals)
+                    row[-1] += np.sum(np.abs(vals[tail]))
+            return out
+
+        return [(sum(map(float, row[:-1])), float(row[-1])) for row in sums(0, r.size * m)]
 
     results = []
     for (coarse, _), (fine, tail) in zip(run(1), run(2)):

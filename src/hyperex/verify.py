@@ -3,11 +3,7 @@
 Each suite bundles the invariants of one layer into named checks that report
 a measured discrepancy against a tolerance.  All randomness flows through a
 single seeded generator, so a fixed seed reproduces every number exactly.
-
-The lorentz pair integrals and the oracle's tensor pairings draw nothing from
-it; run_checks hands them to one background thread (see _Tasks) while the
-other suites go on, and builds their checks once the suites have run, so the
-checks and their bits are those of the suites run one after another.
+run_checks runs the suites one after another.
 """
 
 from __future__ import annotations
@@ -36,7 +32,6 @@ from .geometry import (
     boost,
     compose,
     lift,
-    norm_sq,
     normal_form,
     quasi_distance,
     rotation_embed,
@@ -54,7 +49,9 @@ from .measures import (
     _check_sheet_budget,
     _sheet_integrals,
 )
-from .quadrature import QuadSpec, check_budget, gl_panels
+from .quadrature import (
+    QuadResult, QuadSpec, check_budget, gl_panels, gl_sqrt_panels, two_resolution,
+)
 from .specfun import bessel_j0, exp_integral_ei, exp_scaled_en
 
 @dataclass(frozen=True)
@@ -110,56 +107,9 @@ def _check(suite, name, discrepancy, tolerance, note="", passed=None,
     )
 
 
-class _Done:
-    """A task run at once, where there is no background thread."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def result(self):
-        return self.value
-
-
-class _Tasks:
-    """Where the suites run their work that draws nothing from the generator.
-
-    With a pool of one thread, as in run_checks, submit queues the work there
-    and later defers a check's build until every suite has run; without one,
-    as for a suite called directly, both happen at once.  The one thread runs
-    the work in submission order, so its finished tasks are always a prefix
-    of the queue.
-    """
-
-    def __init__(self, pool=None):
-        self.pool = pool
-        self.futures = []
-
-    def submit(self, fn, *args):
-        if self.pool is None:
-            return _Done(fn(*args))
-        future = self.pool.submit(fn, *args)
-        self.futures.append(future)
-        return future
-
-    def later(self, build):
-        """build() now without a pool; else build itself, called by run_checks."""
-        return build if self.pool is not None else build()
-
-    def raise_failure(self, wait: bool) -> None:
-        """Raise the first failure of the submitted work, in submission order;
-        without wait, only among the work that has already finished."""
-        for future in self.futures:
-            if not (wait or future.done()):
-                return
-            future.result()
-
-
-_AT_ONCE = _Tasks()
-
-
 # ---------------------------------------------------------------- specfun
 
-def _suite_specfun(rng, samples, grid=None, tasks=_AT_ONCE):
+def _suite_specfun(rng, samples, grid=None):
     out = []
     out.append(
         _check(
@@ -240,59 +190,74 @@ def _random_map(rng, d):
     return compose(boost(d, t1, axis=0), rotation_embed(rot), boost(d, t2, axis=d - 1))
 
 
-def _invariance_pair(lmap, alpha, beta):
-    """g = exp(-alpha |xi|^2 - beta tau) and g composed with lmap's inverse."""
-    def g(xi, tau):
+def _invariance_pair(params, lmap, alpha, beta):
+    """h and, on the sheet, g = exp(-alpha |xi|^2 - beta tau) and g o lmap^-1.
+
+    On the sheet |xi|^2 = tau^2 - s^2, so g is h(tau) with
+    h(u) = exp(-alpha (u^2 - s^2) - beta u), and g o lmap^-1 is h of the time
+    component of lmap^-1, the inverse's last row applied to (xi, tau).
+    """
+    s2 = params.s * params.s
+
+    def h(u):
         # Each step in place on one temporary.
-        out = norm_sq(xi)
+        out = u * u
+        out -= s2
         out *= -alpha
-        out -= beta * tau
+        out -= beta * u
         return _exp_in_place(out)
 
-    inv = lmap.inverse()
+    row = lmap.inverse().matrix[-1]
+    return h, (lambda xi, tau: h(tau)), (lambda xi, tau: h(xi @ row[:-1] + row[-1] * tau))
 
-    def g_mapped(xi, tau):
-        vec = np.concatenate([xi, tau[..., None]], axis=-1)
-        moved = vec @ inv.matrix.T
-        return g(moved[..., :-1], moved[..., -1])
 
-    return g, g_mapped
+def _sheet_reference(params, h) -> QuadResult:
+    """int h(tau) d(sigma) = |S^{d-1}| int_s^oo h(u) (u^2 - s^2)^{(d-2)/2} du.
+
+    Gauss-Legendre on s + (0, 1, 3, 8, 20), the first panel in sqrt(u - s)
+    for d = 3, at 24 and 48 nodes per panel; the error is their difference
+    plus a 1e-14 relative round-off floor.
+    """
+    s, d = params.s, params.d
+    rule = gl_sqrt_panels if d == 3 else gl_panels
+
+    def run(n):
+        u, w = rule(s + np.array([0.0, 1.0, 3.0, 8.0, 20.0]), n)
+        return float(np.sum(w * h(u) * ((u - s) * (u + s)) ** (0.5 * (d - 2))))
+
+    value, error = two_resolution(run, 24, 48)
+    return QuadResult(SPHERE_AREA[d] * value, SPHERE_AREA[d] * (error + 1e-14 * abs(value)))
 
 
 # The default grids of the lorentz pairs and of the oracle's tensor pairings.
-_LORENTZ_QUAD = QuadSpec(radius=60.0, n_radial=48, n_angular=32)
+_LORENTZ_QUAD = QuadSpec(radius=60.0, n_radial=24, n_angular=16)
 _PAIRING_QUADS = {
     2: QuadSpec(radius=30.0, n_radial=48, n_angular=48),
     3: QuadSpec(radius=25.0, n_radial=40, n_angular=40),
 }
 
 
-def _suite_lorentz(rng, samples, grid=None, tasks=_AT_ONCE):
+def _suite_lorentz(rng, samples, grid=None):
+    # Both integrals of a pair equal the 1-D reference of _sheet_reference;
+    # the estimate is the larger deviation from it plus its own error.
     n_pairs = 20
-    draws = []
+    quad = _scaled(_LORENTZ_QUAD, grid)
+    worst = estimate = 0.0
     for _ in range(n_pairs):
         d = int(rng.integers(2, 4))
         params = HyperboloidParams(d=d, s=float(rng.uniform(0.5, 2.0)))
         lmap = _random_map(rng, d)
         alpha = float(rng.uniform(0.3, 1.0))
         beta = float(rng.uniform(0.1, 0.5))
-        draws.append((params, lmap, alpha, beta))
-    quad = _scaled(_LORENTZ_QUAD, grid)
-    pairs = [tasks.submit(_sheet_integrals, MeasureSpec(params, sheet="plus"),
-                          _invariance_pair(lmap, alpha, beta), quad)
-             for params, lmap, alpha, beta in draws]
-
-    def measure_invariance():
-        worst = worst_err = 0.0
-        for pair in pairs:
-            a_val, b_val = pair.result()
-            worst = max(worst, abs(a_val.value - b_val.value))
-            worst_err = max(worst_err, a_val.error, b_val.error)
-        return _check("lorentz", "measure-invariance", worst, 1e-6,
-                      note=f"{n_pairs} random (g, L) pairs",
-                      error_estimate=worst_err)
-
-    out = [tasks.later(measure_invariance)]
+        h, *pair = _invariance_pair(params, lmap, alpha, beta)
+        a_val, b_val = _sheet_integrals(MeasureSpec(params, sheet="plus"), pair, quad)
+        ref = _sheet_reference(params, h)
+        worst = max(worst, abs(a_val.value - b_val.value))
+        estimate = max(estimate, max(abs(a_val.value - ref.value),
+                                     abs(b_val.value - ref.value)) + ref.error)
+    out = [_check("lorentz", "measure-invariance", worst, 1e-6,
+                  note=f"{n_pairs} random (g, L) pairs",
+                  passed=max(worst, estimate) <= 1e-6, error_estimate=estimate)]
     worst = 0.0
     for _ in range(50):
         d = int(rng.integers(2, 4))
@@ -335,7 +300,7 @@ def _random_sheet_points(rng, d, s, n, sign):
     return xi, sign * u
 
 
-def _suite_support(rng, samples, grid=None, tasks=_AT_ONCE):
+def _suite_support(rng, samples, grid=None):
     total = samples if samples is not None else 1_000_000
     # Every sheet tuple of two and of three factors, in each dimension.
     combos = [("plus", "plus"), ("plus", "minus"), ("minus", "plus"), ("minus", "minus"),
@@ -380,7 +345,7 @@ def _suite_support(rng, samples, grid=None, tasks=_AT_ONCE):
 
 # ---------------------------------------------------------------- sharp
 
-def _suite_sharp(rng, samples, grid=None, tasks=_AT_ONCE):
+def _suite_sharp(rng, samples, grid=None):
     out = []
     worst = 0.0
     for d, p in SUPPORTED_PAIRS:
@@ -428,7 +393,7 @@ def _suite_sharp(rng, samples, grid=None, tasks=_AT_ONCE):
 
 # ---------------------------------------------------------------- metric
 
-def _suite_metric(rng, samples, grid=None, tasks=_AT_ONCE):
+def _suite_metric(rng, samples, grid=None):
     out = []
     n = 200
     worst_sym = 0.0
@@ -485,9 +450,11 @@ def _reduced_pairing_reference(form: ConvClosedForm, g_radial, tau_hi, n=160):
 _POINT_ORACLE_POINTS = 15
 
 
-def _suite_oracle(rng, samples, grid=None, tasks=_AT_ONCE):
+def _suite_oracle(rng, samples, grid=None):
+    # Each oracle check also passes only if every deviation lies within its
+    # error bar plus a round-off floor, both relative like the discrepancy.
     out = []
-    worst = 0.0
+    worst = worst_err = excess = 0.0
     for d in (2, 3):
         form = ConvClosedForm(d, 2, 1.3)
         for _ in range(_POINT_ORACLE_POINTS):
@@ -498,24 +465,33 @@ def _suite_oracle(rng, samples, grid=None, tasks=_AT_ONCE):
             xi[0] = r
             closed = float(conv_closed(form, xi, tau))
             oracle = conv_point_oracle(form, xi, tau)
-            worst = max(worst, abs(oracle.value - closed) / closed)
+            dev, err = abs(oracle.value - closed) / closed, oracle.error / closed
+            worst, worst_err = max(worst, dev), max(worst_err, err)
+            excess = max(excess, dev - err)
+    # The floor covers the few operations of the closed density.
     out.append(_check("oracle", "point-oracle-vs-closed", worst, 1e-10,
-                      note=f"{2 * _POINT_ORACLE_POINTS} random interior points"))
+                      note=f"{2 * _POINT_ORACLE_POINTS} random interior points",
+                      passed=worst <= 1e-10 and excess <= 1e-14, error_estimate=worst_err))
 
-    # Tensor pairing vs the 2-D reduction of the closed density.
+    # Tensor pairing vs the 2-D reduction of the closed density.  The
+    # reference's error is its distance from one on half the nodes and twice
+    # the height, which takes in the truncation at tau_hi.
     def g_pair(r, tau):
         return np.exp(-0.4 * r * r - 0.7 * (tau - 2.0))
 
-    def deviation(d):
-        spec = MeasureSpec(HyperboloidParams(d=d, s=1.0), sheet="plus")
-        ref = _reduced_pairing_reference(ConvClosedForm(d, 2, 1.0), g_pair, tau_hi=30.0)
-        got = conv_pairing_oracle(spec, 2, g_pair, _scaled(_PAIRING_QUADS[d], grid))
-        return abs(got.value - ref) / ref
-
-    deviations = [tasks.submit(deviation, d) for d in (2, 3)]
-    out.append(tasks.later(lambda: _check(
-        "oracle", "tensor-pairing-vs-closed",
-        max(0.0, *(dev.result() for dev in deviations)), 1e-6)))
+    worst = worst_err = excess = 0.0
+    for d in (2, 3):
+        form = ConvClosedForm(d, 2, 1.0)
+        ref = _reduced_pairing_reference(form, g_pair, tau_hi=30.0)
+        ref_err = abs(ref - _reduced_pairing_reference(form, g_pair, tau_hi=60.0, n=80))
+        got = conv_pairing_oracle(MeasureSpec(HyperboloidParams(d=d, s=1.0), sheet="plus"),
+                                  2, g_pair, _scaled(_PAIRING_QUADS[d], grid))
+        dev, err = abs(got.value - ref) / ref, (got.error + ref_err) / ref
+        worst, worst_err = max(worst, dev), max(worst_err, err)
+        excess = max(excess, dev - err)
+    # The floor is about sqrt(N) eps for a sum of the budget's N = 4e6 node pairs.
+    out.append(_check("oracle", "tensor-pairing-vs-closed", worst, 1e-6,
+                      passed=worst <= 1e-6 and excess <= 1e-12, error_estimate=worst_err))
 
     # Monte Carlo pairing for the triple convolution, d = 2.
     n_mc = samples if samples is not None else 400_000
@@ -544,7 +520,7 @@ def _suite_oracle(rng, samples, grid=None, tasks=_AT_ONCE):
 _SCALING_INPUTS = ((2, 4, 3.1, 0.9), (2, 6, 3.1, 0.9), (3, 4, 3.1, 0.9))
 
 
-def _suite_functional(rng, samples, grid=None, tasks=_AT_ONCE):
+def _suite_functional(rng, samples, grid=None):
     out = []
     # Q/H near its concentration limit, inside [lo, 1).
     for d, p, a, lo in ((2, 6, 1e-3, 0.997), (2, 4, 100.0, 0.999), (3, 4, 1e-2, 0.95)):
@@ -641,9 +617,7 @@ def run_checks(
     QuadSpec's Monte-Carlo floor, and BudgetError for samples or a grid past
     the node budgets, all before any check runs.
 
-    The suites' rng-free work runs on one background thread, joined before
-    this returns or raises; the checks, and the first failure, are those of
-    the suites run one after another.
+    The suites run one after another on one generator seeded by seed.
     """
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {('all',) + SUITES}")
@@ -664,23 +638,5 @@ def run_checks(
         if "oracle" in names:
             for d in (2, 3):
                 _check_pairing_budget(d, _scaled(_PAIRING_QUADS[d], grid))
-    # Imported here, so that `import hyperex` does not load it.
-    from concurrent.futures import ThreadPoolExecutor
-
     rng = np.random.default_rng(0 if seed is None else seed)
-    pool = ThreadPoolExecutor(1, thread_name_prefix="hyperex-verify")
-    tasks = _Tasks(pool)
-    results = []
-    try:
-        for name in names:
-            try:
-                results.extend(_SUITE_RUNNERS[name](rng, samples, grid, tasks))
-            except Exception:
-                # In one thread, the work queued before this suite ran first.
-                tasks.raise_failure(wait=True)
-                raise
-            # A refusal of the queued work ends the run here, not after the last suite.
-            tasks.raise_failure(wait=False)
-        return [check() if callable(check) else check for check in results]
-    finally:
-        pool.shutdown(cancel_futures=True)
+    return [check for name in names for check in _SUITE_RUNNERS[name](rng, samples, grid)]
