@@ -63,6 +63,26 @@ def norm_sq(xi):
     return out
 
 
+def unit_circle(theta):
+    """(cos theta, sin theta) elementwise, from one tangent of the half angle.
+
+    With h = tan(theta / 2) and q = 1 / (1 + h^2), cos = (1 - h^2) q and
+    sin = 2 h q: within 2 ulp(1) of libm's cos and sin, and one tan in place
+    of two libm calls, which numpy vectorises where the CPU has AVX-512.
+    Not bit-equal to libm, so the deterministic grids keep np.cos and np.sin.
+    """
+    h = np.multiply(theta, 0.5)
+    np.tan(h, out=h)
+    q = np.square(h)
+    c = np.subtract(1.0, q)
+    q += 1.0
+    np.reciprocal(q, out=q)
+    c *= q
+    h *= q
+    h *= 2.0
+    return c, h
+
+
 def lift(params: HyperboloidParams, x) -> SpacetimePoint:
     """Lift a finite base point x in R^d onto the upper sheet."""
     x = np.asarray(x, dtype=float)

@@ -35,6 +35,7 @@ from .geometry import (
     normal_form,
     quasi_distance,
     rotation_embed,
+    unit_circle,
 )
 from .measures import (
     SPHERE_AREA,
@@ -285,19 +286,27 @@ def _suite_lorentz(rng, samples, grid=None):
 
 # ---------------------------------------------------------------- support
 
-def _random_sheet_points(rng, d, s, n, sign):
+def _random_sheet_points(rng, s, sign, xi, tau):
+    """Add one random point of the sheet sign * psi to each sum (xi, tau).
+
+    xi holds the d spatial sums as rows, (d, n); tau is (n,).  Per point the
+    draws are its radius r, exponential of mean 2, its angle theta, uniform
+    on [0, 2 pi), then, for d = 3, the cosine z of its polar angle, uniform
+    on [-1, 1]; cos and sin of theta come from unit_circle.
+    """
+    n = tau.size
     r = rng.exponential(scale=2.0, size=n)
-    u = np.sqrt(s * s + r * r)
-    theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
-    if d == 2:
-        xi = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
-    else:
+    c, sn = unit_circle(rng.uniform(0.0, 2.0 * np.pi, size=n))
+    tau += sign * np.sqrt(s * s + r * r)
+    if xi.shape[0] == 3:
         z = rng.uniform(-1.0, 1.0, size=n)
-        rho = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-        xi = np.column_stack(
-            [r * rho * np.cos(theta), r * rho * np.sin(theta), r * z]
-        )
-    return xi, sign * u
+        xi[2] += r * z
+        # r rho with rho = sqrt(1 - z^2), the radius of the circle at height z
+        r *= np.sqrt(np.maximum(1.0 - z * z, 0.0))
+    c *= r
+    sn *= r
+    xi[0] += c
+    xi[1] += sn
 
 
 def _suite_support(rng, samples, grid=None):
@@ -312,15 +321,13 @@ def _suite_support(rng, samples, grid=None):
     for d in (2, 3):
         s = 1.0
         for sheets in combos:
-            xi = np.zeros((per, d))
+            xi = np.zeros((d, per))
             tau = np.zeros(per)
             for sheet in sheets:
-                dx, dt = _random_sheet_points(
-                    rng, d, s, per, +1.0 if sheet == "plus" else -1.0
-                )
-                xi += dx
-                tau += dt
-            ok = sum_support_predicate(s, sheets, xi, tau)
+                _random_sheet_points(rng, s, +1.0 if sheet == "plus" else -1.0, xi, tau)
+            # The predicate takes (per, d); the transposed view keeps each
+            # coordinate's sums contiguous.
+            ok = sum_support_predicate(s, sheets, xi.T, tau)
             violations += int(per - np.count_nonzero(ok))
             tested += per
     out = [

@@ -20,6 +20,7 @@ from hyperex.geometry import (
     normal_form,
     quasi_distance,
     rotation_embed,
+    unit_circle,
 )
 
 P2 = HyperboloidParams(d=2, s=1.0)
@@ -179,3 +180,16 @@ def test_minkowski_matrix_signature():
     j = minkowski_matrix(3)
     assert np.allclose(np.diag(j), [-1, -1, -1, 1])
     assert np.count_nonzero(j - np.diag(np.diag(j))) == 0
+
+
+def test_unit_circle_is_within_two_ulp_of_libm():
+    rng = np.random.default_rng(0)
+    theta = np.concatenate([
+        rng.uniform(0.0, 2.0 * np.pi, size=10**6),
+        [0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi, np.nextafter(2.0 * np.pi, 0.0)],
+    ])
+    c, s = unit_circle(theta)
+    ulp = np.spacing(1.0)
+    assert np.max(np.abs(c - np.cos(theta))) <= 2.0 * ulp
+    assert np.max(np.abs(s - np.sin(theta))) <= 2.0 * ulp
+    assert np.max(np.abs(c * c + s * s - 1.0)) <= 1e-15

@@ -23,6 +23,7 @@ from hyperex.geometry import (
     compose,
     lift,
     rotation_embed,
+    unit_circle,
 )
 from hyperex.measures import (
     CLOSED_PAIRS,
@@ -669,18 +670,18 @@ def test_pairing_montecarlo_determinism_and_sheets():
     assert minus.value == pytest.approx(a.value, rel=1e-12)
 
 
-@pytest.mark.parametrize("n, samples, flip", [(3, 50_001, 1.0), (2, 2**14, -1.0), (3, 100, 1.0)])
-def test_pairing_montecarlo_blocks_give_the_whole_array_bits(n, samples, flip):
-    # The whole-array estimator, step for step; the oracle streams the same
-    # draws through blocks of samples.
+def _whole_array_pairing(n, samples, flip, seed, circle):
+    # The Monte-Carlo estimator over whole arrays, step for step, with
+    # circle(theta) -> (cos theta, sin theta).
     g = lambda r, tau: np.exp(-0.5 * r * r - 0.8 * (np.abs(tau) - 3.0))
-    rng = np.random.Generator(np.random.PCG64(5))
+    rng = np.random.Generator(np.random.PCG64(seed))
     sum_xi, sum_tau, log_weight = np.zeros((samples, 2)), np.zeros(samples), np.zeros(samples)
     for _ in range(n):
         u = 1.0 + rng.exponential(size=samples)
         theta = rng.uniform(0.0, 2.0 * np.pi, size=samples)
         r = np.sqrt(u * u - 1.0)
-        sum_xi += np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
+        c, sn = circle(theta)
+        sum_xi += np.stack([r * c, r * sn], axis=1)
         sum_tau += u
         log_weight += u - 1.0
     vals = g(np.hypot(sum_xi[:, 0], sum_xi[:, 1]), flip * sum_tau)
@@ -688,8 +689,25 @@ def test_pairing_montecarlo_blocks_give_the_whole_array_bits(n, samples, flip):
     want = (float(np.mean(whole)), float(np.std(whole, ddof=1) / np.sqrt(samples)))
     sheet = "minus" if flip < 0 else "plus"
     got = conv_pairing_oracle(MeasureSpec(P2, sheet), n, g,
-                              QuadSpec(rule="montecarlo", samples=samples, seed=5))
+                              QuadSpec(rule="montecarlo", samples=samples, seed=seed))
+    return got, want
+
+
+@pytest.mark.parametrize("n, samples, flip", [(3, 50_001, 1.0), (2, 2**14, -1.0), (3, 100, 1.0)])
+def test_pairing_montecarlo_blocks_give_the_whole_array_bits(n, samples, flip):
+    # The oracle streams the same draws through blocks of samples.
+    got, want = _whole_array_pairing(n, samples, flip, 5, unit_circle)
     assert got == want
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("seed", [0, 5, 11])
+def test_pairing_montecarlo_matches_the_libm_estimator(n, seed):
+    # unit_circle's cos and sin are within 2 ulp(1) of libm's: the estimate
+    # moves by rounding only.
+    got, want = _whole_array_pairing(n, 50_001, 1.0, seed, lambda t: (np.cos(t), np.sin(t)))
+    assert got.value == pytest.approx(want[0], rel=1e-15, abs=0.0)
+    assert got.error == pytest.approx(want[1], rel=1e-12, abs=0.0)
 
 
 def test_pairing_rejects_unsupported_routes():

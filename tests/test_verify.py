@@ -15,7 +15,7 @@ from hyperex.measures import SPHERE_AREA, MeasureSpec
 from hyperex.quadrature import BudgetError, QuadResult
 from hyperex.verify import (
     _LORENTZ_QUAD, _SCALING_INPUTS, SUITES, _exp_in_place, _invariance_pair, _sheet_reference,
-    run_checks,
+    _random_sheet_points, _suite_support, run_checks,
 )
 
 
@@ -77,6 +77,51 @@ def test_bad_samples_are_refused_before_any_suite_runs(monkeypatch, suite, sampl
     monkeypatch.setattr(hyperex.verify, "_SUITE_RUNNERS", dict.fromkeys(SUITES, unreachable))
     with pytest.raises(ValueError, match=message):
         run_checks(suite, samples=samples)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 1007, 2000, 3003])
+def test_support_suite_draws_in_its_fixed_order(seed):
+    # Per sum and factor: r, theta, then z for d = 3; then the exterior
+    # points.  The later suites' random inputs rest on this order.
+    rng = np.random.default_rng(seed)
+    checks = _suite_support(rng, None)
+    assert [(c.name, c.discrepancy) for c in checks] == [
+        ("membership-containment", 0), ("exterior-exclusion", 0)]
+    replay = np.random.default_rng(seed)
+    per = 1_000_000 // 16
+    for d in (2, 3):
+        for factors in (2,) * 4 + (3,) * 4:
+            for _ in range(factors):
+                replay.exponential(scale=2.0, size=per)
+                replay.uniform(0.0, 2.0 * np.pi, size=per)
+                if d == 3:
+                    replay.uniform(-1.0, 1.0, size=per)
+    for d in (2, 3):
+        replay.normal(size=(100_000 // 4, d))
+        replay.uniform(0.01, 0.5, size=100_000 // 4)
+    assert rng.bit_generator.state == replay.bit_generator.state
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_random_sheet_points_add_sheet_points_to_the_sums(d):
+    # Two factors, plus then minus, against the same draws lifted with
+    # libm's cos and sin.
+    rng = np.random.default_rng(d)
+    xi, tau = np.zeros((d, 1000)), np.zeros(1000)
+    for sign in (1.0, -1.0):
+        _random_sheet_points(rng, 1.5, sign, xi, tau)
+    replay = np.random.default_rng(d)
+    want_xi, want_tau = np.zeros((d, 1000)), np.zeros(1000)
+    for sign in (1.0, -1.0):
+        r = replay.exponential(scale=2.0, size=1000)
+        theta = replay.uniform(0.0, 2.0 * np.pi, size=1000)
+        z = replay.uniform(-1.0, 1.0, size=1000) if d == 3 else np.zeros(1000)
+        rho = r * np.sqrt(1.0 - z * z)
+        want_xi += np.stack([rho * np.cos(theta), rho * np.sin(theta), r * z][:d])
+        want_tau += sign * np.sqrt(1.5**2 + r * r)
+    assert np.array_equal(tau, want_tau)
+    assert np.max(np.abs(xi - want_xi)) <= 1e-14 * np.max(np.abs(want_xi))
+    assert rng.bit_generator.state == replay.bit_generator.state
 
 
 def test_few_samples_run_where_no_monte_carlo_needs_them():
