@@ -16,6 +16,8 @@ integrals in u = psi(y):
 The closed d = 2 form follows from the Laplace transform of the J0 kernel
 with lam = a - i t, which stays in the right half plane, so the square root
 is the principal branch throughout; there is no closed d = 3 form here.
+extension_quadrature integrates the same values in the spatial radius
+r = sqrt(u^2 - s^2) instead, where the phase turns at a bounded rate.
 
 Even L^p norms of T f_a never touch oscillatory integrals: with k = p/2,
 
@@ -38,7 +40,7 @@ import numpy as np
 from .geometry import HyperboloidParams
 from .measures import SPHERE_AREA, ConvClosedForm, conv_reduced_integral
 from .quadrature import (
-    QuadResult, check_budget, gl_nodes, gl_panels, gl_sqrt_panels, two_resolution,
+    QuadResult, check_budget, gl_panels, gl_sqrt_panels, two_resolution,
 )
 from .specfun import bessel_j0, exp_integral_ei, exp_scaled_en, exp_scaled_k1
 
@@ -80,9 +82,20 @@ def extension_closed(profile: ExpProfile, x, t):
 def extension_quadrature(profile: ExpProfile, x, t: float) -> QuadResult:
     """Radial-quadrature extension value at one point, complex, with its error.
 
-    Panels sized to the oscillation frequency |t| + |x|, Gauss-Legendre inside
-    each; the error is a two-order difference.  Works for d = 2 and d = 3.
-    At x = 0 the kernel is its limit, J0(0) = 1 or sin(|x| r)/|x| -> r.
+    Integrates in the spatial radius r = |y|, with u = sqrt(r^2 + s^2):
+
+        int_0^oo e^{-(a - i t) u} K(r) (r / u) dr,
+
+    K(r) = 2 pi J0(|x| r) for d = 2 and (4 pi / |x|) sin(|x| r) for d = 3;
+    at x = 0 the kernel is its limit, 2 pi or 4 pi r.  As du/dr <= 1 the
+    phase t u + |x| r turns at most at |t| + |x| per unit r, so panels of
+    half a period, pi / (|t| + |x|), hold every phase; they are capped where
+    u would move by more than 3/a and at an eighth of the range [0, r_max],
+    cut where e^{-a(u - s)} = e^{-45}.  The integrand is analytic at r = 0, but r / u has branch
+    points at r = +-i s: out of the vertex each panel is no wider than
+    hypot(r, s) at its left edge, growing geometrically until that reaches
+    the half-period width.  Gauss-Legendre inside each panel; the error is
+    a two-order difference.  Works for d = 2 and d = 3.
     """
     a, s, d = profile.a, profile.params.s, profile.params.d
     x = np.asarray(x, dtype=float)
@@ -93,23 +106,28 @@ def extension_quadrature(profile: ExpProfile, x, t: float) -> QuadResult:
         raise ValueError("extension quadrature requires finite x and t")
     x_norm = float(np.linalg.norm(x))
     u_max = s + 45.0 / a
-    freq = abs(t) + x_norm
-    panel = min(0.5 * np.pi / (freq + 1e-9), 3.0 / a, (u_max - s) / 8.0)
-    n_panels = int(math.ceil((u_max - s) / panel))
-    check_budget(n_panels * 32, "extension-quadrature nodes")
-    edges = np.linspace(s, u_max, n_panels + 1)
+    r_max = math.sqrt(45.0 / a * (s + u_max))
+    # u moves by at most r_max / u_max per unit r, so a width of
+    # (3 / a) u_max / r_max lets e^{-a u} fall by at most e^{-3} per panel.
+    panel = min(np.pi / (abs(t) + x_norm + 1e-9), 3.0 / a * u_max / r_max, r_max / 8.0)
+    graded = [0.0]
+    while (step := math.hypot(graded[-1], s)) < panel:
+        graded.append(graded[-1] + step)
+    n_panels = int(math.ceil((r_max - graded[-1]) / panel))
+    check_budget((len(graded) - 1 + n_panels) * 32, "extension-quadrature nodes")
+    edges = np.concatenate([graded[:-1], np.linspace(graded[-1], r_max, n_panels + 1)])
 
     def evaluate(n_per: int) -> complex:
-        # r = sqrt(u^2 - s^2) kinks at u = s, hence the graded first panel.
-        u, w = gl_sqrt_panels(edges, n_per)
-        r = np.sqrt(np.maximum(u * u - s * s, 0.0))
-        osc = np.exp(-(a - 1j * t) * u)
+        r, w = gl_panels(edges, n_per)
+        u = np.sqrt(r * r + s * s)
+        vals = np.exp(-(a - 1j * t) * u)
+        vals *= r / u
         if x_norm == 0.0:
-            vals = 2.0 * np.pi * osc if d == 2 else 4.0 * np.pi * osc * r
+            vals *= 2.0 * np.pi if d == 2 else 4.0 * np.pi * r
         elif d == 2:
-            vals = 2.0 * np.pi * osc * bessel_j0(x_norm * r)
+            vals *= 2.0 * np.pi * bessel_j0(x_norm * r)
         else:
-            vals = (4.0 * np.pi / x_norm) * osc * np.sin(x_norm * r)
+            vals *= (4.0 * np.pi / x_norm) * np.sin(x_norm * r)
         return complex(np.sum(w * vals))
 
     return two_resolution(evaluate, 12, 24)
@@ -267,9 +285,11 @@ def lp_norm_extension_direct(profile: ExpProfile, p: int) -> QuadResult:
     the value and the error estimate: |T|^p ~ C / t^p in time past the last
     time panel of each radial node, and g in rho past the radial cutoff.
 
-    Each radial panel is one batch: the time edges of all its nodes come
-    from one padded edge array, and |T|^p on the whole (rho, t) grid from
-    one real-arithmetic kernel, so no Python work runs per radial node.
+    The time edges of every radial node come from one padded edge array per
+    resolution.  Each radial panel is one batch: its rows of that array,
+    trimmed to the panel's longest row, and |T|^p on the panel's whole
+    (rho, t) grid from one real-arithmetic kernel, so no Python work runs
+    per radial node and no grid wider than one panel is held.
     """
     if profile.params.d != 2:
         raise ValueError("direct norm quadrature is implemented for d = 2 only")
@@ -278,8 +298,7 @@ def lp_norm_extension_direct(profile: ExpProfile, p: int) -> QuadResult:
     a, s = profile.a, profile.params.s
     rho_max = 2000.0 * max(1.0, 1.0 / (a * s * s))
 
-    def radial_mass(rho: np.ndarray, n_per: int) -> tuple[np.ndarray, np.ndarray]:
-        edges, count = _ridge_time_edges(rho, a, s)
+    def radial_mass(rho, edges, count, n_per: int) -> tuple[np.ndarray, np.ndarray]:
         t, w_t = gl_panels(edges, n_per)
         dens = _abs_extension_pow(a, s, rho[:, None], t, p)
         # Time tail from |T|^p ~ C / t^p past the last edge E:
@@ -295,14 +314,16 @@ def lp_norm_extension_direct(profile: ExpProfile, p: int) -> QuadResult:
         edges = [0.0, 0.25 * min(1.0 / a, 1.0 / s, 1.0)]
         while edges[-1] < rho_max:
             edges.append(min(2.0 * edges[-1], rho_max))
-        total, time_tail, r_last, g_last = 0.0, 0.0, 1.0, 0.0
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            nodes, wts = gl_nodes(lo, hi, n_per)
-            g, g_tail = radial_mass(nodes, n_per)
-            total += float(np.dot(wts, g))
-            time_tail += float(np.dot(wts, g_tail))
-            r_last, g_last = float(nodes[-1]), float(g[-1])
-        return total, time_tail, r_last, g_last
+        rho, w_rho = gl_panels(edges, n_per)
+        t_edges, t_count = _ridge_time_edges(rho, a, s)
+        total, time_tail = 0.0, 0.0
+        for lo in range(0, rho.size, n_per):
+            rows = slice(lo, lo + n_per)
+            count = t_count[rows]
+            g, g_tail = radial_mass(rho[rows], t_edges[rows, :count.max()], count, n_per)
+            total += float(np.dot(w_rho[rows], g))
+            time_tail += float(np.dot(w_rho[rows], g_tail))
+        return total, time_tail, float(rho[-1]), float(g[-1])
 
     coarse = evaluate(20)[0]
     fine, time_tail, r_last, g_last = evaluate(28)

@@ -255,19 +255,22 @@ def two_sheeted_combiner_check(samples: int, seed: int | None = None) -> int:
 
     A violation is either a negative gap (inequality broken) or a gap
     inconsistent with equality holding iff X = Y.  Returns the count, which
-    the sharp-inequality suite requires to be zero.
+    the sharp-inequality suite requires to be zero.  Pairs are drawn block
+    by block, X then Y, so no array longer than one block is held.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
     check_budget(samples, "combiner samples")
     rng = np.random.default_rng(0 if seed is None else seed)
-    x = rng.exponential(size=samples)
-    y = rng.exponential(size=samples)
     # Include exact diagonal pairs so the equality case is exercised.
-    x[: samples // 100 + 1] = y[: samples // 100 + 1]
+    diagonal = samples // 100 + 1
     count = 0
     for lo in range(0, samples, _COMBINER_BLOCK):
-        xb, yb = x[lo:lo + _COMBINER_BLOCK], y[lo:lo + _COMBINER_BLOCK]
+        size = min(_COMBINER_BLOCK, samples - lo)
+        xb = rng.exponential(size=size)
+        yb = rng.exponential(size=size)
+        head = max(diagonal - lo, 0)
+        xb[:head] = yb[:head]
         gap = combiner_gap(xb, yb)
         ident = 0.5 * (xb - yb) ** 2
         scale = (1.0 + xb + yb) ** 2

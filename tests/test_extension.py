@@ -135,6 +135,81 @@ def test_quadrature_d2_far_field_matches_closed(t):
     assert abs(val - extension_closed(prof, x, t)) <= err + floor
 
 
+def test_quadrature_d2_random_points_match_closed():
+    # Rates log-uniform over [0.05, 10], s over [0.3, 3], |x| = 0 or up to
+    # 30, |t| up to 30: each value within its error plus the round-off floor
+    # of |T f_a(0, 0)|, and each error bar itself below that floor.
+    rng = np.random.default_rng(20)
+    for _ in range(300):
+        a = math.exp(rng.uniform(math.log(0.05), math.log(10.0)))
+        s = rng.uniform(0.3, 3.0)
+        xn = 0.0 if rng.uniform() < 0.25 else rng.uniform(0.0, 30.0)
+        t = rng.uniform(-30.0, 30.0)
+        prof = ExpProfile(a=a, params=HyperboloidParams(d=2, s=s))
+        x = np.array([xn, 0.0])
+        val, err = extension_quadrature(prof, x, t)
+        floor = 1e-13 * abs(extension_closed(prof, np.zeros(2), 0.0))
+        assert abs(val - extension_closed(prof, x, t)) <= err + floor, (a, s, xn, t)
+        assert err <= floor, (a, s, xn, t)
+
+
+@pytest.mark.parametrize("a, s, t", [
+    (0.05, 0.3, 0.0), (0.3, 1.0, 8.0), (1.0, 2.5, -3.0), (3.0, 0.5, 30.0), (10.0, 3.0, -0.5),
+])
+def test_quadrature_d3_origin_matches_bessel_k(a, s, t):
+    # At x = 0, T f_a = 4 pi int_s^oo e^{-lam u} sqrt(u^2 - s^2) du
+    # = 4 pi s K_1(s lam) / lam with lam = a - i t.
+    prof = ExpProfile(a=a, params=HyperboloidParams(d=3, s=s))
+    val, err = extension_quadrature(prof, np.zeros(3), t)
+    with mpmath.workdps(30):
+        lam = mpmath.mpc(a, -t)
+        want = complex(4 * mpmath.pi * s * mpmath.besselk(1, s * lam) / lam)
+        scale = float(4 * mpmath.pi * s * mpmath.besselk(1, s * a) / a)
+    assert abs(val - want) <= err + 1e-13 * scale
+
+
+def _count_gl_nodes(monkeypatch):
+    """Record the node count of every gl_panels call extension.py makes."""
+    nodes = []
+
+    def counting(edges, n_per):
+        x, w = gl_panels(edges, n_per)
+        nodes.append(x.size)
+        return x, w
+
+    monkeypatch.setattr(hyperex.extension, "gl_panels", counting)
+    return nodes
+
+
+def test_quadrature_corner_takes_half_the_u_rule_nodes(monkeypatch):
+    # The benchmark's largest point, d = 2, a = 0.3, |x| = |t| = 8.  The rule
+    # in u = sqrt(r^2 + s^2) took quarter-period panels: 1,528 panels of
+    # 12 + 24 nodes.  Half-period panels in r cover a range 0.7 % longer
+    # (r_max = sqrt(150 * 152) against u_max - s = 150), so the count is
+    # half of that to within 1 %.
+    nodes = _count_gl_nodes(monkeypatch)
+    prof = ExpProfile(a=0.3, params=P2)
+    x = np.array([8.0, 0.0])
+    val, err = extension_quadrature(prof, x, 8.0)
+    assert sum(nodes) <= 0.51 * 1528 * 36
+    floor = 1e-13 * abs(extension_closed(prof, np.zeros(2), 0.0))
+    assert abs(val - extension_closed(prof, x, 8.0)) <= err + floor
+
+
+@pytest.mark.parametrize("a", [700.0, 1e12])
+def test_quadrature_panel_count_stays_bounded_at_large_rate(monkeypatch, a):
+    # At large a s the profile sits in r <~ sqrt(s / a), where u barely
+    # moves; the decay cap in u keeps about 30 panels there, where a cap of
+    # 3 / a in r would take sqrt(10 a s) of them (a budget error at 1e12).
+    nodes = _count_gl_nodes(monkeypatch)
+    x = np.array([0.5, 0.0])
+    prof = ExpProfile(a=a, params=P2)
+    val, err = extension_quadrature(prof, x, 1.0)
+    assert sum(nodes) <= 31 * 36
+    floor = 1e-13 * abs(extension_closed(prof, np.zeros(2), 0.0))
+    assert abs(val - extension_closed(prof, x, 1.0)) <= err + floor
+
+
 # Time edges of the direct norm at a = 0.3, s = 1, frozen from the scalar
 # per-node edge rule: rho <= a/2 takes no split, a/2 < rho <= 4a the single
 # split at rho, rho > 4a the four cone edges before it.
@@ -164,6 +239,23 @@ def test_ridge_time_edges_match_frozen_rows():
         assert row[:n].tolist() == ref
         # Padding repeats the last edge, so padded panels have zero width.
         assert np.all(row[n:] == ref[-1])
+
+
+@pytest.mark.parametrize("a, s", [(0.3, 1.0), (3.0, 0.5), (1.0, 2.5)])
+def test_ridge_time_edges_of_all_nodes_match_per_panel_calls(a, s):
+    # The direct norm builds the edges of every radial node at once; each
+    # row's kept prefix must be the row a call on its own panel returns.
+    rho_max = 2000.0 * max(1.0, 1.0 / (a * s * s))
+    radial = [0.0, 0.25 * min(1.0 / a, 1.0 / s, 1.0)]
+    while radial[-1] < rho_max:
+        radial.append(min(2.0 * radial[-1], rho_max))
+    rho, _ = gl_panels(radial, 20)
+    edges, count = _ridge_time_edges(rho, a, s)
+    for lo in range(0, rho.size, 20):
+        part, part_count = _ridge_time_edges(rho[lo:lo + 20], a, s)
+        assert np.array_equal(count[lo:lo + 20], part_count)
+        for row, part_row, n in zip(edges[lo:lo + 20], part, part_count):
+            assert np.array_equal(row[:n], part_row[:n])
 
 
 @pytest.mark.parametrize("rho", [0.0, 0.1, 1.0, 8.0])
@@ -359,6 +451,43 @@ def test_direct_norm_error_bounds_its_deviation(p, a):
 @pytest.mark.parametrize("s", [0.5, 2.5])
 def test_direct_norm_error_bounds_its_deviation_off_unit_sheet(p, a, s):
     _assert_direct_error_bounds_deviation(p, a, s)
+
+
+# (p, a, s) -> (value, error) of lp_norm_extension_direct, frozen (float
+# hex) from the rule that built the time edges once per radial panel.
+DIRECT_NORMS = {
+    (4, 0.3, 0.5): ('0x1.d626755cf20a4p+3', '0x1.07e78440e696fp-13'),
+    (4, 0.3, 1.0): ('0x1.6943fadb3df54p+3', '0x1.83fd67c19ab3dp-13'),
+    (4, 0.3, 2.5): ('0x1.831491a3818a1p+2', '0x1.36f8b40ff8894p-13'),
+    (4, 1.0, 0.5): ('0x1.8e95af0ad3019p+2', '0x1.75049fd8a2555p-13'),
+    (4, 1.0, 1.0): ('0x1.a45111ab528d4p+1', '0x1.c7215f7678a19p-13'),
+    (4, 1.0, 2.5): ('0x1.322e03de1a43fp-1', '0x1.6eb6680f43c09p-16'),
+    (4, 3.0, 0.5): ('0x1.62df616fa8381p+0', '0x1.46258096c8445p-13'),
+    (4, 3.0, 1.0): ('0x1.0e8a03c890e10p-2', '0x1.b690e69e90114p-16'),
+    (4, 3.0, 2.5): ('0x1.353e1f982676cp-9', '0x1.79c7c9bbb80a4p-23'),
+    (6, 0.3, 0.5): ('0x1.7c84f593881ffp+3', '0x1.0ea9483b32fc8p-42'),
+    (6, 0.3, 1.0): ('0x1.38b446da65792p+3', '0x1.6722195545e7bp-41'),
+    (6, 0.3, 2.5): ('0x1.6de41099afad0p+2', '0x1.7b4f401d0fc0cp-40'),
+    (6, 1.0, 0.5): ('0x1.0c42b90dcfd43p+2', '0x1.923c019ec685bp-37'),
+    (6, 1.0, 1.0): ('0x1.2e18db583bdb4p+1', '0x1.5f23e95b6b082p-34'),
+    (6, 1.0, 2.5): ('0x1.de7b5c0a0a4a0p-2', '0x1.f629638471442p-36'),
+    (6, 3.0, 0.5): ('0x1.926610cd30f6dp-1', '0x1.13f944d7653cfp-33'),
+    (6, 3.0, 1.0): ('0x1.467d76b3ff830p-3', '0x1.4fa80847a0ae2p-32'),
+    (6, 3.0, 2.5): ('0x1.94286ec70b5efp-10', '0x1.aba9b5c255e97p-34'),
+}
+
+
+@pytest.mark.parametrize("p, a, s", list(DIRECT_NORMS))
+def test_direct_norm_matches_frozen_values(p, a, s):
+    # Each panel is summed over fewer padded zero-width columns than in the
+    # rule these were frozen from, which moves the sums at round-off only.
+    # At p = 6 the coarse/fine part of the error is itself round-off, so it
+    # may move by a fraction of one ulp of the norm; otherwise by at most
+    # 1e-6 of itself.
+    value, error = (float.fromhex(v) for v in DIRECT_NORMS[p, a, s])
+    got = lp_norm_extension_direct(ExpProfile(a=a, params=HyperboloidParams(d=2, s=s)), p)
+    assert abs(got.value - value) <= 2.0 * math.ulp(value)
+    assert abs(got.error - error) <= 1e-6 * error + math.ulp(value)
 
 
 def test_direct_norm_memory_stays_bounded():

@@ -296,11 +296,11 @@ def test_combiner_check_million_samples():
     assert two_sheeted_combiner_check(10 ** 6, seed=7) == 0
 
 
-@pytest.mark.parametrize("samples", [1000, 2 * 2**16, 3 * 2**16 + 123])
-@pytest.mark.parametrize("seed", [0, 5, 11])
-def test_combiner_check_counts_every_block(monkeypatch, samples, seed):
+def _assert_blocked_count(monkeypatch, samples, seed, block):
     # A gap broken on purpose in three ways, so the count is far from zero;
-    # the blocked count must equal one pass over the whole sample.
+    # the blocked count must equal one pass over the whole sample, drawn in
+    # the check's order: x then y per block, the diagonal prefix laid over
+    # the whole sample.
     def faulty_gap(x, y):
         gap = combiner_gap(x, y)
         gap[x > 2.0] = 0.0      # equality claimed off the diagonal
@@ -309,9 +309,14 @@ def test_combiner_check_counts_every_block(monkeypatch, samples, seed):
         return gap
 
     monkeypatch.setattr(hyperex.functionals, "combiner_gap", faulty_gap)
+    monkeypatch.setattr(hyperex.functionals, "_COMBINER_BLOCK", block)
     rng = np.random.default_rng(seed)
-    x = rng.exponential(size=samples)
-    y = rng.exponential(size=samples)
+    xs, ys = [], []
+    for lo in range(0, samples, block):
+        size = min(block, samples - lo)
+        xs.append(rng.exponential(size=size))
+        ys.append(rng.exponential(size=size))
+    x, y = np.concatenate(xs), np.concatenate(ys)
     x[: samples // 100 + 1] = y[: samples // 100 + 1]
     gap = faulty_gap(x, y)
     scale = (1.0 + x + y) ** 2
@@ -322,6 +327,18 @@ def test_combiner_check_counts_every_block(monkeypatch, samples, seed):
     )
     assert want > samples // 20
     assert two_sheeted_combiner_check(samples, seed=seed) == want
+
+
+@pytest.mark.parametrize("samples", [1000, 2 * 2**16, 3 * 2**16 + 123])
+@pytest.mark.parametrize("seed", [0, 5, 11])
+def test_combiner_check_counts_every_block(monkeypatch, samples, seed):
+    _assert_blocked_count(monkeypatch, samples, seed, hyperex.functionals._COMBINER_BLOCK)
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_combiner_check_keeps_the_diagonal_across_block_edges(monkeypatch, seed):
+    # 1,311 diagonal pairs over blocks of 64: the prefix spans 21 blocks.
+    _assert_blocked_count(monkeypatch, 2 * 2**16, seed, 64)
 
 
 def test_combiner_check_deterministic():
