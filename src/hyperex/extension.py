@@ -37,10 +37,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import HyperboloidParams
+from .geometry import HyperboloidParams, unit_circle
 from .measures import SPHERE_AREA, ConvClosedForm, conv_reduced_integral
 from .quadrature import (
-    QuadResult, check_budget, gl_panels, gl_sqrt_panels, two_resolution,
+    BudgetError, QuadResult, check_budget, gl_panels, gl_sqrt_panels, two_resolution,
 )
 from .specfun import bessel_j0, exp_integral_ei, exp_scaled_en, exp_scaled_k1
 
@@ -95,7 +95,8 @@ def extension_quadrature(profile: ExpProfile, x, t: float) -> QuadResult:
     points at r = +-i s: out of the vertex each panel is no wider than
     hypot(r, s) at its left edge, growing geometrically until that reaches
     the half-period width.  Gauss-Legendre inside each panel; the error is
-    a two-order difference.  Works for d = 2 and d = 3.
+    a two-order difference.  Works for d = 2 and d = 3.  The real factor comes
+    first; cos and sin of t u (and sin(|x| r)) come from geometry.unit_circle.
     """
     a, s, d = profile.a, profile.params.s, profile.params.d
     x = np.asarray(x, dtype=float)
@@ -104,7 +105,7 @@ def extension_quadrature(profile: ExpProfile, x, t: float) -> QuadResult:
     t = float(t)
     if not (np.all(np.isfinite(x)) and math.isfinite(t)):
         raise ValueError("extension quadrature requires finite x and t")
-    x_norm = float(np.linalg.norm(x))
+    x_norm = math.hypot(*x)
     u_max = s + 45.0 / a
     r_max = math.sqrt(45.0 / a * (s + u_max))
     # u moves by at most r_max / u_max per unit r, so a width of
@@ -113,22 +114,26 @@ def extension_quadrature(profile: ExpProfile, x, t: float) -> QuadResult:
     graded = [0.0]
     while (step := math.hypot(graded[-1], s)) < panel:
         graded.append(graded[-1] + step)
-    n_panels = int(math.ceil((r_max - graded[-1]) / panel))
+    if not (panel > 0.0 and math.isfinite(span := (r_max - graded[-1]) / panel)):
+        raise BudgetError("extension-quadrature nodes exceed every finite budget")
+    n_panels = math.ceil(span)
     check_budget((len(graded) - 1 + n_panels) * 32, "extension-quadrature nodes")
     edges = np.concatenate([graded[:-1], np.linspace(graded[-1], r_max, n_panels + 1)])
 
     def evaluate(n_per: int) -> complex:
         r, w = gl_panels(edges, n_per)
-        u = np.sqrt(r * r + s * s)
-        vals = np.exp(-(a - 1j * t) * u)
-        vals *= r / u
         if x_norm == 0.0:
-            vals *= 2.0 * np.pi if d == 2 else 4.0 * np.pi * r
-        elif d == 2:
-            vals *= 2.0 * np.pi * bessel_j0(x_norm * r)
+            mag = w * (2.0 * np.pi if d == 2 else 4.0 * np.pi * r)
         else:
-            vals *= (4.0 * np.pi / x_norm) * np.sin(x_norm * r)
-        return complex(np.sum(w * vals))
+            mag = bessel_j0(x_norm * r) if d == 2 else unit_circle(x_norm * r)[1]
+            mag *= w
+            mag *= 2.0 * np.pi if d == 2 else 4.0 * np.pi / x_norm
+        u = np.sqrt(r * r + s * s)
+        mag *= np.divide(r, u, out=r)
+        mag *= np.exp(-a * u)
+        # e^{-(a - i t) u} = e^{-a u} (cos t u + i sin t u).
+        c, sn = unit_circle(np.multiply(u, t, out=u))
+        return complex(np.dot(mag, c), np.dot(mag, sn))
 
     return two_resolution(evaluate, 12, 24)
 
@@ -229,8 +234,8 @@ def _ridge_time_edges(rho: np.ndarray, a: float, s: float) -> tuple[np.ndarray, 
     Near |t| = rho the closed form gives Re w = sqrt(rho) *
     sqrt(sqrt(dt^2 + a^2) - dt) with dt = |t| - rho, which relaxes to its
     floor a only once dt >> (a s)^2 rho.  Panels: a few inside the cone,
-    a split pair across |t| = rho, then geometric doubling out to a far
-    cutoff; the caller extrapolates the 1/t^p tail beyond it.
+    a split pair across |t| = rho, then geometric doubling out to
+    2 (rho + a); _time_integrals covers the rest of the row in 1/t.
 
     One row per radial node: returns the (rows, edges) array, each row
     padded with its last edge (zero-width panels), and the per-row count.
@@ -239,11 +244,11 @@ def _ridge_time_edges(rho: np.ndarray, a: float, s: float) -> tuple[np.ndarray, 
     wide, split = rho > 8.0 * delta, rho > delta
     cols = [np.zeros_like(rho), 0.5 * rho, rho - 4.0 * delta, rho - delta, rho, rho + delta]
     keep = [np.ones_like(wide), wide, wide, wide, split, split]
-    t_max = np.maximum(100.0 * rho, max(100.0 / s, 100.0 / a))
+    t_max = 2.0 * (rho + a)
     lo, step = np.where(split, rho + delta, 0.0), delta
     while np.any(active := lo < t_max):
         step *= 2.0
-        lo = np.where(active, np.minimum(lo + step, t_max + 1.0), lo)
+        lo = np.where(active, np.minimum(lo + step, t_max), lo)
         cols.append(lo)
         keep.append(active)
     # Move each row's kept edges to its front, in order, and pad with the last.
@@ -252,6 +257,22 @@ def _ridge_time_edges(rho: np.ndarray, a: float, s: float) -> tuple[np.ndarray, 
     count = keep.sum(axis=1)
     pad = np.arange(edges.shape[1]) >= count[:, None]
     return np.where(pad, edges[np.arange(rho.size), count - 1][:, None], edges), count
+
+
+def _time_integrals(a: float, s: float, rho: np.ndarray, edges: np.ndarray, p: int,
+                    n_per: int) -> np.ndarray:
+    """int_R |T f_a(rho e1, t)|^p dt per row of time edges, n_per nodes a panel.
+
+    [E, oo) past a row's last edge E = 2 (rho + a) is one panel in v = 1/t, where
+    |T|^p / v^2 is v^(p-2) times a function analytic out to the branch points
+    t = +-rho +- i a, at |v| >= 2 / E: three half-lengths from the centre.
+    """
+    t, w_t = gl_panels(edges, n_per)
+    v, w_v = gl_panels(np.stack([np.zeros_like(rho), 1.0 / edges[:, -1]], 1), n_per)
+    t = np.concatenate([t, 1.0 / v], axis=1)
+    w_t = np.concatenate([w_t, w_v / (v * v)], axis=1)
+    # Factor 2: the density is even in t.
+    return 2.0 * np.sum(w_t * _abs_extension_pow(a, s, rho[:, None], t, p), axis=1)
 
 
 def _abs_extension_pow(a: float, s: float, rho, t, p: int):
@@ -280,10 +301,10 @@ def lp_norm_extension_direct(profile: ExpProfile, p: int) -> QuadResult:
     decay exponent s Re w stalls near s a, so the radial mass profile
     g(rho) = 2 pi rho int |T|^p dt falls off like C / rho^(p-2) instead of
     exponentially.  The time panels therefore track the ridge per radial
-    node, the radial panels double out to a large cutoff, and the leftover
-    tails are extrapolated through their power laws and folded into both
-    the value and the error estimate: |T|^p ~ C / t^p in time past the last
-    time panel of each radial node, and g in rho past the radial cutoff.
+    node, and one panel in v = 1/t takes each row's rest at the row's order,
+    so the coarse/fine difference covers it.  The radial panels double out
+    to a large cutoff; the tail past it is extrapolated through g and
+    folded into both the value and the error estimate.
 
     The time edges of every radial node come from one padded edge array per
     resolution.  Each radial panel is one batch: its rows of that array,
@@ -298,38 +319,25 @@ def lp_norm_extension_direct(profile: ExpProfile, p: int) -> QuadResult:
     a, s = profile.a, profile.params.s
     rho_max = 2000.0 * max(1.0, 1.0 / (a * s * s))
 
-    def radial_mass(rho, edges, count, n_per: int) -> tuple[np.ndarray, np.ndarray]:
-        t, w_t = gl_panels(edges, n_per)
-        dens = _abs_extension_pow(a, s, rho[:, None], t, p)
-        # Time tail from |T|^p ~ C / t^p past the last edge E:
-        # int_E^oo = |T(E)|^p E / (p - 1), |T(E)|^p extrapolated from the last node.
-        rows, last = np.arange(count.size), (count - 1) * n_per - 1
-        t_end = edges[rows, count - 1]
-        tail = dens[rows, last] * (t[rows, last] / t_end) ** p * t_end / (p - 1)
-        # Factor 2: the density is even in t.
-        scale = 4.0 * np.pi * rho
-        return scale * (np.sum(w_t * dens, axis=1) + tail), scale * tail
-
-    def evaluate(n_per: int) -> tuple[float, float, float, float]:
+    def evaluate(n_per: int) -> tuple[float, float, float]:
         edges = [0.0, 0.25 * min(1.0 / a, 1.0 / s, 1.0)]
         while edges[-1] < rho_max:
             edges.append(min(2.0 * edges[-1], rho_max))
         rho, w_rho = gl_panels(edges, n_per)
         t_edges, t_count = _ridge_time_edges(rho, a, s)
-        total, time_tail = 0.0, 0.0
+        total = 0.0
         for lo in range(0, rho.size, n_per):
             rows = slice(lo, lo + n_per)
-            count = t_count[rows]
-            g, g_tail = radial_mass(rho[rows], t_edges[rows, :count.max()], count, n_per)
+            g = 2.0 * np.pi * rho[rows] * _time_integrals(
+                a, s, rho[rows], t_edges[rows, :t_count[rows].max()], p, n_per)
             total += float(np.dot(w_rho[rows], g))
-            time_tail += float(np.dot(w_rho[rows], g_tail))
-        return total, time_tail, float(rho[-1]), float(g[-1])
+        return total, float(rho[-1]), float(g[-1])
 
     coarse = evaluate(20)[0]
-    fine, time_tail, r_last, g_last = evaluate(28)
+    fine, r_last, g_last = evaluate(28)
     # Radial tail from g ~ C / rho^(p-2):  int_R^oo g = g(R) R / (p - 3).
     tail = g_last * (r_last / rho_max) ** (p - 2) * rho_max / (p - 3)
     total = fine + tail
     norm_p = total ** (1.0 / p)
-    err = abs(fine - coarse) + time_tail + tail
+    err = abs(fine - coarse) + tail
     return QuadResult(value=norm_p, error=norm_p * err / (p * total))

@@ -67,9 +67,11 @@ def unit_circle(theta):
     """(cos theta, sin theta) elementwise, from one tangent of the half angle.
 
     With h = tan(theta / 2) and q = 1 / (1 + h^2), cos = (1 - h^2) q and
-    sin = 2 h q: within 2 ulp(1) of libm's cos and sin, and one tan in place
-    of two libm calls, which numpy vectorises where the CPU has AVX-512.
-    Not bit-equal to libm, so the deterministic grids keep np.cos and np.sin.
+    sin = 2 h q: within 2 ulp(1) of libm's for |theta| up to 1.3e3 at least,
+    and one tan in place of two libm calls, which numpy vectorises where the
+    CPU has AVX-512.  For per-sample and per-node phases; the fixed grids
+    whose bits other results pin keep np.cos and np.sin (_sphere_nodes,
+    trapezoid_angles, J0's quarter-circle nodes, the chord oracle).
     """
     h = np.multiply(theta, 0.5)
     np.tan(h, out=h)

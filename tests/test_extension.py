@@ -29,6 +29,7 @@ from hyperex.extension import (
     lp_norm_extension_via_conv,
     _abs_extension_pow,
     _ridge_time_edges,
+    _time_integrals,
 )
 from hyperex.geometry import HyperboloidParams
 from hyperex.quadrature import BudgetError, QuadResult, QuadSpec, gl_nodes, gl_panels
@@ -210,24 +211,18 @@ def test_quadrature_panel_count_stays_bounded_at_large_rate(monkeypatch, a):
     assert abs(val - extension_closed(prof, x, 1.0)) <= err + floor
 
 
-# Time edges of the direct norm at a = 0.3, s = 1, frozen from the scalar
-# per-node edge rule: rho <= a/2 takes no split, a/2 < rho <= 4a the single
-# split at rho, rho > 4a the four cone edges before it.
+# Time edges of the direct norm at a = 0.3, s = 1, frozen from the edge rule
+# that stops at 2 (rho + a): rho <= a/2 takes no split, a/2 < rho <= 4a the
+# single split at rho, rho > 4a the four cone edges before it.
 RIDGE_EDGES = {
-    0.0: [0.0, 0.3, 0.8999999999999999, 2.0999999999999996, 4.5, 9.3, 18.9,
-          38.099999999999994, 76.5, 153.3, 306.9, 334.33333333333337],
-    0.1: [0.0, 0.3, 0.8999999999999999, 2.0999999999999996, 4.5, 9.3, 18.9,
-          38.099999999999994, 76.5, 153.3, 306.9, 334.33333333333337],
-    1.0: [0.0, 1.0, 1.15, 1.45, 2.05, 3.25, 5.65, 10.45, 20.049999999999997,
-          39.25, 77.65, 154.45, 308.04999999999995, 334.33333333333337],
+    0.0: [0.0, 0.3, 0.6],
+    0.1: [0.0, 0.3, 0.8],
+    1.0: [0.0, 1.0, 1.15, 1.45, 2.05, 2.6],
     8.0: [0.0, 4.0, 7.4, 7.85, 8.0, 8.15, 8.450000000000001, 9.05, 10.25,
-          12.65, 17.45, 27.049999999999997, 46.25, 84.65, 161.45,
-          315.04999999999995, 622.25, 801.0],
+          12.65, 16.6],
     1e3: [0.0, 500.0, 999.4, 999.85, 1000.0, 1000.15, 1000.4499999999999,
           1001.05, 1002.25, 1004.65, 1009.4499999999999, 1019.05, 1038.25,
-          1076.65, 1153.45, 1307.05, 1614.25, 2228.65, 3457.45,
-          5915.049999999999, 10830.25, 20660.65, 40321.45, 79643.04999999999,
-          100001.0],
+          1076.65, 1153.45, 1307.05, 1614.25, 2000.6],
 }
 
 
@@ -316,6 +311,17 @@ def test_quadrature_d3_bessel_k_identity():
 def test_quadrature_frequency_budget():
     with pytest.raises(BudgetError):
         extension_quadrature(PROF2, np.array([0.0, 0.0]), 1.0e6)
+
+
+@pytest.mark.parametrize("prof", [PROF2, PROF3], ids=["d2", "d3"])
+@pytest.mark.parametrize("x_norm, t", [(0.0, 1e308), (1e308, 1.0), (1e308, 1e308)])
+def test_quadrature_refuses_frequencies_near_the_float_maximum(prof, x_norm, t):
+    # The panel count (r_max - r) / panel is not finite here; it must end in
+    # a BudgetError, not an OverflowError from its int conversion.
+    x = np.zeros(prof.params.d)
+    x[0] = x_norm
+    with pytest.raises(BudgetError):
+        extension_quadrature(prof, x, t)
 
 
 @settings(max_examples=60, deadline=None)
@@ -441,8 +447,9 @@ def _assert_direct_error_bounds_deviation(p, a, s):
 @pytest.mark.parametrize("p", [4, 6])
 @pytest.mark.parametrize("a", [0.3, 1.0, 3.0])
 def test_direct_norm_error_bounds_its_deviation(p, a):
-    # The time tail |T|^p ~ C / t^p past the last time panel sits in the
-    # value and the error; without it p = 6 at a s >= 1 missed its estimate.
+    # Each time row's rest past 2 (rho + a) is integrated in 1/t at the
+    # row's own order, so the coarse/fine error covers it; with no time tail
+    # at all p = 6 at a s >= 1 missed its estimate.
     _assert_direct_error_bounds_deviation(p, a, 1.0)
 
 
@@ -454,33 +461,31 @@ def test_direct_norm_error_bounds_its_deviation_off_unit_sheet(p, a, s):
 
 
 # (p, a, s) -> (value, error) of lp_norm_extension_direct, frozen (float
-# hex) from the rule that built the time edges once per radial panel.
+# hex) from the rule that integrates each time row past 2 (rho + a) in 1/t.
 DIRECT_NORMS = {
-    (4, 0.3, 0.5): ('0x1.d626755cf20a4p+3', '0x1.07e78440e696fp-13'),
-    (4, 0.3, 1.0): ('0x1.6943fadb3df54p+3', '0x1.83fd67c19ab3dp-13'),
-    (4, 0.3, 2.5): ('0x1.831491a3818a1p+2', '0x1.36f8b40ff8894p-13'),
-    (4, 1.0, 0.5): ('0x1.8e95af0ad3019p+2', '0x1.75049fd8a2555p-13'),
-    (4, 1.0, 1.0): ('0x1.a45111ab528d4p+1', '0x1.c7215f7678a19p-13'),
-    (4, 1.0, 2.5): ('0x1.322e03de1a43fp-1', '0x1.6eb6680f43c09p-16'),
-    (4, 3.0, 0.5): ('0x1.62df616fa8381p+0', '0x1.46258096c8445p-13'),
-    (4, 3.0, 1.0): ('0x1.0e8a03c890e10p-2', '0x1.b690e69e90114p-16'),
-    (4, 3.0, 2.5): ('0x1.353e1f982676cp-9', '0x1.79c7c9bbb80a4p-23'),
-    (6, 0.3, 0.5): ('0x1.7c84f593881ffp+3', '0x1.0ea9483b32fc8p-42'),
-    (6, 0.3, 1.0): ('0x1.38b446da65792p+3', '0x1.6722195545e7bp-41'),
-    (6, 0.3, 2.5): ('0x1.6de41099afad0p+2', '0x1.7b4f401d0fc0cp-40'),
-    (6, 1.0, 0.5): ('0x1.0c42b90dcfd43p+2', '0x1.923c019ec685bp-37'),
-    (6, 1.0, 1.0): ('0x1.2e18db583bdb4p+1', '0x1.5f23e95b6b082p-34'),
-    (6, 1.0, 2.5): ('0x1.de7b5c0a0a4a0p-2', '0x1.f629638471442p-36'),
-    (6, 3.0, 0.5): ('0x1.926610cd30f6dp-1', '0x1.13f944d7653cfp-33'),
-    (6, 3.0, 1.0): ('0x1.467d76b3ff830p-3', '0x1.4fa80847a0ae2p-32'),
-    (6, 3.0, 2.5): ('0x1.94286ec70b5efp-10', '0x1.aba9b5c255e97p-34'),
+    (4, 0.3, 0.5): ('0x1.d626755cf1105p+3', '0x1.07a3b13d0e167p-13'),
+    (4, 0.3, 1.0): ('0x1.6943fadb3cfc7p+3', '0x1.83ab62afb5d45p-13'),
+    (4, 0.3, 2.5): ('0x1.831491a380cdap+2', '0x1.36a096f7f67b5p-13'),
+    (4, 1.0, 0.5): ('0x1.8e95af0aceda8p+2', '0x1.7398214a8a97cp-13'),
+    (4, 1.0, 1.0): ('0x1.a45111ab703bap+1', '0x1.c4872ae1c1cd3p-13'),
+    (4, 1.0, 2.5): ('0x1.322e03deba300p-1', '0x1.662bb10e4b8bap-16'),
+    (4, 3.0, 0.5): ('0x1.62df61704bedcp+0', '0x1.43c89d262585cp-13'),
+    (4, 3.0, 1.0): ('0x1.0e8a03cfbcb5cp-2', '0x1.a92c8eeebe4b5p-16'),
+    (4, 3.0, 2.5): ('0x1.353e2093b7d8cp-9', '0x1.2141fe42715eep-23'),
+    (6, 0.3, 0.5): ('0x1.7c84f593881ffp+3', '0x1.4106e4207dcd0p-43'),
+    (6, 0.3, 1.0): ('0x1.38b446da65792p+3', '0x1.2b640daf5cddbp-41'),
+    (6, 0.3, 2.5): ('0x1.6de41099afad0p+2', '0x1.5e0294ce8cb08p-40'),
+    (6, 1.0, 0.5): ('0x1.0c42b90dcfd43p+2', '0x1.7662f7926e88cp-40'),
+    (6, 1.0, 1.0): ('0x1.2e18db583bdbfp+1', '0x1.6bc280f617880p-37'),
+    (6, 1.0, 2.5): ('0x1.de7b5c0a0a4f1p-2', '0x1.9454e8ec8a0a1p-42'),
+    (6, 3.0, 0.5): ('0x1.926610cd31026p-1', '0x1.3519c3cd3b1d4p-36'),
+    (6, 3.0, 1.0): ('0x1.467d76b40184dp-3', '0x1.525659c64adeep-39'),
+    (6, 3.0, 2.5): ('0x1.94286ec8da8c4p-10', '0x1.6ebffa3af8cf4p-48'),
 }
 
 
 @pytest.mark.parametrize("p, a, s", list(DIRECT_NORMS))
 def test_direct_norm_matches_frozen_values(p, a, s):
-    # Each panel is summed over fewer padded zero-width columns than in the
-    # rule these were frozen from, which moves the sums at round-off only.
     # At p = 6 the coarse/fine part of the error is itself round-off, so it
     # may move by a fraction of one ulp of the norm; otherwise by at most
     # 1e-6 of itself.
@@ -488,6 +493,49 @@ def test_direct_norm_matches_frozen_values(p, a, s):
     got = lp_norm_extension_direct(ExpProfile(a=a, params=HyperboloidParams(d=2, s=s)), p)
     assert abs(got.value - value) <= 2.0 * math.ulp(value)
     assert abs(got.error - error) <= 1e-6 * error + math.ulp(value)
+
+
+def _lp_norm_mpmath(p, a, s):
+    # ||T f_a||_p^p = (2 pi)^3 ||(f_a sigma)^{*k}||^2 with the closed Ei
+    # (k = 2) and E_3 (k = 3) products, in 40 digits.
+    with mpmath.workdps(40):
+        a, s = mpmath.mpf(a), mpmath.mpf(s)
+        if p == 4:
+            conv = -(2 * mpmath.pi) ** 3 * mpmath.ei(-4 * a * s) / (2 * a)
+        else:
+            conv = (2 * mpmath.pi) ** 5 * mpmath.expint(3, 6 * a * s) / (4 * a**3)
+        return float(((2 * mpmath.pi) ** 3 * conv) ** (mpmath.mpf(1) / p))
+
+
+@pytest.mark.parametrize("p", [4, 6])
+@pytest.mark.parametrize("a", [0.05, 0.1, 0.3, 1.0, 3.0, 10.0])
+@pytest.mark.parametrize("s", [0.5, 1.0, 2.5])
+def test_direct_norm_error_bounds_its_deviation_from_mpmath(p, a, s):
+    got = lp_norm_extension_direct(ExpProfile(a=a, params=HyperboloidParams(d=2, s=s)), p)
+    ref = _lp_norm_mpmath(p, a, s)
+    assert abs(got.value - ref) <= got.error + 1e-13 * ref
+
+
+@pytest.mark.parametrize("p, bound", [(4, 1e-11), (6, 1e-13)])
+def test_direct_norm_time_tail_is_integrated_not_extrapolated(p, bound):
+    # The C / t^p extrapolation of the time tail it replaces was off by
+    # 1.6e-9 (p = 4) and 1.4e-12 (p = 6) relative here.
+    got = lp_norm_extension_direct(ExpProfile(a=3.0, params=P2), p)
+    assert abs(got.value / _lp_norm_mpmath(p, 3.0, 1.0) - 1.0) <= bound
+
+
+@pytest.mark.parametrize("p", [4, 6])
+@pytest.mark.parametrize("a, s", [(0.05, 1.0), (0.3, 1.0), (3.0, 0.5), (10.0, 2.5)])
+@pytest.mark.parametrize("n_per", [20, 28])
+def test_time_integral_of_the_rho_zero_row(p, a, s, n_per):
+    # At rho = 0, |T|^p = (2 pi)^p e^{-p s a} (a^2 + t^2)^{-p/2}, and
+    # int_0^oo (a^2 + t^2)^{-p/2} dt = pi / (4 a^3) (p = 4), 3 pi / (16 a^5) (p = 6).
+    rho = np.zeros(1)
+    edges, _ = _ridge_time_edges(rho, a, s)
+    got = _time_integrals(a, s, rho, edges, p, n_per)[0]
+    line = math.pi / (4.0 * a**3) if p == 4 else 3.0 * math.pi / (16.0 * a**5)
+    want = 2.0 * (2.0 * math.pi) ** p * math.exp(-p * s * a) * line
+    assert got == pytest.approx(want, rel=1e-14)
 
 
 def test_direct_norm_memory_stays_bounded():

@@ -183,10 +183,14 @@ def test_minkowski_matrix_signature():
 
 
 def test_unit_circle_is_within_two_ulp_of_libm():
+    # Up to 1.3e3: the extension kernels' phases t u and J0's Hankel
+    # arguments reach about 1,250.
     rng = np.random.default_rng(0)
     theta = np.concatenate([
         rng.uniform(0.0, 2.0 * np.pi, size=10**6),
-        [0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi, np.nextafter(2.0 * np.pi, 0.0)],
+        rng.uniform(-1.3e3, 1.3e3, size=10**6),
+        [0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi, np.nextafter(2.0 * np.pi, 0.0),
+         1.3e3, 399.0 * np.pi],
     ])
     c, s = unit_circle(theta)
     ulp = np.spacing(1.0)
