@@ -40,9 +40,10 @@ import numpy as np
 from .geometry import HyperboloidParams, unit_circle
 from .measures import SPHERE_AREA, ConvClosedForm, conv_reduced_integral
 from .quadrature import (
-    BudgetError, QuadResult, check_budget, gl_panels, gl_sqrt_panels, two_resolution,
+    BudgetError, QuadResult, check_budget, gl_panels, gl_panels_to_inf, gl_sqrt_panels,
+    two_resolution,
 )
-from .specfun import bessel_j0, exp_integral_ei, exp_scaled_en, exp_scaled_k1
+from .specfun import bessel_j0, exp_scaled_en, exp_scaled_k1
 
 
 @dataclass(frozen=True)
@@ -176,30 +177,25 @@ def conv_power_l2_sq(
     underflows; value and error scale alike.
     """
     d, s, a = profile.params.d, profile.params.s, profile.a
+    z = a * s
     form = ConvClosedForm(d, k, s)
+    weight = 1.0 if exp_scaled else math.exp(-2.0 * k * z)
     if method == "closed":
-        z = a * s
-        weight = 1.0 if exp_scaled else math.exp(-2.0 * k * z)
         if d == 3:
             value = 8.0 * np.pi**3 * s / a**3 * weight * exp_scaled_k1(4.0 * z)
         elif k == 3:
-            e3 = weight * exp_scaled_en(3, 6.0 * z)
-            value = (2.0 * np.pi) ** 5 * e3 / (4.0 * a**3)
+            value = (2.0 * np.pi) ** 5 * (weight * exp_scaled_en(3, 6.0 * z)) / (4.0 * a**3)
         else:
-            e1 = exp_scaled_en(1, 4.0 * z) if exp_scaled else -exp_integral_ei(-4.0 * a * s)
-            value = (2.0 * np.pi) ** 3 * e1 / (2.0 * a)
+            value = (2.0 * np.pi) ** 3 * (weight * exp_scaled_en(1, 4.0 * z)) / (2.0 * a)
         return QuadResult(value=value, error=0.0)
     if method != "quadrature":
         raise ValueError("method must be 'closed' or 'quadrature'")
-
-    base = k * s
 
     # Outer nodes in w' on the panels (0, 1), (1, 5), (5, 15), (15, 60); the
     # first is graded, because the d = 3 inner integral grows like w'^{3/2}
     # from the support vertex.
     wp, wp_w = gl_sqrt_panels([0.0, 1.0, 5.0, 15.0, 60.0], _RADIAL_NODES)
-    tau, tau_w = base + wp / (2.0 * a), wp_w * np.exp(-wp)
-    weight = 1.0 if exp_scaled else math.exp(-2.0 * a * base)
+    tau, tau_w = k * s + wp / (2.0 * a), wp_w * np.exp(-wp)
 
     def outer(n_nodes: int) -> float:
         total = conv_reduced_integral(form, lambda rho, t, dens: dens, tau, tau_w, n_nodes)
@@ -213,19 +209,25 @@ def lp_norm_extension_via_conv(
 ) -> QuadResult:
     """||T f_a||_p through the convolution identity; p = 2k for k in {2, 3}.
 
-    ||T f||_{2k}^{2k} = (2 pi)^{d+1} ||(f sigma)^{*k}||_2^2.
+    ||T f||_{2k}^{2k} = (2 pi)^{d+1} ||(f sigma)^{*k}||_2^2, with the p-th power
+    exp-scaled (_scaled_root): the norm holds for a s up to about 700, reads 0
+    with a finite error once it underflows, and a s past ~1e16 is refused.
     """
     if p not in (4, 6):
         raise ValueError("p must be 4 or 6")
-    k = p // 2
-    d = profile.params.d
-    norm_sq = conv_power_l2_sq(profile, k, method=method)
-    value = ((2.0 * np.pi) ** (d + 1) * norm_sq.value) ** (1.0 / p)
-    if norm_sq.value > 0:
-        error = value * norm_sq.error / (p * norm_sq.value)
-    else:
-        error = float("nan")
-    return QuadResult(value=value, error=error)
+    scale = (2.0 * np.pi) ** (profile.params.d + 1)
+    norm_sq = conv_power_l2_sq(profile, p // 2, method=method, exp_scaled=True)
+    z = profile.a * profile.params.s
+    return _scaled_root(scale * norm_sq.value, scale * norm_sq.error, p, z)
+
+
+def _scaled_root(power: float, error: float, p: int, z: float) -> QuadResult:
+    """||T f_a||_p and its error from P = e^{p z} ||T f_a||_p^p, z = a s, which does
+    not underflow with z, and P's error; e^{-z} multiplies the root last."""
+    if not 0.0 < power < math.inf:
+        raise ValueError(f"exp-scaled p-th power of the L^{p} norm is {power} at a s = {z:g}")
+    norm = power ** (1.0 / p) * math.exp(-z)
+    return QuadResult(value=norm, error=norm * error / (p * power))
 
 
 def _ridge_time_edges(rho: np.ndarray, a: float, s: float) -> tuple[np.ndarray, np.ndarray]:
@@ -261,25 +263,23 @@ def _ridge_time_edges(rho: np.ndarray, a: float, s: float) -> tuple[np.ndarray, 
 
 def _time_integrals(a: float, s: float, rho: np.ndarray, edges: np.ndarray, p: int,
                     n_per: int) -> np.ndarray:
-    """int_R |T f_a(rho e1, t)|^p dt per row of time edges, n_per nodes a panel.
+    """e^{p s a} int_R |T f_a(rho e1, t)|^p dt per row of time edges, n_per nodes a panel.
 
     [E, oo) past a row's last edge E = 2 (rho + a) is one panel in v = 1/t, where
     |T|^p / v^2 is v^(p-2) times a function analytic out to the branch points
     t = +-rho +- i a, at |v| >= 2 / E: three half-lengths from the centre.
     """
-    t, w_t = gl_panels(edges, n_per)
-    v, w_v = gl_panels(np.stack([np.zeros_like(rho), 1.0 / edges[:, -1]], 1), n_per)
-    t = np.concatenate([t, 1.0 / v], axis=1)
-    w_t = np.concatenate([w_t, w_v / (v * v)], axis=1)
+    t, w_t = gl_panels_to_inf(edges, n_per)
     # Factor 2: the density is even in t.
     return 2.0 * np.sum(w_t * _abs_extension_pow(a, s, rho[:, None], t, p), axis=1)
 
 
 def _abs_extension_pow(a: float, s: float, rho, t, p: int):
-    """|T f_a(rho e1, t)|^p for d = 2 and p in {4, 6}, in real arithmetic.
+    """e^{p s a} |T f_a(rho e1, t)|^p for d = 2 and p in {4, 6}, in real arithmetic.
 
     |T|^p = (2 pi)^p e^{-p s Re w} / |arg|^{p/2} with arg = w^2 = (a^2 - t^2
     + rho^2) - 2iat, and Re w from the stable half-angle form of the root.
+    As Re w >= a, the scaled factor e^{-p s (Re w - a)} is at most 1.
     """
     re = (a * a - t * t) + rho * rho
     im = 2.0 * a * t
@@ -287,7 +287,7 @@ def _abs_extension_pow(a: float, s: float, rho, t, p: int):
     m = np.sqrt(m2)
     big = np.sqrt(0.5 * (m + np.abs(re)))
     re_w = np.where(re >= 0.0, big, np.abs(im) / (2.0 * big))
-    return (2.0 * np.pi) ** p * np.exp(-p * s * re_w) / (m2 if p == 4 else m2 * m)
+    return (2.0 * np.pi) ** p * np.exp(-p * s * (re_w - a)) / (m2 if p == 4 else m2 * m)
 
 
 def lp_norm_extension_direct(profile: ExpProfile, p: int) -> QuadResult:
@@ -297,19 +297,15 @@ def lp_norm_extension_direct(profile: ExpProfile, p: int) -> QuadResult:
     ||T f||_p^p = 2 pi int_0^oo int_R |T(rho e1, t)|^p rho dt d(rho),
     independent of the convolution route end to end.
 
-    The integrand is not box-truncatable: along the ridge |t| ~ rho the
-    decay exponent s Re w stalls near s a, so the radial mass profile
-    g(rho) = 2 pi rho int |T|^p dt falls off like C / rho^(p-2) instead of
-    exponentially.  The time panels therefore track the ridge per radial
-    node, and one panel in v = 1/t takes each row's rest at the row's order,
-    so the coarse/fine difference covers it.  The radial panels double out
-    to a large cutoff; the tail past it is extrapolated through g and
-    folded into both the value and the error estimate.
-
-    The time edges of every radial node come from one padded edge array per
-    resolution.  Each radial panel is one batch: its rows of that array,
-    trimmed to the panel's longest row, and |T|^p on the panel's whole
-    (rho, t) grid from one real-arithmetic kernel, so no Python work runs
+    Along the ridge |t| ~ rho the decay exponent s Re w stalls near s a, so
+    the radial mass g(rho) = 2 pi rho int |T|^p dt falls off only like
+    C / rho^(p-2).  The time panels track the ridge per radial node; the
+    radial panels double out to R = 16 max(1/a, 1/s, 1, a, s), and [R, oo)
+    is one panel in v = 1/rho, like each time row's rest.  All panels take
+    the coarse or the fine order, so their difference measures the whole
+    integral.  The p-th power is exp-scaled as in the convolution route,
+    with the same range of a s.  Each radial panel is one batch, its rows of
+    the time-edge array trimmed to its longest row, so no Python work runs
     per radial node and no grid wider than one panel is held.
     """
     if profile.params.d != 2:
@@ -317,13 +313,13 @@ def lp_norm_extension_direct(profile: ExpProfile, p: int) -> QuadResult:
     if p not in (4, 6):
         raise ValueError("p must be 4 or 6")
     a, s = profile.a, profile.params.s
-    rho_max = 2000.0 * max(1.0, 1.0 / (a * s * s))
+    r_tail = 16.0 * max(1.0 / a, 1.0 / s, 1.0, a, s)
+    edges = [0.0, 0.25 * min(1.0 / a, 1.0 / s, 1.0)]
+    while edges[-1] < r_tail:
+        edges.append(min(2.0 * edges[-1], r_tail))
 
-    def evaluate(n_per: int) -> tuple[float, float, float]:
-        edges = [0.0, 0.25 * min(1.0 / a, 1.0 / s, 1.0)]
-        while edges[-1] < rho_max:
-            edges.append(min(2.0 * edges[-1], rho_max))
-        rho, w_rho = gl_panels(edges, n_per)
+    def evaluate(n_per: int) -> float:
+        rho, w_rho = gl_panels_to_inf(edges, n_per)
         t_edges, t_count = _ridge_time_edges(rho, a, s)
         total = 0.0
         for lo in range(0, rho.size, n_per):
@@ -331,13 +327,6 @@ def lp_norm_extension_direct(profile: ExpProfile, p: int) -> QuadResult:
             g = 2.0 * np.pi * rho[rows] * _time_integrals(
                 a, s, rho[rows], t_edges[rows, :t_count[rows].max()], p, n_per)
             total += float(np.dot(w_rho[rows], g))
-        return total, float(rho[-1]), float(g[-1])
+        return total
 
-    coarse = evaluate(20)[0]
-    fine, r_last, g_last = evaluate(28)
-    # Radial tail from g ~ C / rho^(p-2):  int_R^oo g = g(R) R / (p - 3).
-    tail = g_last * (r_last / rho_max) ** (p - 2) * rho_max / (p - 3)
-    total = fine + tail
-    norm_p = total ** (1.0 / p)
-    err = abs(fine - coarse) + tail
-    return QuadResult(value=norm_p, error=norm_p * err / (p * total))
+    return _scaled_root(*two_resolution(evaluate, 20, 28), p, a * s)

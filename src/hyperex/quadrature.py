@@ -106,6 +106,15 @@ def gl_sqrt_panels(edges, n_per: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([edges[0] + v * v, x]), np.concatenate([2.0 * v * w_v, w])
 
 
+def gl_panels_to_inf(edges, n_per: int) -> tuple[np.ndarray, np.ndarray]:
+    """gl_panels along the last axis of `edges`, plus [edges[..., -1], oo) as one
+    panel in v = 1/x, where a tail x^(-m) h(1/x) with h analytic is smooth again."""
+    edges = np.asarray(edges, dtype=float)
+    x, w = gl_panels(edges, n_per)
+    v, w_v = gl_panels(np.stack([np.zeros_like(edges[..., -1]), 1.0 / edges[..., -1]], -1), n_per)
+    return np.concatenate([x, 1.0 / v], -1), np.concatenate([w, w_v / (v * v)], -1)
+
+
 def trapezoid_angles(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Equispaced angles on [0, 2pi) with equal weights (periodic trapezoid)."""
     theta = np.arange(n) * (2.0 * np.pi / n)

@@ -32,7 +32,9 @@ from hyperex.extension import (
     _time_integrals,
 )
 from hyperex.geometry import HyperboloidParams
-from hyperex.quadrature import BudgetError, QuadResult, QuadSpec, gl_nodes, gl_panels
+from hyperex.quadrature import (
+    BudgetError, QuadResult, QuadSpec, gl_nodes, gl_panels, gl_panels_to_inf,
+)
 from hyperex.specfun import exp_integral_ei
 
 P2 = HyperboloidParams(d=2, s=1.0)
@@ -238,13 +240,14 @@ def test_ridge_time_edges_match_frozen_rows():
 
 @pytest.mark.parametrize("a, s", [(0.3, 1.0), (3.0, 0.5), (1.0, 2.5)])
 def test_ridge_time_edges_of_all_nodes_match_per_panel_calls(a, s):
-    # The direct norm builds the edges of every radial node at once; each
-    # row's kept prefix must be the row a call on its own panel returns.
-    rho_max = 2000.0 * max(1.0, 1.0 / (a * s * s))
+    # The direct norm builds the edges of every radial node at once, the
+    # tail panel's nodes in 1/rho included; each row's kept prefix must be
+    # the row a call on its own panel returns.
+    r_tail = 16.0 * max(1.0 / a, 1.0 / s, 1.0, a, s)
     radial = [0.0, 0.25 * min(1.0 / a, 1.0 / s, 1.0)]
-    while radial[-1] < rho_max:
-        radial.append(min(2.0 * radial[-1], rho_max))
-    rho, _ = gl_panels(radial, 20)
+    while radial[-1] < r_tail:
+        radial.append(min(2.0 * radial[-1], r_tail))
+    rho, _ = gl_panels_to_inf(radial, 20)
     edges, count = _ridge_time_edges(rho, a, s)
     for lo in range(0, rho.size, 20):
         part, part_count = _ridge_time_edges(rho[lo:lo + 20], a, s)
@@ -286,10 +289,14 @@ def test_abs_extension_pow_matches_closed(p, a, s):
     x = np.stack([rho, np.zeros_like(rho)], axis=-1)
     prof = ExpProfile(a=a, params=HyperboloidParams(d=2, s=s))
     ref = np.abs(extension_closed(prof, x, t)) ** p
+    # The kernel is scaled by e^{p s a}.
+    scale = math.exp(p * s * a)
     got = _abs_extension_pow(a, s, rho, t, p)
-    live = ref > 0.0  # far points underflow to 0 on both sides
-    assert np.array_equal(got[~live], ref[~live])
-    assert np.max(np.abs(got[live] / ref[live] - 1.0)) <= 1e-12
+    live = ref > 0.0
+    assert np.max(np.abs(got[live] / (ref[live] * scale) - 1.0)) <= 1e-12
+    # Where |T|^p underflows, the scaled value is finite and no larger than
+    # the scaled underflow threshold (most such points underflow too).
+    assert np.all((got[~live] >= 0.0) & (got[~live] <= math.ulp(0.0) * scale))
 
 
 def test_quadrature_d3_frozen_points():
@@ -461,34 +468,35 @@ def test_direct_norm_error_bounds_its_deviation_off_unit_sheet(p, a, s):
 
 
 # (p, a, s) -> (value, error) of lp_norm_extension_direct, frozen (float
-# hex) from the rule that integrates each time row past 2 (rho + a) in 1/t.
+# hex) from the rule that integrates each time row past 2 (rho + a) in 1/t
+# and the radial rest past 16 max(1/a, 1/s, 1, a, s) in 1/rho.
 DIRECT_NORMS = {
-    (4, 0.3, 0.5): ('0x1.d626755cf1105p+3', '0x1.07a3b13d0e167p-13'),
-    (4, 0.3, 1.0): ('0x1.6943fadb3cfc7p+3', '0x1.83ab62afb5d45p-13'),
-    (4, 0.3, 2.5): ('0x1.831491a380cdap+2', '0x1.36a096f7f67b5p-13'),
-    (4, 1.0, 0.5): ('0x1.8e95af0aceda8p+2', '0x1.7398214a8a97cp-13'),
-    (4, 1.0, 1.0): ('0x1.a45111ab703bap+1', '0x1.c4872ae1c1cd3p-13'),
-    (4, 1.0, 2.5): ('0x1.322e03deba300p-1', '0x1.662bb10e4b8bap-16'),
-    (4, 3.0, 0.5): ('0x1.62df61704bedcp+0', '0x1.43c89d262585cp-13'),
-    (4, 3.0, 1.0): ('0x1.0e8a03cfbcb5cp-2', '0x1.a92c8eeebe4b5p-16'),
-    (4, 3.0, 2.5): ('0x1.353e2093b7d8cp-9', '0x1.2141fe42715eep-23'),
-    (6, 0.3, 0.5): ('0x1.7c84f593881ffp+3', '0x1.4106e4207dcd0p-43'),
-    (6, 0.3, 1.0): ('0x1.38b446da65792p+3', '0x1.2b640daf5cddbp-41'),
-    (6, 0.3, 2.5): ('0x1.6de41099afad0p+2', '0x1.5e0294ce8cb08p-40'),
-    (6, 1.0, 0.5): ('0x1.0c42b90dcfd43p+2', '0x1.7662f7926e88cp-40'),
-    (6, 1.0, 1.0): ('0x1.2e18db583bdbfp+1', '0x1.6bc280f617880p-37'),
-    (6, 1.0, 2.5): ('0x1.de7b5c0a0a4f1p-2', '0x1.9454e8ec8a0a1p-42'),
-    (6, 3.0, 0.5): ('0x1.926610cd31026p-1', '0x1.3519c3cd3b1d4p-36'),
-    (6, 3.0, 1.0): ('0x1.467d76b40184dp-3', '0x1.525659c64adeep-39'),
-    (6, 3.0, 2.5): ('0x1.94286ec8da8c4p-10', '0x1.6ebffa3af8cf4p-48'),
+    (4, 0.3, 0.5): ('0x1.d626755cf2b48p+3', '0x1.18c08216c58dap-31'),
+    (4, 0.3, 1.0): ('0x1.6943fadb401adp+3', '0x1.1e5e0381ad902p-43'),
+    (4, 0.3, 2.5): ('0x1.831491a3836f4p+2', '0x1.0976c52cd9eb7p-49'),
+    (4, 1.0, 0.5): ('0x1.8e95af0ad6fd9p+2', '0x1.8187b5ad58044p-48'),
+    (4, 1.0, 1.0): ('0x1.a45111ab925c1p+1', '0x1.0f33936e240b1p-53'),
+    (4, 1.0, 2.5): ('0x1.322e03deba8cap-1', '0x1.4de8746a2a0aap-54'),
+    (4, 3.0, 0.5): ('0x1.62df61708cc91p+0', '0x1.6de75bacfee79p-53'),
+    (4, 3.0, 1.0): ('0x1.0e8a03cfbd1c1p-2', '0x1.0605857d6d14ap-54'),
+    (4, 3.0, 2.5): ('0x1.353e2093b4072p-9', '0x1.de29fdfb2fd59p-62'),
+    (6, 0.3, 0.5): ('0x1.7c84f593881fep+3', '0x1.359b25264c1f1p-44'),
+    (6, 0.3, 1.0): ('0x1.38b446da65793p+3', '0x1.dd353d1a9c2f2p-48'),
+    (6, 0.3, 2.5): ('0x1.6de41099afacfp+2', '0x1.4582c40dae35cp-52'),
+    (6, 1.0, 0.5): ('0x1.0c42b90dcfd43p+2', '0x1.ae635e1b7139dp-51'),
+    (6, 1.0, 1.0): ('0x1.2e18db583bdbfp+1', '0x1.1bf2e722ed103p-52'),
+    (6, 1.0, 2.5): ('0x1.de7b5c0a0a4f1p-2', '0x1.cccac53a97a2bp-55'),
+    (6, 3.0, 0.5): ('0x1.926610cd31025p-1', '0x1.1fb0bb7279919p-53'),
+    (6, 3.0, 1.0): ('0x1.467d76b40184dp-3', '0x1.3630da8ac540ep-55'),
+    (6, 3.0, 2.5): ('0x1.94286ec8da8c1p-10', '0x1.4acc688153474p-62'),
 }
 
 
 @pytest.mark.parametrize("p, a, s", list(DIRECT_NORMS))
 def test_direct_norm_matches_frozen_values(p, a, s):
-    # At p = 6 the coarse/fine part of the error is itself round-off, so it
-    # may move by a fraction of one ulp of the norm; otherwise by at most
-    # 1e-6 of itself.
+    # Where the coarse/fine difference is itself round-off (all but the
+    # p = 4, a = 0.3 rows), it may move by a fraction of one ulp of the norm;
+    # otherwise by at most 1e-6 of itself.
     value, error = (float.fromhex(v) for v in DIRECT_NORMS[p, a, s])
     got = lp_norm_extension_direct(ExpProfile(a=a, params=HyperboloidParams(d=2, s=s)), p)
     assert abs(got.value - value) <= 2.0 * math.ulp(value)
@@ -516,6 +524,52 @@ def test_direct_norm_error_bounds_its_deviation_from_mpmath(p, a, s):
     assert abs(got.value - ref) <= got.error + 1e-13 * ref
 
 
+@pytest.mark.parametrize("a", [0.3, 1.0, 3.0, 10.0])
+@pytest.mark.parametrize("s", [0.5, 1.0, 2.5])
+def test_direct_norm_p4_error_is_not_toothless(a, s):
+    # The g ~ C / rho^2 extrapolation of the radial tail it replaces made the
+    # p = 4 bar more than 1e8 times the deviation here.
+    got = lp_norm_extension_direct(ExpProfile(a=a, params=HyperboloidParams(d=2, s=s)), 4)
+    ref = _lp_norm_mpmath(4, a, s)
+    assert got.error <= 1e3 * abs(got.value - ref) + 1e-13 * ref
+
+
+_NORM_ROUTES = (
+    lp_norm_extension_direct,
+    lambda prof, p: lp_norm_extension_via_conv(prof, p, method="closed"),
+    lambda prof, p: lp_norm_extension_via_conv(prof, p, method="quadrature"),
+)
+
+
+@pytest.mark.parametrize("p", [4, 6])
+@pytest.mark.parametrize("s", [0.5, 1.0, 2.5])
+@pytest.mark.parametrize("z", [30.0, 100.0, 118.0, 150.0, 180.0, 300.0, 700.0])
+def test_norm_routes_stay_within_their_bars_at_large_a_s(p, s, z):
+    # The p-th powers are exp-scaled: unscaled, they read 0 with error 0 or
+    # NaN, or raised ZeroDivisionError, long before the norm underflows.
+    prof = ExpProfile(a=z / s, params=HyperboloidParams(d=2, s=s))
+    ref = _lp_norm_mpmath(p, z / s, s)
+    for route in _NORM_ROUTES:
+        got = route(prof, p)
+        assert abs(got.value - ref) <= got.error + 1e-13 * ref
+
+
+@pytest.mark.parametrize("p", [4, 6])
+@pytest.mark.parametrize("z", [745.0, 800.0, 1e4, 1e20])
+def test_norm_routes_keep_a_finite_error_where_the_norm_underflows(p, z):
+    # Past a s ~ 1e16 even the scaled p-th power is lost to rounding (the
+    # direct kernel's e^{-p s (Re w - a)} overflows): that is refused.
+    for s in (0.5, 1.0, 2.5):
+        prof = ExpProfile(a=z / s, params=HyperboloidParams(d=2, s=s))
+        for route in _NORM_ROUTES:
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got = route(prof, p)
+            except ValueError:
+                continue
+            assert math.isfinite(got.value) and math.isfinite(got.error)
+
+
 @pytest.mark.parametrize("p, bound", [(4, 1e-11), (6, 1e-13)])
 def test_direct_norm_time_tail_is_integrated_not_extrapolated(p, bound):
     # The C / t^p extrapolation of the time tail it replaces was off by
@@ -532,10 +586,11 @@ def test_time_integral_of_the_rho_zero_row(p, a, s, n_per):
     # int_0^oo (a^2 + t^2)^{-p/2} dt = pi / (4 a^3) (p = 4), 3 pi / (16 a^5) (p = 6).
     rho = np.zeros(1)
     edges, _ = _ridge_time_edges(rho, a, s)
+    # The integrals are scaled by e^{p s a}.
     got = _time_integrals(a, s, rho, edges, p, n_per)[0]
     line = math.pi / (4.0 * a**3) if p == 4 else 3.0 * math.pi / (16.0 * a**5)
     want = 2.0 * (2.0 * math.pi) ** p * math.exp(-p * s * a) * line
-    assert got == pytest.approx(want, rel=1e-14)
+    assert got == pytest.approx(want * math.exp(p * s * a), rel=1e-14)
 
 
 def test_direct_norm_memory_stays_bounded():
@@ -554,8 +609,8 @@ def test_direct_norm_memory_stays_bounded():
 def test_direct_norm_off_default_profile():
     prof = ExpProfile(a=0.7, params=HyperboloidParams(d=2, s=1.6))
     direct = lp_norm_extension_direct(prof, 4)
-    conv = lp_norm_extension_via_conv(prof, 4, method="closed")
-    assert direct.value == pytest.approx(conv.value, rel=1e-4)
+    closed = lp_norm_extension_via_conv(prof, 4, method="closed").value
+    assert abs(direct.value - closed) <= direct.error + 1e-13 * closed
 
 
 def test_norm_route_validation():

@@ -7,7 +7,7 @@ import pytest
 
 from hyperex.quadrature import (
     GL_ORDER_BUDGET, NODE_BUDGET, BudgetError, QuadResult, QuadSpec, check_budget, gl_nodes,
-    gl_panels, gl_sqrt_panels, two_resolution,
+    gl_panels, gl_panels_to_inf, gl_sqrt_panels, two_resolution,
 )
 
 
@@ -35,6 +35,21 @@ def test_sqrt_panels_equal_gl_panels_past_the_first(edges):
     assert x.size == w.size == 12 * (len(edges) - 1)
     assert np.array_equal(x[12:], rest_x) and np.array_equal(w[12:], rest_w)
     assert math.isclose(float(np.sum(w)), edges[-1] - edges[0], rel_tol=1e-15)
+
+
+@pytest.mark.parametrize("edges", [[1.0, 2.0, 4.0], [[0.5, 3.0], [2.0, 7.0]]])
+def test_panels_to_inf_take_the_tail_in_one_over_x(edges):
+    # In v = 1/x the tail's x^-4 dx becomes the polynomial v^2 dv, which
+    # n >= 2 nodes integrate exactly: int_E^oo x^-4 dx = 1 / (3 E^3).
+    edges = np.array(edges)
+    x, w = gl_panels_to_inf(edges, 6)
+    head_x, head_w = gl_panels(edges, 6)
+    n = head_x.shape[-1]
+    assert np.array_equal(x[..., :n], head_x) and np.array_equal(w[..., :n], head_w)
+    assert x.shape[-1] == n + 6 and np.all(x[..., n:] > edges[..., -1:])
+    tail = np.sum(w[..., n:] * x[..., n:] ** -4.0, axis=-1)
+    exact = 1.0 / (3.0 * edges[..., -1] ** 3)
+    assert np.all(np.abs(tail - exact) <= 1e-15 * exact)
 
 
 def test_quad_result_is_a_named_pair():
