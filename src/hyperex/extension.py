@@ -40,7 +40,7 @@ import numpy as np
 from .geometry import HyperboloidParams, unit_circle
 from .measures import SPHERE_AREA, ConvClosedForm, conv_reduced_integral
 from .quadrature import (
-    BudgetError, QuadResult, check_budget, gl_panels, gl_panels_to_inf, gl_sqrt_panels,
+    BudgetError, QuadResult, check_budget, gk_panels, gl_panels_to_inf, gl_sqrt_panels,
     two_resolution,
 )
 from .specfun import bessel_j0, exp_scaled_en, exp_scaled_k1
@@ -95,9 +95,12 @@ def extension_quadrature(profile: ExpProfile, x, t: float) -> QuadResult:
     cut where e^{-a(u - s)} = e^{-45}.  The integrand is analytic at r = 0, but r / u has branch
     points at r = +-i s: out of the vertex each panel is no wider than
     hypot(r, s) at its left edge, growing geometrically until that reaches
-    the half-period width.  Gauss-Legendre inside each panel; the error is
-    a two-order difference.  Works for d = 2 and d = 3.  The real factor comes
-    first; cos and sin of t u (and sin(|x| r)) come from geometry.unit_circle.
+    the half-period width.  Each panel takes the 25-node Gauss-Kronrod rule
+    (quadrature.gk_panels) on one set of integrand values: the value is the
+    K25 sum, exact to degree 37, and the error |K25 - G12| against the
+    embedded 12-point Gauss sum, which measures the G12 error and so bounds
+    the K25 one.  Works for d = 2 and d = 3.  The real factor comes first;
+    cos and sin of t u (and sin(|x| r)) come from geometry.unit_circle.
     """
     a, s, d = profile.a, profile.params.s, profile.params.d
     x = np.asarray(x, dtype=float)
@@ -121,22 +124,22 @@ def extension_quadrature(profile: ExpProfile, x, t: float) -> QuadResult:
     check_budget((len(graded) - 1 + n_panels) * 32, "extension-quadrature nodes")
     edges = np.concatenate([graded[:-1], np.linspace(graded[-1], r_max, n_panels + 1)])
 
-    def evaluate(n_per: int) -> complex:
-        r, w = gl_panels(edges, n_per)
-        if x_norm == 0.0:
-            mag = w * (2.0 * np.pi if d == 2 else 4.0 * np.pi * r)
-        else:
-            mag = bessel_j0(x_norm * r) if d == 2 else unit_circle(x_norm * r)[1]
-            mag *= w
-            mag *= 2.0 * np.pi if d == 2 else 4.0 * np.pi / x_norm
-        u = np.sqrt(r * r + s * s)
-        mag *= np.divide(r, u, out=r)
-        mag *= np.exp(-a * u)
-        # e^{-(a - i t) u} = e^{-a u} (cos t u + i sin t u).
-        c, sn = unit_circle(np.multiply(u, t, out=u))
-        return complex(np.dot(mag, c), np.dot(mag, sn))
-
-    return two_resolution(evaluate, 12, 24)
+    r, w_kronrod, w_gauss = gk_panels(edges)
+    if x_norm == 0.0:
+        mag = np.full_like(r, 2.0 * np.pi) if d == 2 else 4.0 * np.pi * r
+    else:
+        mag = bessel_j0(x_norm * r) if d == 2 else unit_circle(x_norm * r)[1]
+        mag *= 2.0 * np.pi if d == 2 else 4.0 * np.pi / x_norm
+    u = np.sqrt(r * r + s * s)
+    mag *= np.divide(r, u, out=r)
+    mag *= np.exp(-a * u)
+    # e^{-(a - i t) u} = e^{-a u} (cos t u + i sin t u).
+    c, sn = unit_circle(np.multiply(u, t, out=u))
+    c *= mag
+    sn *= mag
+    kronrod = complex(np.dot(w_kronrod, c), np.dot(w_kronrod, sn))
+    gauss = complex(np.dot(w_gauss, c), np.dot(w_gauss, sn))
+    return QuadResult(value=kronrod, error=abs(kronrod - gauss))
 
 
 # Gauss-Legendre nodes per panel of the fixed radial rule below.
@@ -181,10 +184,14 @@ def conv_power_l2_sq(
     form = ConvClosedForm(d, k, s)
     weight = 1.0 if exp_scaled else math.exp(-2.0 * k * z)
     if method == "closed":
+        try:
+            cube = a**3
+        except OverflowError:  # a past about 5.6e102: the product reads 0
+            cube = math.inf
         if d == 3:
-            value = 8.0 * np.pi**3 * s / a**3 * weight * exp_scaled_k1(4.0 * z)
+            value = 8.0 * np.pi**3 * s / cube * weight * exp_scaled_k1(4.0 * z)
         elif k == 3:
-            value = (2.0 * np.pi) ** 5 * (weight * exp_scaled_en(3, 6.0 * z)) / (4.0 * a**3)
+            value = (2.0 * np.pi) ** 5 * (weight * exp_scaled_en(3, 6.0 * z)) / (4.0 * cube)
         else:
             value = (2.0 * np.pi) ** 3 * (weight * exp_scaled_en(1, 4.0 * z)) / (2.0 * a)
         return QuadResult(value=value, error=0.0)
@@ -262,8 +269,9 @@ def _ridge_time_edges(rho: np.ndarray, a: float, s: float) -> tuple[np.ndarray, 
 
 
 def _time_integrals(a: float, s: float, rho: np.ndarray, edges: np.ndarray, p: int,
-                    n_per: int) -> np.ndarray:
-    """e^{p s a} int_R |T f_a(rho e1, t)|^p dt per row of time edges, n_per nodes a panel.
+                    n_per: int, scale_exp: int = 0) -> np.ndarray:
+    """2^scale_exp e^{p s a} int_R |T f_a(rho e1, t)|^p dt per row of time edges,
+    n_per nodes a panel.
 
     [E, oo) past a row's last edge E = 2 (rho + a) is one panel in v = 1/t, where
     |T|^p / v^2 is v^(p-2) times a function analytic out to the branch points
@@ -271,23 +279,55 @@ def _time_integrals(a: float, s: float, rho: np.ndarray, edges: np.ndarray, p: i
     """
     t, w_t = gl_panels_to_inf(edges, n_per)
     # Factor 2: the density is even in t.
-    return 2.0 * np.sum(w_t * _abs_extension_pow(a, s, rho[:, None], t, p), axis=1)
+    return 2.0 * np.sum(w_t * _abs_extension_pow(a, s, rho[:, None], t, p, scale_exp),
+                        axis=1)
 
 
-def _abs_extension_pow(a: float, s: float, rho, t, p: int):
-    """e^{p s a} |T f_a(rho e1, t)|^p for d = 2 and p in {4, 6}, in real arithmetic.
+def _abs_extension_pow(a: float, s: float, rho, t, p: int, scale_exp: int = 0):
+    """2^scale_exp e^{p s a} |T f_a(rho e1, t)|^p for d = 2 and p in {4, 6}, in real
+    arithmetic; the power of two moves no bit of a result in the normal range.
 
     |T|^p = (2 pi)^p e^{-p s Re w} / |arg|^{p/2} with arg = w^2 = (a^2 - t^2
     + rho^2) - 2iat, and Re w from the stable half-angle form of the root.
-    As Re w >= a, the scaled factor e^{-p s (Re w - a)} is at most 1.
+    As Re w >= a, the scaled factor e^{-p s (Re w - a)} is at most 1.  Computed
+    in place on three arrays of the broadcast shape.  Cells where |arg|^{p/2}
+    overflows (|re| past about 1.3e154 at p = 4) are redone in units of
+    c = max(a, |t|, rho): |T_{a,s}(rho, t)|^p = |T_{a/c, s c}(rho/c, t/c)|^p / c^p,
+    with c^p and 2^scale_exp applied as one power of two and c's mantissa.
     """
-    re = (a * a - t * t) + rho * rho
-    im = 2.0 * a * t
-    m2 = re * re + im * im
-    m = np.sqrt(m2)
-    big = np.sqrt(0.5 * (m + np.abs(re)))
-    re_w = np.where(re >= 0.0, big, np.abs(im) / (2.0 * big))
-    return (2.0 * np.pi) ** p * np.exp(-p * s * (re_w - a)) / (m2 if p == 4 else m2 * m)
+    shape = np.broadcast_shapes(np.shape(rho), np.shape(t))
+    re, out, m2 = np.empty(shape), np.empty(shape), np.empty(shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.subtract(a * a, np.multiply(t, t, out=re), out=re)
+        re += rho * rho
+        np.multiply(re, re, out=m2)
+        m2 += np.square(np.multiply(2.0 * a, t, out=out), out=out)
+        nonneg = re >= 0.0
+        m = np.sqrt(m2, out=out)
+        # big = sqrt((m + |re|) / 2), doubled in re (exactly, to halve again).
+        np.sqrt(np.multiply(np.add(np.abs(re, out=re), m, out=re), 0.5, out=re), out=re)
+        re *= 2.0
+        if p == 6:
+            m2 *= m
+        if scale_exp:
+            np.ldexp(m2, -scale_exp, out=m2)
+        # Re w = big where re >= 0, else |im| / (2 big).
+        np.abs(np.multiply(2.0 * a, t, out=out), out=out)
+        np.divide(out, re, out=out, where=~nonneg)
+        np.multiply(re, 0.5, out=out, where=nonneg)
+        out -= a
+        out *= -p * s
+        np.exp(out, out=out)
+        out *= (2.0 * np.pi) ** p
+        out /= m2
+        bad = ~np.isfinite(m2)
+        if bad.any():
+            rho, t = np.broadcast_to(rho, shape)[bad], np.broadcast_to(t, shape)[bad]
+            c = np.maximum(np.maximum(np.abs(t), rho), a)
+            redo = _abs_extension_pow(a / c, s * c, rho / c, t / c, p)
+            mantissa, exponent = np.frexp(c)
+            out[bad] = np.ldexp(redo / mantissa**p, scale_exp - p * exponent)
+    return out
 
 
 def lp_norm_extension_direct(profile: ExpProfile, p: int) -> QuadResult:
@@ -313,6 +353,11 @@ def lp_norm_extension_direct(profile: ExpProfile, p: int) -> QuadResult:
     if p not in (4, 6):
         raise ValueError("p must be 4 or 6")
     a, s = profile.a, profile.params.s
+    # |T|^p peaks at (2 pi / a)^p and the p-th power is about a^(3 - p).  Past
+    # a = 2^100 cells far below the peak would lose digits to the subnormal
+    # range, so the kernel returns the integrand times 2^(p k) ~ a^(p - 3/2),
+    # a^(3/2) from both ends, and the root is scaled back by 2^-k.
+    k = round((p - 1.5) * math.log2(a) / p) if a > 2.0**100 else 0
     r_tail = 16.0 * max(1.0 / a, 1.0 / s, 1.0, a, s)
     edges = [0.0, 0.25 * min(1.0 / a, 1.0 / s, 1.0)]
     while edges[-1] < r_tail:
@@ -325,8 +370,9 @@ def lp_norm_extension_direct(profile: ExpProfile, p: int) -> QuadResult:
         for lo in range(0, rho.size, n_per):
             rows = slice(lo, lo + n_per)
             g = 2.0 * np.pi * rho[rows] * _time_integrals(
-                a, s, rho[rows], t_edges[rows, :t_count[rows].max()], p, n_per)
+                a, s, rho[rows], t_edges[rows, :t_count[rows].max()], p, n_per, p * k)
             total += float(np.dot(w_rho[rows], g))
         return total
 
-    return _scaled_root(*two_resolution(evaluate, 20, 28), p, a * s)
+    norm, error = _scaled_root(*two_resolution(evaluate, 20, 28), p, a * s)
+    return QuadResult(value=math.ldexp(norm, -k), error=math.ldexp(error, -k))

@@ -1,8 +1,9 @@
 """Shared quadrature plumbing: grid specs, results with error estimates.
 
 Everything here is deterministic. Gauss-Legendre nodes come from
-numpy.polynomial.legendre and are cached per order; Monte-Carlo streams are
-owned by the callers (they pass an explicit seed through QuadSpec).
+numpy.polynomial.legendre and are cached per order, the G12/K25
+Gauss-Kronrod rule from a literal table; Monte-Carlo streams are owned by
+the callers (they pass an explicit seed through QuadSpec).
 """
 
 from __future__ import annotations
@@ -88,14 +89,57 @@ def gl_nodes(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return a + half * (x + 1.0), half * w
 
 
-def gl_panels(edges: np.ndarray, n_per: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes over consecutive panels along the last axis of `edges`."""
+def _panels(edges, x: np.ndarray, *weights: np.ndarray) -> tuple[np.ndarray, ...]:
+    """A rule on [-1, 1] (nodes x, one or more weight rows) mapped onto consecutive
+    panels along the last axis of `edges`."""
     edges = np.asarray(edges, dtype=float)
-    x, w = _leggauss(n_per)
     a = edges[..., :-1, None]
     half = 0.5 * (edges[..., 1:, None] - a)
     shape = edges.shape[:-1] + (-1,)
-    return (a + half * (x + 1.0)).reshape(shape), (half * w).reshape(shape)
+    return ((a + half * (x + 1.0)).reshape(shape),) + tuple((half * w).reshape(shape)
+                                                           for w in weights)
+
+
+def gl_panels(edges: np.ndarray, n_per: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes over consecutive panels along the last axis of `edges`."""
+    return _panels(edges, *_leggauss(n_per))
+
+
+# The 25-node Gauss-Kronrod rule extending 12-point Gauss-Legendre (G12/K25),
+# exact for degree 37 (its G12 part for 23), as its half on [0, 1], largest
+# node first: the roots of P_12 at odd positions, those of its Stieltjes
+# polynomial E_13 at even ones (0 last), with the interpolatory weights.
+# Generated offline with mpmath at 50 digits and rounded to double; the
+# generator is tests/test_quadrature.py's _gauss_kronrod_table.
+_GK25_NODES = (
+    0.9969339225295955, 0.9815606342467192, 0.9505377959431213, 0.9041172563704749,
+    0.8435581241611533, 0.7699026741943047, 0.6840598954700559, 0.5873179542866175,
+    0.48133945047815707, 0.3678314989981802, 0.2485057483204693, 0.1252334085114689, 0.0,
+)
+_GK25_WEIGHTS = (
+    0.008257711433168396, 0.023036084038982232, 0.038915230469299476, 0.05369701760775625,
+    0.06725090705083993, 0.0799202753336017, 0.09154946829504922, 0.10164973227906028,
+    0.11002260497764407, 0.11671205350175683, 0.12162630352394839, 0.12458416453615608,
+    0.12555689390547434,
+)
+# G12's weights at _GK25_NODES[1::2].
+_G12_WEIGHTS = (
+    0.04717533638651183, 0.10693932599531843, 0.16007832854334622, 0.20316742672306592,
+    0.2334925365383548, 0.24914704581340277,
+)
+# The whole rule, ascending; built from lists, as a first ufunc call or slice
+# assignment at import would cost every process about 0.14 MB of RSS.
+_GK25_X = np.array([-x for x in _GK25_NODES[:-1]] + list(_GK25_NODES[::-1]))
+_GK25_WK = np.array(_GK25_WEIGHTS + _GK25_WEIGHTS[-2::-1])
+_G12_HALF = [w for g in _G12_WEIGHTS for w in (0.0, g)] + [0.0]
+_GK25_WG = np.array(_G12_HALF + _G12_HALF[-2::-1])
+
+
+def gk_panels(edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """G12/K25 nodes over consecutive panels along the last axis of `edges`, with
+    the Kronrod weights and the embedded Gauss weights (0 at the Kronrod-only nodes):
+    one set of integrand values gives both sums."""
+    return _panels(edges, _GK25_X, _GK25_WK, _GK25_WG)
 
 
 def gl_sqrt_panels(edges, n_per: int) -> tuple[np.ndarray, np.ndarray]:

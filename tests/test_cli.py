@@ -736,9 +736,10 @@ class TestTopLevel:
         assert "constants" in out and "concentrate" in out
 
     def test_import_loads_no_scipy(self):
-        # scipy is a test-only dependency; the package must not pull it in.
+        # scipy and mpmath are test-only dependencies (mpmath also generated the
+        # Gauss-Kronrod table offline); the package must not pull them in.
         code = ("import sys, hyperex; "
-                "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+                "print([m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath')])")
         done = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True,
             check=True, env={**os.environ, "PYTHONPATH": SRC},

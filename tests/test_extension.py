@@ -33,9 +33,9 @@ from hyperex.extension import (
 )
 from hyperex.geometry import HyperboloidParams
 from hyperex.quadrature import (
-    BudgetError, QuadResult, QuadSpec, gl_nodes, gl_panels, gl_panels_to_inf,
+    BudgetError, QuadResult, QuadSpec, gk_panels, gl_nodes, gl_panels, gl_panels_to_inf,
 )
-from hyperex.specfun import exp_integral_ei
+from hyperex.specfun import bessel_j0, exp_integral_ei
 
 P2 = HyperboloidParams(d=2, s=1.0)
 P3 = HyperboloidParams(d=3, s=1.0)
@@ -126,6 +126,22 @@ def test_quadrature_d2_at_the_origin_calls_no_bessel(monkeypatch, t):
     assert abs(val - extension_closed(PROF2, x, t)) <= err + floor
 
 
+def test_quadrature_d2_calls_bessel_once(monkeypatch):
+    # The G12/K25 rule takes both sums from one set of J0 values.
+    calls = []
+
+    def counting_j0(x):
+        calls.append(np.size(x))
+        return bessel_j0(x)
+
+    monkeypatch.setattr(hyperex.extension, "bessel_j0", counting_j0)
+    x = np.array([1.5, 0.0])
+    val, err = extension_quadrature(PROF2, x, 3.0)
+    assert len(calls) == 1 and calls[0] % 25 == 0
+    floor = 1e-13 * abs(extension_closed(PROF2, np.zeros(2), 0.0))
+    assert abs(val - extension_closed(PROF2, x, 3.0)) <= err + floor
+
+
 @pytest.mark.parametrize("t", [8.0, 0.0])
 def test_quadrature_d2_far_field_matches_closed(t):
     # At a = 0.3 and |x| = 8 nearly every J0 argument |x| r lies past the
@@ -171,30 +187,30 @@ def test_quadrature_d3_origin_matches_bessel_k(a, s, t):
     assert abs(val - want) <= err + 1e-13 * scale
 
 
-def _count_gl_nodes(monkeypatch):
-    """Record the node count of every gl_panels call extension.py makes."""
+def _count_gk_nodes(monkeypatch):
+    """Record the node count of every gk_panels call extension.py makes."""
     nodes = []
 
-    def counting(edges, n_per):
-        x, w = gl_panels(edges, n_per)
+    def counting(edges):
+        x, w_kronrod, w_gauss = gk_panels(edges)
         nodes.append(x.size)
-        return x, w
+        return x, w_kronrod, w_gauss
 
-    monkeypatch.setattr(hyperex.extension, "gl_panels", counting)
+    monkeypatch.setattr(hyperex.extension, "gk_panels", counting)
     return nodes
 
 
 def test_quadrature_corner_takes_half_the_u_rule_nodes(monkeypatch):
     # The benchmark's largest point, d = 2, a = 0.3, |x| = |t| = 8.  The rule
-    # in u = sqrt(r^2 + s^2) took quarter-period panels: 1,528 panels of
-    # 12 + 24 nodes.  Half-period panels in r cover a range 0.7 % longer
-    # (r_max = sqrt(150 * 152) against u_max - s = 150), so the count is
-    # half of that to within 1 %.
-    nodes = _count_gl_nodes(monkeypatch)
+    # in u = sqrt(r^2 + s^2) took quarter-period panels: 1,528 panels.
+    # Half-period panels in r cover a range 0.7 % longer (r_max =
+    # sqrt(150 * 152) against u_max - s = 150), so the panel count is half of
+    # that to within 1 %, each of 25 G12/K25 nodes.
+    nodes = _count_gk_nodes(monkeypatch)
     prof = ExpProfile(a=0.3, params=P2)
     x = np.array([8.0, 0.0])
     val, err = extension_quadrature(prof, x, 8.0)
-    assert sum(nodes) <= 0.51 * 1528 * 36
+    assert sum(nodes) <= 0.51 * 1528 * 25
     floor = 1e-13 * abs(extension_closed(prof, np.zeros(2), 0.0))
     assert abs(val - extension_closed(prof, x, 8.0)) <= err + floor
 
@@ -204,11 +220,11 @@ def test_quadrature_panel_count_stays_bounded_at_large_rate(monkeypatch, a):
     # At large a s the profile sits in r <~ sqrt(s / a), where u barely
     # moves; the decay cap in u keeps about 30 panels there, where a cap of
     # 3 / a in r would take sqrt(10 a s) of them (a budget error at 1e12).
-    nodes = _count_gl_nodes(monkeypatch)
+    nodes = _count_gk_nodes(monkeypatch)
     x = np.array([0.5, 0.0])
     prof = ExpProfile(a=a, params=P2)
     val, err = extension_quadrature(prof, x, 1.0)
-    assert sum(nodes) <= 31 * 36
+    assert sum(nodes) <= 31 * 25
     floor = 1e-13 * abs(extension_closed(prof, np.zeros(2), 0.0))
     assert abs(val - extension_closed(prof, x, 1.0)) <= err + floor
 
@@ -568,6 +584,83 @@ def test_norm_routes_keep_a_finite_error_where_the_norm_underflows(p, z):
             except ValueError:
                 continue
             assert math.isfinite(got.value) and math.isfinite(got.error)
+
+
+@pytest.mark.parametrize("p", [4, 6])
+@pytest.mark.parametrize("a", [1e75, 1e77, 1e100])
+def test_direct_norm_at_huge_rates_is_right_or_refused(p, a):
+    # At a s = 1 the kernel's |w^2|^2 passes the float maximum for rho past
+    # about 1e77, and its values reach the subnormal range: with neither the
+    # redo in units nor the power-of-two scale the norm was off by 1.7e-3 at
+    # (4, 1e75) and by 40 % at (4, 1e77), far outside its bar.
+    prof = ExpProfile(a=a, params=HyperboloidParams(d=2, s=1.0 / a))
+    try:
+        got = lp_norm_extension_direct(prof, p)
+    except ValueError:
+        return
+    ref = _lp_norm_mpmath(p, a, 1.0 / a)
+    assert abs(got.value - ref) <= got.error + 1e-13 * ref
+    if a < 1e100:
+        closed = lp_norm_extension_via_conv(prof, p, method="closed")
+        assert abs(got.value - closed.value) <= got.error + 1e-13 * closed.value
+
+
+def _abs_extension_pow_unscaled_mpmath(a, s, rho, t, p):
+    # e^{p s a} |2 pi e^{-s w} / w|^p with w = sqrt((a - i t)^2 + rho^2), 40 digits.
+    with mpmath.workdps(40):
+        a, s = mpmath.mpf(a), mpmath.mpf(s)
+        w = mpmath.sqrt((a - 1j * mpmath.mpf(t)) ** 2 + mpmath.mpf(rho) ** 2)
+        return mpmath.exp(p * s * a) * abs(2 * mpmath.pi * mpmath.exp(-s * w) / w) ** p
+
+
+@pytest.mark.parametrize("p, a, s", [(4, 1e75, 1e-78), (6, 1e45, 1e-55)])
+def test_abs_extension_pow_keeps_its_bits_and_redoes_overflowing_cells(p, a, s):
+    # Wherever |arg|^{p/2} is finite the in-place kernel gives the one-line
+    # expression's bits; where it overflows the cell is redone in units of
+    # max(a, |t|, rho), and 2^scale_exp lifts values out of the subnormal range.
+    rng = np.random.default_rng(27)
+    rho = 10.0 ** rng.uniform(-2.0, 80.0, (200, 1))
+    t = np.concatenate([rho * 10.0 ** rng.uniform(-6.0, 3.0, (200, 12)),
+                        rho * (1.0 + rng.uniform(-1e-9, 1e-9, (200, 4)))], axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        re = (a * a - t * t) + rho * rho
+        im = 2.0 * a * t
+        m2 = re * re + im * im
+        m = np.sqrt(m2)
+        big = np.sqrt(0.5 * (m + np.abs(re)))
+        re_w = np.where(re >= 0.0, big, np.abs(im) / (2.0 * big))
+        denominator = m2 if p == 4 else m2 * m
+        one_line = (2.0 * np.pi) ** p * np.exp(-p * s * (re_w - a)) / denominator
+    got = _abs_extension_pow(a, s, rho, t, p)
+    finite = np.isfinite(denominator)
+    assert 0 < finite.sum() < finite.size
+    assert np.array_equal(got[finite], one_line[finite])
+    unit = 1000
+    lifted = _abs_extension_pow(a, s, rho, t, p, scale_exp=unit)
+    normal = finite & (one_line >= np.finfo(float).tiny)
+    assert np.array_equal(lifted[normal], np.ldexp(one_line[normal], unit))
+    checked = 0
+    # Off the cone: within 1e-9 of it both forms lose 1e-7 to the rounding of
+    # t^2 - rho^2, in units or not.
+    for i, j in zip(*np.nonzero(~finite[:, :12])):
+        want = float(_abs_extension_pow_unscaled_mpmath(a, s, rho[i, 0], t[i, j], p)
+                     * mpmath.mpf(2) ** unit)
+        if want > 1e-300:
+            assert lifted[i, j] == pytest.approx(want, rel=1e-13)
+            checked += 1
+    assert checked >= 50
+
+
+@pytest.mark.parametrize("s", [1.0, 1e-110])
+@pytest.mark.parametrize("d, p", [(2, 6), (3, 4)])
+def test_closed_norms_past_the_cube_overflow_read_zero_or_are_refused(d, p, s):
+    # a^3 overflows past a ~ 5.6e102: the closed product reads 0 there, and
+    # the norm is refused with ValueError, never OverflowError.
+    prof = ExpProfile(a=6e102, params=HyperboloidParams(d=d, s=s))
+    for exp_scaled in (False, True):
+        assert conv_power_l2_sq(prof, p // 2, "closed", exp_scaled) == QuadResult(0.0, 0.0)
+    with pytest.raises(ValueError):
+        lp_norm_extension_via_conv(prof, p, method="closed")
 
 
 @pytest.mark.parametrize("p, bound", [(4, 1e-11), (6, 1e-13)])

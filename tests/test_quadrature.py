@@ -1,14 +1,101 @@
-"""Quadrature-layer tests: the kink-graded panel rule."""
+"""Quadrature-layer tests: the kink-graded panel rule and the G12/K25 table."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from hyperex.quadrature import (
-    GL_ORDER_BUDGET, NODE_BUDGET, BudgetError, QuadResult, QuadSpec, check_budget, gl_nodes,
-    gl_panels, gl_panels_to_inf, gl_sqrt_panels, two_resolution,
+    _G12_WEIGHTS, _GK25_NODES, _GK25_WEIGHTS, GL_ORDER_BUDGET, NODE_BUDGET, BudgetError,
+    QuadResult, QuadSpec, _leggauss, check_budget, gk_panels, gl_nodes, gl_panels,
+    gl_panels_to_inf, gl_sqrt_panels, two_resolution,
 )
+
+
+def _gauss_kronrod_table(n=12, dps=50):
+    """Half of the G_n/K_(2n+1) rule for even n, as quadrature stores it: nodes
+    in [0, 1] largest first, their Kronrod weights, and the Gauss weights.
+
+    The Kronrod-only nodes are the roots of the Stieltjes polynomial E_(n+1),
+    monic, odd, and orthogonal to x^k P_n(x) for k <= n; the weights are the
+    interpolatory ones, from the moments of x^k on [-1, 1].
+    """
+    with mpmath.workdps(dps):
+        def moment(k):
+            return mpmath.mpf(0) if k % 2 else mpmath.mpf(2) / (k + 1)
+
+        legendre = mpmath.taylor(lambda x: mpmath.legendre(n, x), 0, n)
+
+        def against_legendre(j):  # int P_n(x) x^j dx
+            return mpmath.fsum(c * moment(i + j) for i, c in enumerate(legendre))
+
+        odd = range(1, n + 1, 2)  # E_(n+1) = x^(n+1) + sum_j e_j x^j, j odd
+        e = mpmath.lu_solve(
+            mpmath.matrix([[against_legendre(k + j) for j in odd] for k in odd]),
+            mpmath.matrix([-against_legendre(k + n + 1) for k in odd]))
+        stieltjes = [mpmath.mpf(0)] * (n + 2)
+        stieltjes[n + 1] = mpmath.mpf(1)
+        for j, c in zip(odd, e):
+            stieltjes[j] = c
+
+        def roots(coefficients):
+            found = mpmath.polyroots(coefficients[::-1], maxsteps=200, extraprec=2 * dps)
+            return sorted(mpmath.re(r) for r in found)
+
+        gauss, kronrod = roots(legendre), roots(stieltjes)
+        nodes = sorted(gauss + kronrod)
+
+        def interpolatory(x):
+            return mpmath.lu_solve(mpmath.matrix([[v**k for v in x] for k in range(len(x))]),
+                                   mpmath.matrix([moment(k) for k in range(len(x))]))
+
+        w_kronrod, w_gauss = interpolatory(nodes), interpolatory(gauss)
+        half = [(x, w) for x, w in zip(nodes, w_kronrod) if x >= 0][::-1]
+        return ([x for x, _ in half], [w for _, w in half],
+                [w for x, w in zip(gauss, w_gauss) if x > 0][::-1])
+
+
+def test_gauss_kronrod_table_matches_its_generator_to_one_ulp():
+    nodes, w_kronrod, w_gauss = _gauss_kronrod_table()
+    for table, exact in ((_GK25_NODES, nodes), (_GK25_WEIGHTS, w_kronrod),
+                         (_G12_WEIGHTS, w_gauss)):
+        assert len(table) == len(exact)
+        for got, want in zip(table, exact):
+            assert abs(got - float(want)) <= math.ulp(float(want)), (got, want)
+
+
+def test_gauss_kronrod_rule_degrees_signs_and_gauss_nodes():
+    x, w_kronrod, w_gauss = gk_panels(np.array([-1.0, 1.0]))
+    assert x.size == 25 and np.all(np.diff(x) > 0.0)
+    # Exact for x^k up to degree 37 (K25) and 23 (G12), and not at 38 and 24.
+    def error(w, k):
+        return abs(np.dot(w, x**k) - (0.0 if k % 2 else 2.0 / (k + 1)))
+
+    assert all(error(w_kronrod, k) <= 1e-15 for k in range(38)) and error(w_kronrod, 38) > 1e-14
+    assert all(error(w_gauss, k) <= 1e-15 for k in range(24)) and error(w_gauss, 24) > 1e-8
+    is_gauss = w_gauss != 0.0
+    assert np.all(w_kronrod > 0.0) and is_gauss.sum() == 12
+    assert np.all(w_gauss[is_gauss] > 0.0) and np.all(is_gauss[1::2])
+    # The table's Gauss nodes are numpy's 12-point nodes, largest first; numpy's
+    # weights are good to about 1e-14.
+    ref_x, ref_w = (v[6:][::-1] for v in _leggauss(12))
+    assert np.all(np.abs(np.array(_GK25_NODES[1::2]) - ref_x) <= np.spacing(ref_x))
+    assert np.allclose(_G12_WEIGHTS, ref_w, rtol=2e-14, atol=0.0)
+
+
+def test_gk_panels_embed_gl_panels():
+    # Over several rows of panels the embedded Gauss part is gl_panels' 12-point
+    # rule to the ulp, and both weight rows sum to each row's length.
+    edges = np.array([[0.0, 0.5, 2.0, 3.5], [1.0, 1.25, 1.5, 9.0]])
+    x, w_kronrod, w_gauss = gk_panels(edges)
+    gl_x, gl_w = gl_panels(edges, 12)
+    assert x.shape == w_kronrod.shape == w_gauss.shape == (2, 75)
+    is_gauss = w_gauss[0] != 0.0
+    assert np.all(np.abs(x[:, is_gauss] - gl_x) <= np.spacing(edges[:, -1:]))
+    assert np.allclose(w_gauss[:, is_gauss], gl_w, rtol=1e-14, atol=0.0)
+    for w in (w_kronrod, w_gauss):
+        assert np.allclose(w.sum(axis=1), edges[:, -1] - edges[:, 0], rtol=1e-15)
 
 
 @pytest.mark.parametrize("a", [0.0, 0.5, 2.0])

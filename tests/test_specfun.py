@@ -28,8 +28,10 @@ import pytest
 from scipy.integrate import quad
 
 from hyperex.extension import ExpProfile, extension_closed
-from hyperex.geometry import HyperboloidParams
+from hyperex.geometry import HyperboloidParams, unit_circle
 from hyperex.specfun import (
+    _HANKEL_P,
+    _HANKEL_Q,
     bessel_j0,
     exp_integral_ei,
     exp_scaled_en,
@@ -293,6 +295,31 @@ def test_j0_memory_stays_bounded():
     # Values stay in line with their points across block boundaries.
     idx = np.array([0, 636, 637, 19_999])
     assert np.allclose(vals[idx], bessel_j0(x[idx]), rtol=0.0, atol=1e-12)
+
+
+def test_j0_hankel_keeps_the_polyval_bits():
+    # The Hankel branch runs Horner in place; np.polyval's first step, 0 y + c_0,
+    # is c_0 itself, so every later step and the result keep their bits.
+    x = np.geomspace(25.0, 1e6, 100_001)
+    y = 1.0 / (x * x)
+    p = np.polyval(_HANKEL_P, y)
+    q = np.polyval(_HANKEL_Q, y) / x
+    c, s = unit_circle(x)
+    want = (p * (c + s) - q * (s - c)) / np.sqrt(np.pi * x)
+    assert np.array_equal(bessel_j0(x), want)
+
+
+def test_j0_memory_on_the_hankel_branch():
+    # 20,000 points past the split: the in-place Horner and phase hold about
+    # nine arrays of the points' size at the peak; np.polyval took eleven.
+    x = np.random.default_rng(4).uniform(25.0, 1e3, 20_000)
+    tracemalloc.start()
+    try:
+        bessel_j0(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * x.nbytes
 
 
 def laplace_j0_kernel(lam, a, b):
