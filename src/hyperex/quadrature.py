@@ -89,20 +89,26 @@ def gl_nodes(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return a + half * (x + 1.0), half * w
 
 
-def _panels(edges, x: np.ndarray, *weights: np.ndarray) -> tuple[np.ndarray, ...]:
-    """A rule on [-1, 1] (nodes x, one or more weight rows) mapped onto consecutive
+def _spans(edges) -> tuple[np.ndarray, np.ndarray]:
+    """Left ends and half-widths, each (..., panels, 1), of the consecutive
     panels along the last axis of `edges`."""
     edges = np.asarray(edges, dtype=float)
-    a = edges[..., :-1, None]
-    half = 0.5 * (edges[..., 1:, None] - a)
-    shape = edges.shape[:-1] + (-1,)
-    return ((a + half * (x + 1.0)).reshape(shape),) + tuple((half * w).reshape(shape)
-                                                           for w in weights)
+    lo = edges[..., :-1, None]
+    return lo, 0.5 * (edges[..., 1:, None] - lo)
+
+
+def _panels(lo, half, x: np.ndarray, *weights: np.ndarray) -> tuple[np.ndarray, ...]:
+    """A rule on [-1, 1] (nodes x, one or more weight rows) mapped onto the panels
+    [lo, lo + 2 half], flattened along the last axis."""
+    shape = lo.shape[:-2] + (-1,)
+    nodes = half * (x + 1.0)
+    nodes += lo
+    return (nodes.reshape(shape),) + tuple((half * w).reshape(shape) for w in weights)
 
 
 def gl_panels(edges: np.ndarray, n_per: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes over consecutive panels along the last axis of `edges`."""
-    return _panels(edges, *_leggauss(n_per))
+    return _panels(*_spans(edges), *_leggauss(n_per))
 
 
 # The 25-node Gauss-Kronrod rule extending 12-point Gauss-Legendre (G12/K25),
@@ -139,7 +145,7 @@ def gk_panels(edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """G12/K25 nodes over consecutive panels along the last axis of `edges`, with
     the Kronrod weights and the embedded Gauss weights (0 at the Kronrod-only nodes):
     one set of integrand values gives both sums."""
-    return _panels(edges, _GK25_X, _GK25_WK, _GK25_WG)
+    return _panels(*_spans(edges), _GK25_X, _GK25_WK, _GK25_WG)
 
 
 def gl_sqrt_panels(edges, n_per: int) -> tuple[np.ndarray, np.ndarray]:
@@ -152,11 +158,19 @@ def gl_sqrt_panels(edges, n_per: int) -> tuple[np.ndarray, np.ndarray]:
 
 def gl_panels_to_inf(edges, n_per: int) -> tuple[np.ndarray, np.ndarray]:
     """gl_panels along the last axis of `edges`, plus [edges[..., -1], oo) as one
-    panel in v = 1/x, where a tail x^(-m) h(1/x) with h analytic is smooth again."""
+    panel in v = 1/x, where a tail x^(-m) h(1/x) with h analytic is smooth again.
+
+    All panels are mapped into one array, the v panel (0, 1/edges[..., -1]] last;
+    its slot then becomes nodes 1/v and weights w_v / v^2 in place."""
     edges = np.asarray(edges, dtype=float)
-    x, w = gl_panels(edges, n_per)
-    v, w_v = gl_panels(np.stack([np.zeros_like(edges[..., -1]), 1.0 / edges[..., -1]], -1), n_per)
-    return np.concatenate([x, 1.0 / v], -1), np.concatenate([w, w_v / (v * v)], -1)
+    lo, half = _spans(edges)
+    tail = 0.5 * (1.0 / edges[..., -1:, None])
+    x, w = _panels(np.concatenate([lo, np.zeros_like(tail)], -2),
+                   np.concatenate([half, tail], -2), *_leggauss(n_per))
+    v, w_v = x[..., -n_per:], w[..., -n_per:]
+    w_v /= v * v
+    np.divide(1.0, v, out=v)
+    return x, w
 
 
 def trapezoid_angles(n: int) -> tuple[np.ndarray, np.ndarray]:

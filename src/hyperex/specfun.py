@@ -67,6 +67,7 @@ bessel_j0
 from __future__ import annotations
 
 import math
+from functools import cache
 
 import numpy as np
 
@@ -219,19 +220,31 @@ def _hankel_j0_coefficients() -> tuple[np.ndarray, np.ndarray]:
 _HANKEL_P, _HANKEL_Q = _hankel_j0_coefficients()
 
 
-def _j0_trapezoid(x: np.ndarray) -> np.ndarray:
-    # (1/N) sum_k m_k cos(x cos(2 pi k / N)) over k = 0..N/4, m = 2, 4, ...,
-    # 4, 2 summing to N (so J0(0) is exactly 1); a block of rows at a time.
+@cache
+def _j0_trapezoid_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # Half the cosines cos(2 pi k / N), k = 0..N/4, the multiplicities m = 2,
+    # 4, ..., 4, 2 summing to N (so J0(0) is exactly 1), and 2 m.  Built on
+    # the first call, not at import, where a first ufunc call would cost every
+    # process about 0.14 MB of RSS.
     k = np.arange(_J0_TRAPEZOID_N // 4 + 1)
-    half_cos = 0.5 * np.cos(k * (2.0 * np.pi / _J0_TRAPEZOID_N))
     m = np.where((k == 0) | (k == k[-1]), 2.0, 4.0)
+    table = (0.5 * np.cos(k * (2.0 * np.pi / _J0_TRAPEZOID_N)), m, 2.0 * m)
+    for column in table:  # shared by every call
+        column.flags.writeable = False
+    return table
+
+
+def _j0_trapezoid(x: np.ndarray) -> np.ndarray:
+    # (1/N) sum_k m_k cos(x cos(2 pi k / N)) over k = 0..N/4; a block of rows
+    # at a time.
+    half_cos, m, two_m = _j0_trapezoid_table()
     vals = np.empty(x.size)
-    rows = _J0_BLOCK_CELLS // k.size
+    rows = _J0_BLOCK_CELLS // half_cos.size
     for lo in range(0, x.size, rows):
         # m cos phi = 2 m / (1 + h^2) - m with h = tan(phi / 2), in place.
         block = np.multiply.outer(x[lo:lo + rows], half_cos)
         np.square(np.tan(block, out=block), out=block)
-        np.divide(2.0 * m, np.add(block, 1.0, out=block), out=block)
+        np.divide(two_m, np.add(block, 1.0, out=block), out=block)
         block -= m
         vals[lo:lo + rows] = block.sum(axis=-1) / _J0_TRAPEZOID_N
     return vals

@@ -200,19 +200,40 @@ def _count_gk_nodes(monkeypatch):
     return nodes
 
 
-def test_quadrature_corner_takes_half_the_u_rule_nodes(monkeypatch):
+def test_quadrature_corner_takes_a_quarter_of_the_u_rule_nodes(monkeypatch):
     # The benchmark's largest point, d = 2, a = 0.3, |x| = |t| = 8.  The rule
     # in u = sqrt(r^2 + s^2) took quarter-period panels: 1,528 panels.
-    # Half-period panels in r cover a range 0.7 % longer (r_max =
-    # sqrt(150 * 152) against u_max - s = 150), so the panel count is half of
-    # that to within 1 %, each of 25 G12/K25 nodes.
+    # Full-period panels in r cover a range 0.7 % longer (r_max =
+    # sqrt(150 * 152) against u_max - s = 150), so the panel count is a
+    # quarter of that to within 1 %, each of 25 G12/K25 nodes.
     nodes = _count_gk_nodes(monkeypatch)
     prof = ExpProfile(a=0.3, params=P2)
     x = np.array([8.0, 0.0])
     val, err = extension_quadrature(prof, x, 8.0)
-    assert sum(nodes) <= 0.51 * 1528 * 25
+    assert sum(nodes) <= 0.26 * 1528 * 25
     floor = 1e-13 * abs(extension_closed(prof, np.zeros(2), 0.0))
     assert abs(val - extension_closed(prof, x, 8.0)) <= err + floor
+
+
+def test_quadrature_d3_random_points_match_bessel_k():
+    # Off the origin T f_a = 4 pi s K_1(s w) / w with w = sqrt(lam^2 + |x|^2),
+    # lam = a - i t (the d = 3 Laplace-transform table).  Rates log-uniform
+    # over [0.05, 10], s over [0.3, 3], 0 < |x| <= 30, |t| <= 30: each value
+    # within its error plus 1e-13 |T f_a(0, 0)|, and each error bar below that.
+    rng = np.random.default_rng(28)
+    for _ in range(40):
+        a = math.exp(rng.uniform(math.log(0.05), math.log(10.0)))
+        s = rng.uniform(0.3, 3.0)
+        xn = rng.uniform(0.0, 30.0)
+        t = rng.uniform(-30.0, 30.0)
+        prof = ExpProfile(a=a, params=HyperboloidParams(d=3, s=s))
+        val, err = extension_quadrature(prof, np.array([xn, 0.0, 0.0]), t)
+        with mpmath.workdps(30):
+            w = mpmath.sqrt(mpmath.mpc(a, -t) ** 2 + mpmath.mpf(xn) ** 2)
+            want = complex(4 * mpmath.pi * s * mpmath.besselk(1, s * w) / w)
+            floor = 1e-13 * float(4 * mpmath.pi * s * mpmath.besselk(1, s * a) / a)
+        assert abs(val - want) <= err + floor, (a, s, xn, t)
+        assert err <= floor, (a, s, xn, t)
 
 
 @pytest.mark.parametrize("a", [700.0, 1e12])
@@ -603,6 +624,31 @@ def test_direct_norm_at_huge_rates_is_right_or_refused(p, a):
     if a < 1e100:
         closed = lp_norm_extension_via_conv(prof, p, method="closed")
         assert abs(got.value - closed.value) <= got.error + 1e-13 * closed.value
+
+
+@pytest.mark.parametrize("p", [4, 6])
+@pytest.mark.parametrize("z", [1.0, 30.0])
+def test_direct_norm_at_the_edge_of_its_range_is_right(p, z):
+    # a = 1e151 is the largest rate the direct norm integrates at a s >= 1.
+    prof = ExpProfile(a=1e151, params=HyperboloidParams(d=2, s=z / 1e151))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = lp_norm_extension_direct(prof, p)
+    ref = _lp_norm_mpmath(p, 1e151, z / 1e151)
+    assert abs(got.value - ref) <= got.error + 1e-13 * ref
+
+
+@pytest.mark.parametrize("p", [4, 6])
+@pytest.mark.parametrize("a", [1e155, 1e200, 1e300])
+@pytest.mark.parametrize("z", [1e-3, 1.0, 30.0])
+def test_direct_norm_past_its_float_range_is_refused_without_warnings(p, a, z):
+    # Here the time tails' v^2 underflowed to 0 (divide-by-zero warnings, then
+    # an inf or NaN power, or at 1e300 a broadcast error in the kernel's redo).
+    prof = ExpProfile(a=a, params=HyperboloidParams(d=2, s=z / a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="float range"):
+            lp_norm_extension_direct(prof, p)
 
 
 def _abs_extension_pow_unscaled_mpmath(a, s, rho, t, p):

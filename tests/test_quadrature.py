@@ -139,6 +139,24 @@ def test_panels_to_inf_take_the_tail_in_one_over_x(edges):
     assert np.all(np.abs(tail - exact) <= 1e-15 * exact)
 
 
+@pytest.mark.parametrize("n", [6, 20, 28])
+@pytest.mark.parametrize("edges", [
+    [1.0, 2.0, 4.0],
+    [[0.0, 0.3, 0.6, 0.6, 0.6], [0.0, 1.0, 1.15, 1.45, 2.05]],
+    [[[0.5, 3.0, 3.0], [2.0, 7.0, 1e30]], [[1e-3, 2e-3, 8.0], [0.0, 0.0, 16.6]]],
+])
+def test_panels_to_inf_keep_the_bits_of_each_panel_on_its_own(edges, n):
+    # One array for all panels, zero-width padding included: the head is
+    # gl_panels' bits and the tail those of gl_panels on (0, 1/E] in v.
+    edges = np.array(edges)
+    x, w = gl_panels_to_inf(edges, n)
+    head_x, head_w = gl_panels(edges, n)
+    v, w_v = gl_panels(np.stack([np.zeros_like(edges[..., -1]), 1.0 / edges[..., -1]], -1), n)
+    assert np.array_equal(x, np.concatenate([head_x, 1.0 / v], -1))
+    assert np.array_equal(w, np.concatenate([head_w, w_v / (v * v)], -1))
+    assert x.flags.c_contiguous and w.flags.c_contiguous
+
+
 def test_quad_result_is_a_named_pair():
     res = QuadResult(1.5, 0.25)
     value, error = res
