@@ -354,7 +354,9 @@ def lp_norm_extension_direct(profile: ExpProfile, p: int) -> QuadResult:
     weights w_v / v^2 lose digits to the subnormal range: at a s = 1 and
     a = 1e154 the norm is off by 2.7e-13 with a bar of 1.1e-15, and from about
     1e156 on v^2 underflows to 0.  So max(1/a, 1/s, a, s) past 1e151 is
-    refused with ValueError before any node is built.
+    refused with ValueError before any node is built, and so is a s below
+    1e-2, where the error bar undershoots: at a s = 1e-3 the p = 4 norm
+    deviates by 2.0e-3 against a bar of 8.9e-4.
     """
     if profile.params.d != 2:
         raise ValueError("direct norm quadrature is implemented for d = 2 only")
@@ -369,6 +371,8 @@ def lp_norm_extension_direct(profile: ExpProfile, p: int) -> QuadResult:
     scale = max(1.0 / a, 1.0 / s, 1.0, a, s)
     if scale > 1e151:
         raise ValueError(f"direct norm nodes leave the float range at a = {a:g}, s = {s:g}")
+    if a * s < 1e-2:
+        raise ValueError(f"direct norm needs a s >= 1e-2, got a s = {a * s:g}")
     r_tail = 16.0 * scale
     edges = [0.0, 0.25 * min(1.0 / a, 1.0 / s, 1.0)]
     while edges[-1] < r_tail:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .extension import ExpProfile, conv_power_l2_sq, extension_closed
+from .extension import ExpProfile, conv_power_l2_sq, extension_closed, extension_quadrature
 from .functionals import (
     SUPPORTED_PAIRS,
     best_constant,
@@ -108,7 +108,35 @@ def _check(suite, name, discrepancy, tolerance, note="", passed=None,
     )
 
 
+def _within_bars(suite, name, rows, tolerance, k, floor, bar_units=False, note=""):
+    """Check (reference, oracle value, oracle error) rows; the one oracle-bar rule.
+
+    It passes iff the discrepancy is <= tolerance and every deviation
+    |value - reference| is <= k error + floor |value|.  The discrepancy is the
+    worst deviation relative to |reference|, with the worst error so relative
+    as error_estimate; or, with bar_units, the worst deviation in units of
+    error + floor |value|, with the worst absolute error as error_estimate.
+    Values may be complex.
+    """
+    devs = [(abs(v - ref), ref, v, err) for ref, v, err in rows]
+    if bar_units:
+        worst = max(dev / max(err + floor * abs(v), 1e-300) for dev, _, v, err in devs)
+        estimate = max(err for *_, err in devs)
+    else:
+        worst = max(dev / abs(ref) for dev, ref, _, _ in devs)
+        estimate = max(err / abs(ref) for _, ref, _, err in devs)
+    inside = all(dev <= k * err + floor * abs(v) for dev, _, v, err in devs)
+    return _check(suite, name, worst, tolerance, note=note,
+                  passed=worst <= tolerance and inside, error_estimate=estimate)
+
+
 # ---------------------------------------------------------------- specfun
+
+# (x, t) of the closed-vs-quadrature extension check, d = 2, every t != 0.
+_EXTENSION_POINTS = (((0.0, 0.0), 0.7), ((0.5, 0.0), -1.5), ((1.2, -0.9), 3.0),
+                     ((0.0, 2.0), -0.4), ((3.0, 4.0), 5.0 * (1.0 + 1e-6)),
+                     ((-1.5, 0.0), -1.5 * (1.0 - 1e-6)))
+
 
 def _suite_specfun(rng, samples, grid=None):
     out = []
@@ -164,6 +192,13 @@ def _suite_specfun(rng, samples, grid=None):
             1e-10,
         )
     )
+    # The closed d = 2 extension off t = 0, two points a hair inside and
+    # outside the cone |t| = |x|, against radial quadrature.
+    profile = ExpProfile(a=1.0, params=HyperboloidParams(d=2, s=1.0))
+    rows = [(complex(extension_closed(profile, x, t)), *extension_quadrature(profile, x, t))
+            for x, t in _EXTENSION_POINTS]
+    out.append(_within_bars("specfun", "extension-closed-vs-quadrature", rows, 1.0, 1.0, 1e-13,
+                            bar_units=True, note=f"{len(rows)} points at a = s = 1"))
     return out
 
 
@@ -458,10 +493,8 @@ _POINT_ORACLE_POINTS = 15
 
 
 def _suite_oracle(rng, samples, grid=None):
-    # Each oracle check also passes only if every deviation lies within its
-    # error bar plus a round-off floor, both relative like the discrepancy.
     out = []
-    worst = worst_err = excess = 0.0
+    rows = []
     for d in (2, 3):
         form = ConvClosedForm(d, 2, 1.3)
         for _ in range(_POINT_ORACLE_POINTS):
@@ -470,15 +503,10 @@ def _suite_oracle(rng, samples, grid=None):
             r = float(rng.uniform(0.05, 0.9) * r_max)
             xi = np.zeros(d)
             xi[0] = r
-            closed = float(conv_closed(form, xi, tau))
-            oracle = conv_point_oracle(form, xi, tau)
-            dev, err = abs(oracle.value - closed) / closed, oracle.error / closed
-            worst, worst_err = max(worst, dev), max(worst_err, err)
-            excess = max(excess, dev - err)
+            rows.append((float(conv_closed(form, xi, tau)), *conv_point_oracle(form, xi, tau)))
     # The floor covers the few operations of the closed density.
-    out.append(_check("oracle", "point-oracle-vs-closed", worst, 1e-10,
-                      note=f"{2 * _POINT_ORACLE_POINTS} random interior points",
-                      passed=worst <= 1e-10 and excess <= 1e-14, error_estimate=worst_err))
+    out.append(_within_bars("oracle", "point-oracle-vs-closed", rows, 1e-10, 1.0, 1e-14,
+                            note=f"{2 * _POINT_ORACLE_POINTS} random interior points"))
 
     # Tensor pairing vs the 2-D reduction of the closed density.  The
     # reference's error is its distance from one on half the nodes and twice
@@ -486,19 +514,16 @@ def _suite_oracle(rng, samples, grid=None):
     def g_pair(r, tau):
         return np.exp(-0.4 * r * r - 0.7 * (tau - 2.0))
 
-    worst = worst_err = excess = 0.0
+    rows = []
     for d in (2, 3):
         form = ConvClosedForm(d, 2, 1.0)
         ref = _reduced_pairing_reference(form, g_pair, tau_hi=30.0)
         ref_err = abs(ref - _reduced_pairing_reference(form, g_pair, tau_hi=60.0, n=80))
         got = conv_pairing_oracle(MeasureSpec(HyperboloidParams(d=d, s=1.0), sheet="plus"),
                                   2, g_pair, _scaled(_PAIRING_QUADS[d], grid))
-        dev, err = abs(got.value - ref) / ref, (got.error + ref_err) / ref
-        worst, worst_err = max(worst, dev), max(worst_err, err)
-        excess = max(excess, dev - err)
+        rows.append((ref, got.value, got.error + ref_err))
     # The floor is about sqrt(N) eps for a sum of the budget's N = 4e6 node pairs.
-    out.append(_check("oracle", "tensor-pairing-vs-closed", worst, 1e-6,
-                      passed=worst <= 1e-6 and excess <= 1e-12, error_estimate=worst_err))
+    out.append(_within_bars("oracle", "tensor-pairing-vs-closed", rows, 1e-6, 1.0, 1e-12))
 
     # Monte Carlo pairing for the triple convolution, d = 2.
     n_mc = samples if samples is not None else 400_000
@@ -515,9 +540,8 @@ def _suite_oracle(rng, samples, grid=None):
         QuadSpec(rule="montecarlo", samples=n_mc,
                  seed=int(rng.integers(0, 2 ** 31))),
     )
-    sigma = max(mc.error, 1e-300)
-    out.append(_check("oracle", "montecarlo-pairing-3sigma", abs(mc.value - ref) / sigma,
-                      3.0, note=f"{n_mc} samples", error_estimate=mc.error))
+    out.append(_within_bars("oracle", "montecarlo-pairing-3sigma", [(ref, *mc)], 3.0, 3.0, 0.0,
+                            bar_units=True, note=f"{n_mc} samples"))
     return out
 
 
@@ -549,16 +573,13 @@ def _suite_functional(rng, samples, grid=None):
                       note=", ".join(f"({d},{p}) {v}" for (d, p), v in verdicts.items())
                       + " on 200-point grids"))
 
-    # The closed (3, 4) ratio against its quadrature oracle, in units of the
+    # Each closed ratio against its quadrature oracle, in units of the
     # oracle's error bar (plus round-off).
-    worst = worst_err = 0.0
-    for a in (1e-2, 0.1, 1.0, 10.0):
-        quad = q_ratio(3, 4, a, 1.0, "quadrature")
-        dev = abs(q_ratio(3, 4, a, 1.0).value - quad.value)
-        worst = max(worst, dev / (quad.error + 1e-13 * quad.value))
-        worst_err = max(worst_err, quad.error)
-    out.append(_check("functional", "closed-vs-quadrature-3-4", worst, 1.0,
-                      note="4 rates in [1e-2, 10]", error_estimate=worst_err))
+    for d, p in SUPPORTED_PAIRS:
+        rows = [(q_ratio(d, p, a, 1.0).value, *q_ratio(d, p, a, 1.0, "quadrature"))
+                for a in (1e-2, 0.1, 1.0, 10.0)]
+        out.append(_within_bars("functional", f"closed-vs-quadrature-{d}-{p}", rows, 1.0, 1.0,
+                                1e-13, bar_units=True, note="4 rates in [1e-2, 10]"))
 
     # Strictness of the closed sup bounds and of Q < H.
     taus = np.linspace(3.01, 60.0, 300)

@@ -651,6 +651,30 @@ def test_direct_norm_past_its_float_range_is_refused_without_warnings(p, a, z):
             lp_norm_extension_direct(prof, p)
 
 
+@pytest.mark.parametrize("p, a, s", [(4, 1.0, 1e-3), (4, 1e3, 1e-6), (4, 1e20, 1e-23),
+                                     (4, 1e70, 1e-73), (6, 1e-5, 1.0), (6, 1e-8, 1.0),
+                                     (4, 1e-8, 1.0), (4, 1e-12, 1.0), (4, 1e-20, 1.0),
+                                     (6, 1e-100, 1.0), (4, 1e-100, 1.0), (4, 1.0, 1e-100)])
+def test_direct_norm_below_a_s_of_1e_2_is_refused_without_warnings(p, a, s):
+    # Here the norm was silently wrong: at (4, 1, 1e-3) off by 2.0e-3 with a
+    # bar of 8.9e-4, at (4, 1e-12, 1) 15.8 times the norm with a bar of 1e-6 of
+    # it; at a s = 1e-100 p = 6 warned 'invalid value' before a NaN refusal.
+    prof = ExpProfile(a=a, params=HyperboloidParams(d=2, s=s))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"needs a s >= 1e-2"):
+            lp_norm_extension_direct(prof, p)
+
+
+@pytest.mark.parametrize("p", [4, 6])
+@pytest.mark.parametrize("a", [1e-8, 1e-4, 1.0, 1e4, 1e8])
+def test_direct_norm_at_a_s_of_1e_2_stays_within_its_bar(p, a):
+    prof = ExpProfile(a=a, params=HyperboloidParams(d=2, s=1e-2 / a))
+    got = lp_norm_extension_direct(prof, p)
+    ref = _lp_norm_mpmath(p, a, 1e-2 / a)
+    assert abs(got.value - ref) <= got.error + 1e-13 * ref
+
+
 def _abs_extension_pow_unscaled_mpmath(a, s, rho, t, p):
     # e^{p s a} |2 pi e^{-s w} / w|^p with w = sqrt((a - i t)^2 + rho^2), 40 digits.
     with mpmath.workdps(40):
