@@ -190,16 +190,24 @@ def conv_power_l2_sq(
             cube = a**3
         except OverflowError:  # a past about 5.6e102: the product reads 0
             cube = math.inf
-        if d == 3:
-            value = 8.0 * np.pi**3 * s / cube * weight * exp_scaled_k1(4.0 * z)
-        elif k == 3:
-            value = (2.0 * np.pi) ** 5 * (weight * exp_scaled_en(3, 6.0 * z)) / (4.0 * cube)
-        else:
-            value = (2.0 * np.pi) ** 3 * (weight * exp_scaled_en(1, 4.0 * z)) / (2.0 * a)
+        try:
+            if d == 3:
+                value = 8.0 * np.pi**3 * s / cube * weight * exp_scaled_k1(4.0 * z)
+            elif k == 3:
+                value = (2.0 * np.pi) ** 5 * (weight * exp_scaled_en(3, 6.0 * z)) / (4.0 * cube)
+            else:
+                value = (2.0 * np.pi) ** 3 * (weight * exp_scaled_en(1, 4.0 * z)) / (2.0 * a)
+        except ZeroDivisionError:  # a^3 = 0, a below about 1.7e-108: the product reads inf
+            value = math.inf
         return QuadResult(value=value, error=0.0)
     if method != "quadrature":
         raise ValueError("method must be 'closed' or 'quadrature'")
 
+    # The reduction forms up to about 1600 tau^2 (d = 2) or 40 tau^3 (d = 3) at
+    # the outermost node tau < k s + 30 / a, past tau^d = 1e305 an overflow.
+    if not k * s + 30.0 / a < 1e305 ** (1.0 / d):
+        raise ValueError(f"quadrature nodes leave the float range at a s = {z:g}; "
+                         "use the closed route")
     # Outer nodes in w' on the panels (0, 1), (1, 5), (5, 15), (15, 60); the
     # first is graded, because the d = 3 inner integral grows like w'^{3/2}
     # from the support vertex.
@@ -239,23 +247,23 @@ def _scaled_root(power: float, error: float, p: int, z: float) -> QuadResult:
     return QuadResult(value=norm, error=norm * error / (p * power))
 
 
-def _ridge_time_edges(rho: np.ndarray, a: float, s: float) -> tuple[np.ndarray, np.ndarray]:
-    """Panel edges in t >= 0 for |T f_a(rho e1, t)|^p, tracking t ~ rho.
+def _ridge_time_edges(rho: np.ndarray, z: float) -> tuple[np.ndarray, np.ndarray]:
+    """Panel edges in t >= 0 for |T f_z(rho e1, t)|^p on the unit sheet, tracking t ~ rho.
 
     Near |t| = rho the closed form gives Re w = sqrt(rho) *
-    sqrt(sqrt(dt^2 + a^2) - dt) with dt = |t| - rho, which relaxes to its
-    floor a only once dt >> (a s)^2 rho.  Panels: a few inside the cone,
+    sqrt(sqrt(dt^2 + z^2) - dt) with dt = |t| - rho, which relaxes to its
+    floor z only once dt >> z^2 rho.  Panels: a few inside the cone,
     a split pair across |t| = rho, then geometric doubling out to
-    2 (rho + a); _time_integrals covers the rest of the row in 1/t.
+    2 (rho + z); _time_integrals covers the rest of the row in 1/t.
 
     One row per radial node: returns the (rows, edges) array, each row
     padded with its last edge (zero-width panels), and the per-row count.
     """
-    delta = 0.5 * a
+    delta = 0.5 * z
     wide, split = rho > 8.0 * delta, rho > delta
     cols = [np.zeros_like(rho), 0.5 * rho, rho - 4.0 * delta, rho - delta, rho, rho + delta]
     keep = [np.ones_like(wide), wide, wide, wide, split, split]
-    t_max = 2.0 * (rho + a)
+    t_max = 2.0 * (rho + z)
     lo, step = np.where(split, rho + delta, 0.0), delta
     while np.any(active := lo < t_max):
         step *= 2.0
@@ -270,65 +278,49 @@ def _ridge_time_edges(rho: np.ndarray, a: float, s: float) -> tuple[np.ndarray, 
     return np.where(pad, edges[np.arange(rho.size), count - 1][:, None], edges), count
 
 
-def _time_integrals(a: float, s: float, rho: np.ndarray, edges: np.ndarray, p: int,
-                    n_per: int, scale_exp: int = 0) -> np.ndarray:
-    """2^scale_exp e^{p s a} int_R |T f_a(rho e1, t)|^p dt per row of time edges,
-    n_per nodes a panel.
+def _time_integrals(z: float, rho: np.ndarray, edges: np.ndarray, p: int,
+                    n_per: int) -> np.ndarray:
+    """e^{p z} int_R |T f_z(rho e1, t)|^p dt per row of time edges, n_per nodes a panel.
 
-    [E, oo) past a row's last edge E = 2 (rho + a) is one panel in v = 1/t, where
+    [E, oo) past a row's last edge E = 2 (rho + z) is one panel in v = 1/t, where
     |T|^p / v^2 is v^(p-2) times a function analytic out to the branch points
-    t = +-rho +- i a, at |v| >= 2 / E: three half-lengths from the centre.
+    t = +-rho +- i z, at |v| >= 2 / E: three half-lengths from the centre.
     """
     t, w_t = gl_panels_to_inf(edges, n_per)
     # Factor 2: the density is even in t.
-    return 2.0 * np.sum(w_t * _abs_extension_pow(a, s, rho[:, None], t, p, scale_exp),
-                        axis=1)
+    return 2.0 * np.sum(w_t * _abs_extension_pow(z, rho[:, None], t, p), axis=1)
 
 
-def _abs_extension_pow(a: float, s: float, rho, t, p: int, scale_exp: int = 0):
-    """2^scale_exp e^{p s a} |T f_a(rho e1, t)|^p for d = 2 and p in {4, 6}, in real
-    arithmetic; the power of two moves no bit of a result in the normal range.
+def _abs_extension_pow(z: float, rho, t, p: int):
+    """e^{p z} |T f_z(rho e1, t)|^p on the unit sheet (d = 2, p in {4, 6}), in reals.
 
-    |T|^p = (2 pi)^p e^{-p s Re w} / |arg|^{p/2} with arg = w^2 = (a^2 - t^2
-    + rho^2) - 2iat, and Re w from the stable half-angle form of the root.
-    As Re w >= a, the scaled factor e^{-p s (Re w - a)} is at most 1.  Computed
-    in place on three arrays of the broadcast shape.  Cells where |arg|^{p/2}
-    overflows (|re| past about 1.3e154 at p = 4) are redone in units of
-    c = max(a, |t|, rho): |T_{a,s}(rho, t)|^p = |T_{a/c, s c}(rho/c, t/c)|^p / c^p,
-    with c^p and 2^scale_exp applied as one power of two and c's mantissa.
+    |T|^p = (2 pi)^p e^{-p Re w} / |arg|^{p/2} with arg = w^2 = (z^2 - t^2
+    + rho^2) - 2izt, and Re w from the stable half-angle form of the root.
+    As Re w >= z, the scaled factor e^{-p (Re w - z)} is at most 1.  Computed
+    in place on three arrays of the broadcast shape.
     """
     shape = np.broadcast_shapes(np.shape(rho), np.shape(t))
     re, out, m2 = np.empty(shape), np.empty(shape), np.empty(shape)
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.subtract(a * a, np.multiply(t, t, out=re), out=re)
-        re += rho * rho
-        np.multiply(re, re, out=m2)
-        m2 += np.square(np.multiply(2.0 * a, t, out=out), out=out)
-        nonneg = re >= 0.0
-        m = np.sqrt(m2, out=out)
-        # big = sqrt((m + |re|) / 2), doubled in re (exactly, to halve again).
-        np.sqrt(np.multiply(np.add(np.abs(re, out=re), m, out=re), 0.5, out=re), out=re)
-        re *= 2.0
-        if p == 6:
-            m2 *= m
-        if scale_exp:
-            np.ldexp(m2, -scale_exp, out=m2)
-        # Re w = big where re >= 0, else |im| / (2 big).
-        np.abs(np.multiply(2.0 * a, t, out=out), out=out)
-        np.divide(out, re, out=out, where=~nonneg)
-        np.multiply(re, 0.5, out=out, where=nonneg)
-        out -= a
-        out *= -p * s
-        np.exp(out, out=out)
-        out *= (2.0 * np.pi) ** p
-        out /= m2
-        bad = ~np.isfinite(m2)
-        if bad.any():
-            rho, t = np.broadcast_to(rho, shape)[bad], np.broadcast_to(t, shape)[bad]
-            c = np.maximum(np.maximum(np.abs(t), rho), a)
-            redo = _abs_extension_pow(a / c, s * c, rho / c, t / c, p)
-            mantissa, exponent = np.frexp(c)
-            out[bad] = np.ldexp(redo / mantissa**p, scale_exp - p * exponent)
+    np.subtract(z * z, np.multiply(t, t, out=re), out=re)
+    re += rho * rho
+    np.multiply(re, re, out=m2)
+    m2 += np.square(np.multiply(2.0 * z, t, out=out), out=out)
+    nonneg = re >= 0.0
+    m = np.sqrt(m2, out=out)
+    # big = sqrt((m + |re|) / 2), doubled in re (exactly, to halve again).
+    np.sqrt(np.multiply(np.add(np.abs(re, out=re), m, out=re), 0.5, out=re), out=re)
+    re *= 2.0
+    if p == 6:
+        m2 *= m
+    # Re w = big where re >= 0, else |im| / (2 big).
+    np.abs(np.multiply(2.0 * z, t, out=out), out=out)
+    np.divide(out, re, out=out, where=~nonneg)
+    np.multiply(re, 0.5, out=out, where=nonneg)
+    out -= z
+    out *= -p
+    np.exp(out, out=out)
+    out *= (2.0 * np.pi) ** p
+    out /= m2
     return out
 
 
@@ -337,57 +329,49 @@ def lp_norm_extension_direct(profile: ExpProfile, p: int) -> QuadResult:
 
     Uses only closed extension values on a polar (rho, t) grid:
     ||T f||_p^p = 2 pi int_0^oo int_R |T(rho e1, t)|^p rho dt d(rho),
-    independent of the convolution route end to end.
+    independent of the convolution route end to end.  The grid is on the unit
+    sheet at z = a s: T f_{a,s}(x, t) = s T f_{z,1}(s x, s t), so the factor
+    s^(1 - 3/p) (1 at s = 1) scales ||T f_{z,1}||_p and its error last.
 
-    Along the ridge |t| ~ rho the decay exponent s Re w stalls near s a, so
+    Along the ridge |t| ~ rho the decay exponent Re w stalls near z, so
     the radial mass g(rho) = 2 pi rho int |T|^p dt falls off only like
     C / rho^(p-2).  The time panels track the ridge per radial node; the
-    radial panels double out to R = 16 max(1/a, 1/s, 1, a, s), and [R, oo)
-    is one panel in v = 1/rho, like each time row's rest.  All panels take
-    the coarse or the fine order, so their difference measures the whole
-    integral.  The p-th power is exp-scaled as in the convolution route,
-    with the same range of a s.  Each radial panel is one batch, its rows of
-    the time-edge array trimmed to its longest row, so no Python work runs
-    per radial node and no grid wider than one panel is held.
+    radial panels double out to R = 16 max(1/z, 1, z), and [R, oo) is one
+    panel in v = 1/rho, like each time row's rest.  All panels take the
+    coarse or the fine order, so their difference measures the whole
+    integral.  The p-th power is exp-scaled as in the convolution route.
+    Each radial panel is one batch, its rows of the time-edge array trimmed
+    to its longest row, so no Python work runs per radial node and no grid
+    wider than one panel is held.
 
-    The tail panels put nodes out to about 6e5 R, where the time tails'
-    weights w_v / v^2 lose digits to the subnormal range: at a s = 1 and
-    a = 1e154 the norm is off by 2.7e-13 with a bar of 1.1e-15, and from about
-    1e156 on v^2 underflows to 0.  So max(1/a, 1/s, a, s) past 1e151 is
-    refused with ValueError before any node is built, and so is a s below
-    1e-2, where the error bar undershoots: at a s = 1e-3 the p = 4 norm
-    deviates by 2.0e-3 against a bar of 8.9e-4.
+    a s outside [1e-2, 1e16] is refused with ValueError: below, the error bar
+    undershoots (at a s = 1e-3 the p = 4 norm is off by 2.0e-3, bar 8.9e-4);
+    above, the rounding of Re w - z leaves the scaled power unformable
+    (e^{p z ulp}), and the norm, about e^{-z}, reads 0.
     """
     if profile.params.d != 2:
         raise ValueError("direct norm quadrature is implemented for d = 2 only")
     if p not in (4, 6):
         raise ValueError("p must be 4 or 6")
-    a, s = profile.a, profile.params.s
-    # |T|^p peaks at (2 pi / a)^p and the p-th power is about a^(3 - p).  Past
-    # a = 2^100 cells far below the peak would lose digits to the subnormal
-    # range, so the kernel returns the integrand times 2^(p k) ~ a^(p - 3/2),
-    # a^(3/2) from both ends, and the root is scaled back by 2^-k.
-    k = round((p - 1.5) * math.log2(a) / p) if a > 2.0**100 else 0
-    scale = max(1.0 / a, 1.0 / s, 1.0, a, s)
-    if scale > 1e151:
-        raise ValueError(f"direct norm nodes leave the float range at a = {a:g}, s = {s:g}")
-    if a * s < 1e-2:
-        raise ValueError(f"direct norm needs a s >= 1e-2, got a s = {a * s:g}")
-    r_tail = 16.0 * scale
-    edges = [0.0, 0.25 * min(1.0 / a, 1.0 / s, 1.0)]
+    z = profile.a * profile.params.s
+    if not 1e-2 <= z <= 1e16:
+        raise ValueError(f"direct norm needs a s >= 1e-2 and a s <= 1e16, got a s = {z:g}")
+    r_tail = 16.0 * max(1.0 / z, 1.0, z)
+    edges = [0.0, 0.25 * min(1.0 / z, 1.0)]
     while edges[-1] < r_tail:
         edges.append(min(2.0 * edges[-1], r_tail))
 
     def evaluate(n_per: int) -> float:
         rho, w_rho = gl_panels_to_inf(edges, n_per)
-        t_edges, t_count = _ridge_time_edges(rho, a, s)
+        t_edges, t_count = _ridge_time_edges(rho, z)
         total = 0.0
         for lo in range(0, rho.size, n_per):
             rows = slice(lo, lo + n_per)
             g = 2.0 * np.pi * rho[rows] * _time_integrals(
-                a, s, rho[rows], t_edges[rows, :t_count[rows].max()], p, n_per, p * k)
+                z, rho[rows], t_edges[rows, :t_count[rows].max()], p, n_per)
             total += float(np.dot(w_rho[rows], g))
         return total
 
-    norm, error = _scaled_root(*two_resolution(evaluate, 20, 28), p, a * s)
-    return QuadResult(value=math.ldexp(norm, -k), error=math.ldexp(error, -k))
+    norm, error = _scaled_root(*two_resolution(evaluate, 20, 28), p, z)
+    factor = profile.params.s ** (1.0 - 3.0 / p)
+    return QuadResult(value=norm * factor, error=error * factor)

@@ -622,6 +622,20 @@ def test_smallest_in_range_s_still_runs_the_quadrature_route(capsys):
     assert len(out.splitlines()) == 3
 
 
+@pytest.mark.parametrize("d, p", [(2, 4), (2, 6), (3, 4)])
+def test_quadrature_curve_at_tiny_rates_is_one_refusal_line(capsys, d, p):
+    # This wrote numpy's overflow RuntimeWarning (two lines) before its
+    # "xi and tau must be finite" refusal.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run_cli(capsys, ["curve", "--d", str(d), "--p", str(p),
+                                        "--method", "quadrature", "--a-min", "1e-300",
+                                        "--a-max", "1e-299", "--points", "2"])
+    assert (rc, out) == (2, "")
+    assert err == ("hyperex: quadrature nodes leave the float range at a s = 1e-300; "
+                   "use the closed route\n")
+
+
 def test_overflowing_point_is_inside_the_support(capsys):
     # tau^2 and |xi|^2 overflow here; m^2 = 3e400 is far inside the support
     # and the density rounds to its supremum (2 pi)^2.

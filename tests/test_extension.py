@@ -267,7 +267,7 @@ RIDGE_EDGES = {
 
 def test_ridge_time_edges_match_frozen_rows():
     rho = np.array(list(RIDGE_EDGES))
-    edges, count = _ridge_time_edges(rho, 0.3, 1.0)
+    edges, count = _ridge_time_edges(rho, 0.3)
     for row, n, ref in zip(edges, count, RIDGE_EDGES.values()):
         assert n == len(ref)
         assert row[:n].tolist() == ref
@@ -278,16 +278,17 @@ def test_ridge_time_edges_match_frozen_rows():
 @pytest.mark.parametrize("a, s", [(0.3, 1.0), (3.0, 0.5), (1.0, 2.5)])
 def test_ridge_time_edges_of_all_nodes_match_per_panel_calls(a, s):
     # The direct norm builds the edges of every radial node at once, the
-    # tail panel's nodes in 1/rho included; each row's kept prefix must be
-    # the row a call on its own panel returns.
-    r_tail = 16.0 * max(1.0 / a, 1.0 / s, 1.0, a, s)
-    radial = [0.0, 0.25 * min(1.0 / a, 1.0 / s, 1.0)]
+    # tail panel's nodes in 1/rho included, on the unit sheet at z = a s;
+    # each row's kept prefix must be the row a call on its own panel returns.
+    z = a * s
+    r_tail = 16.0 * max(1.0 / z, 1.0, z)
+    radial = [0.0, 0.25 * min(1.0 / z, 1.0)]
     while radial[-1] < r_tail:
         radial.append(min(2.0 * radial[-1], r_tail))
     rho, _ = gl_panels_to_inf(radial, 20)
-    edges, count = _ridge_time_edges(rho, a, s)
+    edges, count = _ridge_time_edges(rho, z)
     for lo in range(0, rho.size, 20):
-        part, part_count = _ridge_time_edges(rho[lo:lo + 20], a, s)
+        part, part_count = _ridge_time_edges(rho[lo:lo + 20], z)
         assert np.array_equal(count[lo:lo + 20], part_count)
         for row, part_row, n in zip(edges[lo:lo + 20], part, part_count):
             assert np.array_equal(row[:n], part_row[:n])
@@ -295,7 +296,7 @@ def test_ridge_time_edges_of_all_nodes_match_per_panel_calls(a, s):
 
 @pytest.mark.parametrize("rho", [0.0, 0.1, 1.0, 8.0])
 def test_gl_panels_equals_per_panel_gl_nodes(rho):
-    edges, count = _ridge_time_edges(np.array([rho]), 0.3, 1.0)
+    edges, count = _ridge_time_edges(np.array([rho]), 0.3)
     edges = edges[0, : count[0]]
     x, w = gl_panels(edges, 20)
     panels = [gl_nodes(lo, hi, 20) for lo, hi in zip(edges[:-1], edges[1:])]
@@ -304,7 +305,7 @@ def test_gl_panels_equals_per_panel_gl_nodes(rho):
 
 
 def test_gl_panels_rows_equal_one_row_at_a_time():
-    edges, _ = _ridge_time_edges(np.array([0.0, 1.0, 8.0]), 0.3, 1.0)
+    edges, _ = _ridge_time_edges(np.array([0.0, 1.0, 8.0]), 0.3)
     x, w = gl_panels(edges, 12)
     for i, row in enumerate(edges):
         xi, wi = gl_panels(row, 12)
@@ -315,8 +316,10 @@ def test_gl_panels_rows_equal_one_row_at_a_time():
 @pytest.mark.parametrize("a", [0.01, 0.3, 3.0, 30.0])
 @pytest.mark.parametrize("s", [0.5, 2.5])
 def test_abs_extension_pow_matches_closed(p, a, s):
-    # t << rho, t ~ rho (both sides of the cone) and t >> rho, where
-    # Re arg < 0 and Re w comes from the second half-angle branch.
+    # On the unit sheet at z = a s: t << rho, t ~ rho (both sides of the
+    # cone) and t >> rho, where Re arg < 0 and Re w comes from the second
+    # half-angle branch.
+    z = a * s
     rho = np.geomspace(1e-3, 1e3, 13)[:, None]
     t = np.concatenate([rho * np.geomspace(1e-6, 0.5, 5),
                         rho * (1.0 + np.array([-1e-6, 0.0, 1e-6])),
@@ -324,16 +327,16 @@ def test_abs_extension_pow_matches_closed(p, a, s):
                         np.broadcast_to([0.0, 1e-3, 7.0], (13, 3))], axis=1)
     rho = np.broadcast_to(rho, t.shape)
     x = np.stack([rho, np.zeros_like(rho)], axis=-1)
-    prof = ExpProfile(a=a, params=HyperboloidParams(d=2, s=s))
-    ref = np.abs(extension_closed(prof, x, t)) ** p
-    # The kernel is scaled by e^{p s a}.
-    scale = math.exp(p * s * a)
-    got = _abs_extension_pow(a, s, rho, t, p)
-    live = ref > 0.0
+    ref = np.abs(extension_closed(ExpProfile(a=z, params=P2), x, t)) ** p
+    # The kernel is scaled by e^{p z}.
+    scale = math.exp(p * z)
+    got = _abs_extension_pow(z, rho, t, p)
+    tiny = np.finfo(float).tiny
+    live = ref >= tiny
     assert np.max(np.abs(got[live] / (ref[live] * scale) - 1.0)) <= 1e-12
-    # Where |T|^p underflows, the scaled value is finite and no larger than
-    # the scaled underflow threshold (most such points underflow too).
-    assert np.all((got[~live] >= 0.0) & (got[~live] <= math.ulp(0.0) * scale))
+    # Where |T|^p leaves the normal range, the scaled value is finite and no
+    # larger than the scaled threshold.
+    assert np.all((got[~live] >= 0.0) & (got[~live] <= tiny * scale))
 
 
 def test_quadrature_d3_frozen_points():
@@ -506,36 +509,42 @@ def test_direct_norm_error_bounds_its_deviation_off_unit_sheet(p, a, s):
 
 # (p, a, s) -> (value, error) of lp_norm_extension_direct, frozen (float
 # hex) from the rule that integrates each time row past 2 (rho + a) in 1/t
-# and the radial rest past 16 max(1/a, 1/s, 1, a, s) in 1/rho.
+# and the radial rest past 16 max(1/a, 1/s, 1, a, s) in 1/rho.  The errors
+# of the s != 1 rows are refrozen from the unit sheet at z = a s, with the
+# factor s^(1 - 3/p) applied last; at s = 1 that rule is the same grid.
 DIRECT_NORMS = {
-    (4, 0.3, 0.5): ('0x1.d626755cf2b48p+3', '0x1.18c08216c58dap-31'),
+    (4, 0.3, 0.5): ('0x1.d626755cf2b48p+3', '0x1.18c054b9ce16fp-31'),
     (4, 0.3, 1.0): ('0x1.6943fadb401adp+3', '0x1.1e5e0381ad902p-43'),
-    (4, 0.3, 2.5): ('0x1.831491a3836f4p+2', '0x1.0976c52cd9eb7p-49'),
-    (4, 1.0, 0.5): ('0x1.8e95af0ad6fd9p+2', '0x1.8187b5ad58044p-48'),
+    (4, 0.3, 2.5): ('0x1.831491a3836f4p+2', '0x1.ba709df56b332p-50'),
+    (4, 1.0, 0.5): ('0x1.8e95af0ad6fd9p+2', '0x1.6f2be9fa6c34fp-48'),
     (4, 1.0, 1.0): ('0x1.a45111ab925c1p+1', '0x1.0f33936e240b1p-53'),
-    (4, 1.0, 2.5): ('0x1.322e03deba8cap-1', '0x1.4de8746a2a0aap-54'),
-    (4, 3.0, 0.5): ('0x1.62df61708cc91p+0', '0x1.6de75bacfee79p-53'),
+    (4, 1.0, 2.5): ('0x1.322e03deba8cap-1', '0x1.a1629184b48d4p-54'),
+    (4, 3.0, 0.5): ('0x1.62df61708cc91p+0', '0x1.6de75bacfee78p-53'),
     (4, 3.0, 1.0): ('0x1.0e8a03cfbd1c1p-2', '0x1.0605857d6d14ap-54'),
-    (4, 3.0, 2.5): ('0x1.353e2093b4072p-9', '0x1.de29fdfb2fd59p-62'),
-    (6, 0.3, 0.5): ('0x1.7c84f593881fep+3', '0x1.359b25264c1f1p-44'),
+    (4, 3.0, 2.5): ('0x1.353e2093b4072p-9', '0x1.2ada3ebcfde59p-62'),
+    (6, 0.3, 0.5): ('0x1.7c84f593881fep+3', '0x1.29a6f24b5df09p-44'),
     (6, 0.3, 1.0): ('0x1.38b446da65793p+3', '0x1.dd353d1a9c2f2p-48'),
-    (6, 0.3, 2.5): ('0x1.6de41099afacfp+2', '0x1.4582c40dae35cp-52'),
-    (6, 1.0, 0.5): ('0x1.0c42b90dcfd43p+2', '0x1.ae635e1b7139dp-51'),
+    (6, 0.3, 2.5): ('0x1.6de41099afacfp+2', '0x1.3de1b3755c209p-53'),
+    (6, 1.0, 0.5): ('0x1.0c42b90dcfd43p+2', '0x1.42ca869494eb6p-51'),
     (6, 1.0, 1.0): ('0x1.2e18db583bdbfp+1', '0x1.1bf2e722ed103p-52'),
-    (6, 1.0, 2.5): ('0x1.de7b5c0a0a4f1p-2', '0x1.cccac53a97a2bp-55'),
-    (6, 3.0, 0.5): ('0x1.926610cd31025p-1', '0x1.1fb0bb7279919p-53'),
+    (6, 1.0, 2.5): ('0x1.de7b5c0a0a4f1p-2', '0x1.067ed805360c0p-53'),
+    (6, 3.0, 0.5): ('0x1.926610cd31025p-1', '0x1.f775480854beep-54'),
     (6, 3.0, 1.0): ('0x1.467d76b40184dp-3', '0x1.3630da8ac540ep-55'),
-    (6, 3.0, 2.5): ('0x1.94286ec8da8c1p-10', '0x1.4acc688153474p-62'),
+    (6, 3.0, 2.5): ('0x1.94286ec8da8c1p-10', '0x1.aeba28130f1a0p-63'),
 }
 
 
 @pytest.mark.parametrize("p, a, s", list(DIRECT_NORMS))
 def test_direct_norm_matches_frozen_values(p, a, s):
-    # Where the coarse/fine difference is itself round-off (all but the
-    # p = 4, a = 0.3 rows), it may move by a fraction of one ulp of the norm;
-    # otherwise by at most 1e-6 of itself.
+    # At s = 1 the grid is the frozen one and the factor is 1: every bit
+    # holds.  Elsewhere, where the coarse/fine difference is itself round-off
+    # (all but the p = 4, a = 0.3 rows), it may move by a fraction of one ulp
+    # of the norm; otherwise by at most 1e-6 of itself.
     value, error = (float.fromhex(v) for v in DIRECT_NORMS[p, a, s])
     got = lp_norm_extension_direct(ExpProfile(a=a, params=HyperboloidParams(d=2, s=s)), p)
+    if s == 1.0:
+        assert (got.value, got.error) == (value, error)
+        return
     assert abs(got.value - value) <= 2.0 * math.ulp(value)
     assert abs(got.error - error) <= 1e-6 * error + math.ulp(value)
 
@@ -594,8 +603,8 @@ def test_norm_routes_stay_within_their_bars_at_large_a_s(p, s, z):
 @pytest.mark.parametrize("p", [4, 6])
 @pytest.mark.parametrize("z", [745.0, 800.0, 1e4, 1e20])
 def test_norm_routes_keep_a_finite_error_where_the_norm_underflows(p, z):
-    # Past a s ~ 1e16 even the scaled p-th power is lost to rounding (the
-    # direct kernel's e^{-p s (Re w - a)} overflows): that is refused.
+    # Past a s ~ 1e16 even the scaled p-th power is lost to rounding of
+    # Re w - a s: that is refused.
     for s in (0.5, 1.0, 2.5):
         prof = ExpProfile(a=z / s, params=HyperboloidParams(d=2, s=s))
         for route in _NORM_ROUTES:
@@ -610,10 +619,10 @@ def test_norm_routes_keep_a_finite_error_where_the_norm_underflows(p, z):
 @pytest.mark.parametrize("p", [4, 6])
 @pytest.mark.parametrize("a", [1e75, 1e77, 1e100])
 def test_direct_norm_at_huge_rates_is_right_or_refused(p, a):
-    # At a s = 1 the kernel's |w^2|^2 passes the float maximum for rho past
-    # about 1e77, and its values reach the subnormal range: with neither the
-    # redo in units nor the power-of-two scale the norm was off by 1.7e-3 at
-    # (4, 1e75) and by 40 % at (4, 1e77), far outside its bar.
+    # On a grid at rate a, |w^2|^2 passed the float maximum here and the
+    # values reached the subnormal range: the norm was off by 1.7e-3 at
+    # (4, 1e75) and by 40 % at (4, 1e77), far outside its bar.  The unit
+    # sheet at z = a s = 1 keeps every node in range.
     prof = ExpProfile(a=a, params=HyperboloidParams(d=2, s=1.0 / a))
     try:
         got = lp_norm_extension_direct(prof, p)
@@ -629,7 +638,8 @@ def test_direct_norm_at_huge_rates_is_right_or_refused(p, a):
 @pytest.mark.parametrize("p", [4, 6])
 @pytest.mark.parametrize("z", [1.0, 30.0])
 def test_direct_norm_at_the_edge_of_its_range_is_right(p, z):
-    # a = 1e151 is the largest rate the direct norm integrates at a s >= 1.
+    # a = 1e151 was the largest rate the direct norm integrated at a s >= 1
+    # on a grid at rate a.
     prof = ExpProfile(a=1e151, params=HyperboloidParams(d=2, s=z / 1e151))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -642,12 +652,46 @@ def test_direct_norm_at_the_edge_of_its_range_is_right(p, z):
 @pytest.mark.parametrize("a", [1e155, 1e200, 1e300])
 @pytest.mark.parametrize("z", [1e-3, 1.0, 30.0])
 def test_direct_norm_past_its_float_range_is_refused_without_warnings(p, a, z):
-    # Here the time tails' v^2 underflowed to 0 (divide-by-zero warnings, then
-    # an inf or NaN power, or at 1e300 a broadcast error in the kernel's redo).
+    # On a grid at rate a the time tails' v^2 underflowed to 0 here, so
+    # max(1/a, 1/s, a, s) past 1e151 was refused as leaving the float range.
+    # On the unit sheet at z = a s these norms are within their bars; only
+    # a s = 1e-3, below the direct norm's range, is still refused.
     prof = ExpProfile(a=a, params=HyperboloidParams(d=2, s=z / a))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="float range"):
+        if z < 1e-2:
+            with pytest.raises(ValueError, match=r"needs a s >= 1e-2"):
+                lp_norm_extension_direct(prof, p)
+            return
+        got = lp_norm_extension_direct(prof, p)
+    ref = _lp_norm_mpmath(p, a, z / a)
+    assert abs(got.value - ref) <= got.error + 1e-13 * ref
+
+
+@pytest.mark.parametrize("p", [4, 6])
+@pytest.mark.parametrize("a", [1e-300, 1e-100, 1e-50])
+@pytest.mark.parametrize("z", [1e-2, 1.0, 30.0, 300.0])
+def test_direct_norm_at_tiny_rates_is_right_without_warnings(p, a, z):
+    # On a grid at rate a, |w^2|^2 underflowed to 0 at a = 1e-100 (a numpy
+    # divide-by-zero warning) and a = 1e-300 was refused as leaving the
+    # float range; on the unit sheet at z = a s they are within their bars.
+    prof = ExpProfile(a=a, params=HyperboloidParams(d=2, s=z / a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = lp_norm_extension_direct(prof, p)
+    ref = _lp_norm_mpmath(p, a, z / a)
+    assert abs(got.value - ref) <= got.error + 1e-13 * ref
+
+
+@pytest.mark.parametrize("p", [4, 6])
+@pytest.mark.parametrize("z", [1e17, 1e20, 1e100])
+def test_direct_norm_past_a_s_of_1e16_is_refused_without_warnings(p, z):
+    # Here the rounding of Re w - a s leaves the scaled p-th power unformable:
+    # at a s = 1e20 it was refused as "inf", at 1e17 and 1e100 it read 0 +- 0.
+    prof = ExpProfile(a=z, params=P2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"a s <= 1e16, got a s = "):
             lp_norm_extension_direct(prof, p)
 
 
@@ -675,50 +719,24 @@ def test_direct_norm_at_a_s_of_1e_2_stays_within_its_bar(p, a):
     assert abs(got.value - ref) <= got.error + 1e-13 * ref
 
 
-def _abs_extension_pow_unscaled_mpmath(a, s, rho, t, p):
-    # e^{p s a} |2 pi e^{-s w} / w|^p with w = sqrt((a - i t)^2 + rho^2), 40 digits.
-    with mpmath.workdps(40):
-        a, s = mpmath.mpf(a), mpmath.mpf(s)
-        w = mpmath.sqrt((a - 1j * mpmath.mpf(t)) ** 2 + mpmath.mpf(rho) ** 2)
-        return mpmath.exp(p * s * a) * abs(2 * mpmath.pi * mpmath.exp(-s * w) / w) ** p
-
-
-@pytest.mark.parametrize("p, a, s", [(4, 1e75, 1e-78), (6, 1e45, 1e-55)])
-def test_abs_extension_pow_keeps_its_bits_and_redoes_overflowing_cells(p, a, s):
-    # Wherever |arg|^{p/2} is finite the in-place kernel gives the one-line
-    # expression's bits; where it overflows the cell is redone in units of
-    # max(a, |t|, rho), and 2^scale_exp lifts values out of the subnormal range.
+@pytest.mark.parametrize("p, z", [(4, 1e-3), (6, 1e-10)])
+def test_abs_extension_pow_keeps_its_bits(p, z):
+    # The in-place kernel gives the one-line expression's bits on the unit
+    # sheet, out to rho ~ 1e25 and t ~ 1e28, past the direct norm's nodes.
     rng = np.random.default_rng(27)
-    rho = 10.0 ** rng.uniform(-2.0, 80.0, (200, 1))
+    rho = 10.0 ** rng.uniform(-2.0, 25.0, (200, 1))
     t = np.concatenate([rho * 10.0 ** rng.uniform(-6.0, 3.0, (200, 12)),
                         rho * (1.0 + rng.uniform(-1e-9, 1e-9, (200, 4)))], axis=1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        re = (a * a - t * t) + rho * rho
-        im = 2.0 * a * t
-        m2 = re * re + im * im
-        m = np.sqrt(m2)
-        big = np.sqrt(0.5 * (m + np.abs(re)))
-        re_w = np.where(re >= 0.0, big, np.abs(im) / (2.0 * big))
-        denominator = m2 if p == 4 else m2 * m
-        one_line = (2.0 * np.pi) ** p * np.exp(-p * s * (re_w - a)) / denominator
-    got = _abs_extension_pow(a, s, rho, t, p)
-    finite = np.isfinite(denominator)
-    assert 0 < finite.sum() < finite.size
-    assert np.array_equal(got[finite], one_line[finite])
-    unit = 1000
-    lifted = _abs_extension_pow(a, s, rho, t, p, scale_exp=unit)
-    normal = finite & (one_line >= np.finfo(float).tiny)
-    assert np.array_equal(lifted[normal], np.ldexp(one_line[normal], unit))
-    checked = 0
-    # Off the cone: within 1e-9 of it both forms lose 1e-7 to the rounding of
-    # t^2 - rho^2, in units or not.
-    for i, j in zip(*np.nonzero(~finite[:, :12])):
-        want = float(_abs_extension_pow_unscaled_mpmath(a, s, rho[i, 0], t[i, j], p)
-                     * mpmath.mpf(2) ** unit)
-        if want > 1e-300:
-            assert lifted[i, j] == pytest.approx(want, rel=1e-13)
-            checked += 1
-    assert checked >= 50
+    re = (z * z - t * t) + rho * rho
+    im = 2.0 * z * t
+    m2 = re * re + im * im
+    m = np.sqrt(m2)
+    big = np.sqrt(0.5 * (m + np.abs(re)))
+    re_w = np.where(re >= 0.0, big, np.abs(im) / (2.0 * big))
+    denominator = m2 if p == 4 else m2 * m
+    one_line = (2.0 * np.pi) ** p * np.exp(-p * (re_w - z)) / denominator
+    assert np.all(np.isfinite(denominator))
+    assert np.array_equal(_abs_extension_pow(z, rho, t, p), one_line)
 
 
 @pytest.mark.parametrize("s", [1.0, 1e-110])
@@ -733,6 +751,36 @@ def test_closed_norms_past_the_cube_overflow_read_zero_or_are_refused(d, p, s):
         lp_norm_extension_via_conv(prof, p, method="closed")
 
 
+@pytest.mark.parametrize("a", [1e-108, 1e-300])
+@pytest.mark.parametrize("d, p", [(2, 6), (3, 4)])
+def test_closed_norms_past_the_cube_underflow_read_inf_and_are_refused(d, p, a):
+    # a^3 underflows to 0 below a ~ 1.7e-108: the closed product reads inf
+    # there, and the norm is refused with ValueError, never ZeroDivisionError.
+    prof = ExpProfile(a=a, params=P2 if d == 2 else P3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for exp_scaled in (False, True):
+            got = conv_power_l2_sq(prof, p // 2, "closed", exp_scaled)
+            assert got == QuadResult(math.inf, 0.0)
+        with pytest.raises(ValueError):
+            lp_norm_extension_via_conv(prof, p, method="closed")
+
+
+@pytest.mark.parametrize("a", [1e-152, 1e-200, 1e-300, 5e-324])
+@pytest.mark.parametrize("d, k", [(2, 2), (2, 3), (3, 2)])
+def test_quadrature_product_at_tiny_rates_is_refused_without_warnings(d, k, a):
+    # The outer nodes tau ~ 30 / a used to overflow the reduction with a
+    # RuntimeWarning, and the norm was then refused as "xi and tau must be
+    # finite".
+    prof = ExpProfile(a=a, params=P2 if d == 2 else P3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: conv_power_l2_sq(prof, k, "quadrature"),
+                     lambda: lp_norm_extension_via_conv(prof, 2 * k, "quadrature")):
+            with pytest.raises(ValueError, match=r"float range at a s = "):
+                call()
+
+
 @pytest.mark.parametrize("p, bound", [(4, 1e-11), (6, 1e-13)])
 def test_direct_norm_time_tail_is_integrated_not_extrapolated(p, bound):
     # The C / t^p extrapolation of the time tail it replaces was off by
@@ -745,15 +793,16 @@ def test_direct_norm_time_tail_is_integrated_not_extrapolated(p, bound):
 @pytest.mark.parametrize("a, s", [(0.05, 1.0), (0.3, 1.0), (3.0, 0.5), (10.0, 2.5)])
 @pytest.mark.parametrize("n_per", [20, 28])
 def test_time_integral_of_the_rho_zero_row(p, a, s, n_per):
-    # At rho = 0, |T|^p = (2 pi)^p e^{-p s a} (a^2 + t^2)^{-p/2}, and
-    # int_0^oo (a^2 + t^2)^{-p/2} dt = pi / (4 a^3) (p = 4), 3 pi / (16 a^5) (p = 6).
+    # On the unit sheet at z = a s and rho = 0, |T|^p = (2 pi)^p e^{-p z}
+    # (z^2 + t^2)^{-p/2}, and int_0^oo (z^2 + t^2)^{-p/2} dt = pi / (4 z^3)
+    # (p = 4), 3 pi / (16 z^5) (p = 6).
+    z = a * s
     rho = np.zeros(1)
-    edges, _ = _ridge_time_edges(rho, a, s)
-    # The integrals are scaled by e^{p s a}.
-    got = _time_integrals(a, s, rho, edges, p, n_per)[0]
-    line = math.pi / (4.0 * a**3) if p == 4 else 3.0 * math.pi / (16.0 * a**5)
-    want = 2.0 * (2.0 * math.pi) ** p * math.exp(-p * s * a) * line
-    assert got == pytest.approx(want * math.exp(p * s * a), rel=1e-14)
+    edges, _ = _ridge_time_edges(rho, z)
+    # The integrals are scaled by e^{p z}.
+    got = _time_integrals(z, rho, edges, p, n_per)[0]
+    line = math.pi / (4.0 * z**3) if p == 4 else 3.0 * math.pi / (16.0 * z**5)
+    assert got == pytest.approx(2.0 * (2.0 * math.pi) ** p * line, rel=1e-14)
 
 
 def test_direct_norm_memory_stays_bounded():
