@@ -33,6 +33,7 @@ weighted closed density.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,7 +177,8 @@ def conv_power_l2_sq(
     method "quadrature": measures.conv_reduced_integral of the squared weighted
     closed density.  The outer integral substitutes tau = k s + w' / (2 a) so
     the a -> 0 regime stays well conditioned, on gl_sqrt_panels split at the
-    scale changes of e^{-w'}.
+    scale changes of e^{-w'}.  A product or error past the float range is
+    refused with ValueError, without a warning.
 
     exp_scaled=True returns e^{2kas} times the norm, finite where the norm
     underflows; value and error scale alike.
@@ -218,7 +220,12 @@ def conv_power_l2_sq(
         total = conv_reduced_integral(form, lambda rho, t, dens: dens, tau, tau_w, n_nodes)
         return total * weight / (2.0 * a) * SPHERE_AREA[d]
 
-    return two_resolution(outer, 48, 96)
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = two_resolution(outer, 48, 96)
+    if not (math.isfinite(result.value) and math.isfinite(result.error)):
+        raise ValueError(f"quadrature product is {result.value} at a s = {z:g}; "
+                         "use the closed route")
+    return result
 
 
 def lp_norm_extension_via_conv(
@@ -227,8 +234,8 @@ def lp_norm_extension_via_conv(
     """||T f_a||_p through the convolution identity; p = 2k for k in {2, 3}.
 
     ||T f||_{2k}^{2k} = (2 pi)^{d+1} ||(f sigma)^{*k}||_2^2, with the p-th power
-    exp-scaled (_scaled_root): the norm holds for a s up to about 700, reads 0
-    with a finite error once it underflows, and a s past ~1e16 is refused.
+    exp-scaled (_scaled_root): the norm holds for every a s until it underflows
+    itself, then reads 0 with a finite error; a s past ~1e16 is refused.
     """
     if p not in (4, 6):
         raise ValueError("p must be 4 or 6")
@@ -238,12 +245,17 @@ def lp_norm_extension_via_conv(
     return _scaled_root(scale * norm_sq.value, scale * norm_sq.error, p, z)
 
 
-def _scaled_root(power: float, error: float, p: int, z: float) -> QuadResult:
+def _scaled_root(power: float, error: float, p: int, z: float, s_power: float = 1.0) -> QuadResult:
     """||T f_a||_p and its error from P = e^{p z} ||T f_a||_p^p, z = a s, which does
-    not underflow with z, and P's error; e^{-z} multiplies the root last."""
+    not underflow with z, and P's error.  The root takes the route's power of s
+    first and e^{-z} last, as e^{-z/2} twice where e^{-z} alone is subnormal."""
     if not 0.0 < power < math.inf:
         raise ValueError(f"exp-scaled p-th power of the L^{p} norm is {power} at a s = {z:g}")
-    norm = power ** (1.0 / p) * math.exp(-z)
+    norm = power ** (1.0 / p) * s_power
+    if (decay := math.exp(-z)) < sys.float_info.min:
+        decay = math.exp(-0.5 * z)
+        norm *= decay
+    norm *= decay
     return QuadResult(value=norm, error=norm * error / (p * power))
 
 
@@ -331,7 +343,8 @@ def lp_norm_extension_direct(profile: ExpProfile, p: int) -> QuadResult:
     ||T f||_p^p = 2 pi int_0^oo int_R |T(rho e1, t)|^p rho dt d(rho),
     independent of the convolution route end to end.  The grid is on the unit
     sheet at z = a s: T f_{a,s}(x, t) = s T f_{z,1}(s x, s t), so the factor
-    s^(1 - 3/p) (1 at s = 1) scales ||T f_{z,1}||_p and its error last.
+    s^(1 - 3/p) (1 at s = 1) scales ||T f_{z,1}||_p and its error, taken into
+    the root before e^{-z} (_scaled_root).
 
     Along the ridge |t| ~ rho the decay exponent Re w stalls near z, so
     the radial mass g(rho) = 2 pi rho int |T|^p dt falls off only like
@@ -372,6 +385,5 @@ def lp_norm_extension_direct(profile: ExpProfile, p: int) -> QuadResult:
             total += float(np.dot(w_rho[rows], g))
         return total
 
-    norm, error = _scaled_root(*two_resolution(evaluate, 20, 28), p, z)
-    factor = profile.params.s ** (1.0 - 3.0 / p)
-    return QuadResult(value=norm * factor, error=error * factor)
+    s_power = profile.params.s ** (1.0 - 3.0 / p)
+    return _scaled_root(*two_resolution(evaluate, 20, 28), p, z, s_power)

@@ -176,8 +176,9 @@ def compose(*maps: LorentzMap) -> LorentzMap:
 def normal_form(params: HyperboloidParams, p: SpacetimePoint) -> tuple[LorentzMap, float]:
     """Map a future timelike point to (0, m), m = sqrt(tau^2 - |xi|^2).
 
-    Returns (L, m) with L.apply(p) = (0, m).  A Householder reflection aligns
-    xi with the first axis, then a boost of velocity -|xi|/tau kills it.
+    Returns (L, m) with L.apply(p) = (0, m): L = [[1 + u u^T / (1 + gamma), -u],
+    [-u^T, gamma]], the boost by the point's own four-velocity (u, gamma) =
+    (xi, tau) / m; symmetric, proper (det +1), and the identity at xi = 0.
     """
     d = params.d
     if p.xi.shape != (d,):
@@ -185,21 +186,13 @@ def normal_form(params: HyperboloidParams, p: SpacetimePoint) -> tuple[LorentzMa
     msq = minkowski_sq(p.vector)
     if p.tau <= 0 or msq <= 0:
         raise ValueError("normal form requires a future timelike point")
-    r = float(np.linalg.norm(p.xi))
     m = float(np.sqrt(msq))
-    if r == 0.0:
-        return LorentzMap(np.eye(d + 1)), m
-    v = p.xi / r
-    e1 = np.zeros(d)
-    e1[0] = 1.0
-    w = v - e1
-    if np.linalg.norm(w) < 1e-14:
-        rot = LorentzMap(np.eye(d + 1))
-    else:
-        h = np.eye(d) - 2.0 * np.outer(w, w) / np.dot(w, w)
-        rot = rotation_embed(h)
-    b = boost(d, -r / p.tau)
-    return compose(b, rot), m
+    u, gamma = p.xi / m, p.tau / m
+    lm = np.empty((d + 1, d + 1))
+    lm[:d, :d] = np.eye(d) + np.outer(u, u) / (1.0 + gamma)
+    lm[:d, d] = lm[d, :d] = -u
+    lm[d, d] = gamma
+    return LorentzMap(lm), m
 
 
 def _radicand(params: HyperboloidParams, x: np.ndarray, y: np.ndarray) -> float:

@@ -45,6 +45,7 @@ from .measures import (
     conv_pairing_oracle,
     conv_point_oracle,
     conv_reduced_integral,
+    conv_sup_norm,
     sum_support_predicate,
     _check_pairing_budget,
     _check_sheet_budget,
@@ -582,14 +583,11 @@ def _suite_functional(rng, samples, grid=None):
                                 1e-13, bar_units=True, note="4 rates in [1e-2, 10]"))
 
     # Strictness of the closed sup bounds and of Q < H.
-    taus = np.linspace(3.01, 60.0, 300)
-    xi = np.zeros((taus.size, 2))
-    v23 = conv_closed(ConvClosedForm(2, 3, 1.0), xi, taus)
-    taus3 = np.linspace(2.01, 60.0, 300)
-    v32 = conv_closed(ConvClosedForm(3, 2, 1.0), np.zeros((taus3.size, 3)), taus3)
-    strict = bool(
-        np.all(v23 < (2.0 * math.pi) ** 2) and np.all(v32 < 2.0 * math.pi)
-    )
+    strict = True
+    for form, tau_lo in ((ConvClosedForm(2, 3, 1.0), 3.01), (ConvClosedForm(3, 2, 1.0), 2.01)):
+        taus = np.linspace(tau_lo, 60.0, 300)
+        vals = conv_closed(form, np.zeros((taus.size, form.d)), taus)
+        strict = strict and bool(np.all(vals < conv_sup_norm(form)[0]))
     gap = 0.0
     for d, p in SUPPORTED_PAIRS:
         h = best_constant(d, p).value

@@ -636,6 +636,18 @@ def test_quadrature_curve_at_tiny_rates_is_one_refusal_line(capsys, d, p):
                    "use the closed route\n")
 
 
+def test_quadrature_curve_past_the_product_float_range_is_one_refusal_line(capsys):
+    # This wrote numpy's overflow RuntimeWarning (two lines) before its
+    # "quadrature norm is inf" refusal.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run_cli(capsys, ["curve", "--d", "2", "--p", "4", "--s", "1e-160",
+                                        "--a-min", "1e150", "--a-max", "1e151",
+                                        "--points", "2", "--method", "quadrature"])
+    assert (rc, out) == (2, "")
+    assert err == "hyperex: quadrature product is inf at a s = 1e-10; use the closed route\n"
+
+
 def test_overflowing_point_is_inside_the_support(capsys):
     # tau^2 and |xi|^2 overflow here; m^2 = 3e400 is far inside the support
     # and the density rounds to its supremum (2 pi)^2.

@@ -617,6 +617,25 @@ def test_norm_routes_keep_a_finite_error_where_the_norm_underflows(p, z):
 
 
 @pytest.mark.parametrize("p", [4, 6])
+@pytest.mark.parametrize("z", [709.0, 720.0, 740.0, 745.0, 760.0, 800.0, 1000.0])
+@pytest.mark.parametrize("s", [1.0, 1e10, 1e100, 1e300])
+def test_norm_routes_stay_within_their_bars_where_e_to_the_minus_a_s_is_subnormal(p, z, s):
+    # e^{-a s} multiplied the root alone, before the direct route's s^(1 - 3/p):
+    # 56 of these 140 norms missed their bars, e.g. the direct p = 4 norm at
+    # a s = 800, s = 1e300 read 0 +- 0 for 1.214e-273.
+    prof = ExpProfile(a=z / s, params=HyperboloidParams(d=2, s=s))
+    ref = _lp_norm_mpmath(p, z / s, s)
+    for route in _NORM_ROUTES:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                got = route(prof, p)
+            except ValueError:
+                continue
+        assert abs(got.value - ref) <= got.error + 1e-13 * ref
+
+
+@pytest.mark.parametrize("p", [4, 6])
 @pytest.mark.parametrize("a", [1e75, 1e77, 1e100])
 def test_direct_norm_at_huge_rates_is_right_or_refused(p, a):
     # On a grid at rate a, |w^2|^2 passed the float maximum here and the
@@ -778,6 +797,20 @@ def test_quadrature_product_at_tiny_rates_is_refused_without_warnings(d, k, a):
         for call in (lambda: conv_power_l2_sq(prof, k, "quadrature"),
                      lambda: lp_norm_extension_via_conv(prof, 2 * k, "quadrature")):
             with pytest.raises(ValueError, match=r"float range at a s = "):
+                call()
+
+
+@pytest.mark.parametrize("d, k, a, s", [(2, 3, 1e-105, 1.0), (3, 2, 1e-95, 1.0),
+                                        (3, 2, 1e-80, 1.0), (2, 2, 1e150, 1e-160)])
+def test_quadrature_product_past_the_float_range_is_refused_without_warnings(d, k, a, s):
+    # The first three returned QuadResult(inf, nan); the last, where the
+    # squared density near the vertex overflows, warned before reading inf.
+    prof = ExpProfile(a=a, params=HyperboloidParams(d=d, s=s))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: conv_power_l2_sq(prof, k, "quadrature"),
+                     lambda: lp_norm_extension_via_conv(prof, 2 * k, "quadrature")):
+            with pytest.raises(ValueError, match=r"product is inf at a s = .*closed route"):
                 call()
 
 

@@ -124,6 +124,10 @@ def test_normal_form_reaches_axis(d, seed):
     assert m == pytest.approx(math.sqrt(minkowski_sq(p.vector)), rel=1e-13)
     assert np.max(np.abs(out.xi)) < 1e-10 * max(1.0, tau)
     assert out.tau == pytest.approx(m, rel=1e-12)
+    # The boost by the point's own four-velocity: symmetric and proper.
+    assert np.array_equal(L.matrix, L.matrix.T)
+    assert np.linalg.det(L.matrix) == pytest.approx(1.0, abs=1e-12)
+    assert L.form_defect() <= 1e-12
 
 
 def test_normal_form_on_axis_and_domain():
