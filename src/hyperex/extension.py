@@ -41,8 +41,8 @@ import numpy as np
 from .geometry import HyperboloidParams, unit_circle
 from .measures import SPHERE_AREA, ConvClosedForm, conv_reduced_integral
 from .quadrature import (
-    BudgetError, QuadResult, check_budget, gk_panels, gl_panels_to_inf, gl_sqrt_panels,
-    two_resolution,
+    BudgetError, QuadResult, check_budget, doubling_edges, gk_panels, gl_panels_to_inf,
+    gl_sqrt_panels, two_resolution,
 )
 from .specfun import bessel_j0, exp_scaled_en, exp_scaled_k1
 
@@ -369,10 +369,7 @@ def lp_norm_extension_direct(profile: ExpProfile, p: int) -> QuadResult:
     z = profile.a * profile.params.s
     if not 1e-2 <= z <= 1e16:
         raise ValueError(f"direct norm needs a s >= 1e-2 and a s <= 1e16, got a s = {z:g}")
-    r_tail = 16.0 * max(1.0 / z, 1.0, z)
-    edges = [0.0, 0.25 * min(1.0 / z, 1.0)]
-    while edges[-1] < r_tail:
-        edges.append(min(2.0 * edges[-1], r_tail))
+    edges = doubling_edges(0.25 * min(1.0 / z, 1.0), 16.0 * max(1.0 / z, 1.0, z))
 
     def evaluate(n_per: int) -> float:
         rho, w_rho = gl_panels_to_inf(edges, n_per)

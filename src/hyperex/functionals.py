@@ -27,7 +27,7 @@ import numpy as np
 from .extension import ExpProfile, conv_power_l2_sq, l2_norm_sq
 from .geometry import HyperboloidParams
 from .measures import ConvClosedForm, conv_sup_norm
-from .quadrature import QuadResult, check_budget, gl_panels
+from .quadrature import QuadResult, check_budget, doubling_edges, gl_panels
 from .specfun import exp_scaled_en, exp_scaled_k1
 
 # One-sheet constant at s = 1 of each supported pair, as (expression, value).
@@ -137,12 +137,14 @@ def q_ratio_closed(d: int, p: int, a: float, s: float) -> float:
     Q_{3,4}^4 = (2 pi)^5 k_1(4z) / (z k_1(2z)^2),   k_1 = e^z K_1(z)
 
     Every factor is exponentially scaled, so the exponentials cancel exactly
-    and no regime of z loses digits.
+    and no regime of z loses digits.  A z that rounds to 0, or below 5e-301
+    for (3, 4), or whose 4z or 6z overflows is refused with ValueError.
     """
     _require_pair(d, p)
-    if not (a > 0 and s > 0):
-        raise ValueError("a and s must be positive")
+    ExpProfile(a=a, params=HyperboloidParams(d=d, s=s))  # refuses a and s
     z = a * s
+    if not (z >= 5e-301 if d == 3 else z > 0.0) or math.isinf(z * (6.0 if p == 6 else 4.0)):
+        raise ValueError(f"a s = {z:g} is outside the closed route's float range")
     if (d, p) == (2, 4):
         return (8.0 * math.pi ** 4 / s * (4.0 * z * exp_scaled_en(1, 4.0 * z))) ** 0.25
     if (d, p) == (2, 6):
@@ -315,19 +317,17 @@ def mass_fraction(d: int, s: float, a: float, radius: float) -> float:
     # u_ball - 1 = r^2 / (u_ball + 1), without the cancellation at small r.
     v_total = math.sqrt(50.0 / rate)
     v_ball = min(math.sqrt(r * (r / (math.hypot(1.0, r) + 1.0))), v_total)
-    return _d3_radial_mass(rate, 1.0, v_ball) / _d3_radial_mass(rate, 1.0, v_total)
+    return _radial_mass(3, rate, 1.0, v_ball) / _radial_mass(3, rate, 1.0, v_total)
 
 
-def _d3_radial_mass(a: float, s: float, v_max: float) -> float:
-    """e^{2as} int_s^{s + v_max^2} e^{-2au} sqrt(u^2 - s^2) du for d = 3.
+def _radial_mass(d: int, a: float, s: float, v_max: float) -> float:
+    """e^{2as} int_s^{s + v_max^2} e^{-2au} w(u) du, w = 1 (d = 2), sqrt(u^2 - s^2) (d = 3).
 
-    In u = s + v^2 the integrand 2 v^2 sqrt(2s + v^2) e^{-2a v^2} is analytic
-    in v; panels start at the smaller of its two scales, sqrt(s) and
-    1/sqrt(2a), and double out to v_max, 24 Gauss-Legendre nodes each.
+    In u = s + v^2 the integrand, 2 v e^{-2a v^2} or 2 v^2 sqrt(2s + v^2)
+    e^{-2a v^2}, is analytic in v; panels start at the smaller of its scales,
+    sqrt(s) and 1/sqrt(2a), and double out to v_max, 24 Gauss-Legendre nodes each.
     """
-    edges = [0.0, min(math.sqrt(s), 1.0 / math.sqrt(2.0 * a), v_max)]
-    while edges[-1] < v_max:
-        edges.append(min(2.0 * edges[-1], v_max))
-    v, w = gl_panels(np.asarray(edges), 24)
+    v, w = gl_panels(doubling_edges(min(math.sqrt(s), 1.0 / math.sqrt(2.0 * a), v_max), v_max), 24)
     v2 = v * v
-    return float(np.sum(w * 2.0 * v2 * np.sqrt(2.0 * s + v2) * np.exp(-2.0 * a * v2)))
+    vals = w * 2.0 * v2 * np.sqrt(2.0 * s + v2) if d == 3 else w * 2.0 * v
+    return float(np.sum(vals * np.exp(-2.0 * a * v2)))

@@ -86,13 +86,17 @@ def unit_circle(theta):
 
 
 def lift(params: HyperboloidParams, x) -> SpacetimePoint:
-    """Lift a finite base point x in R^d onto the upper sheet."""
+    """Lift a finite base point x in R^d onto the upper sheet, its height finite."""
     x = np.asarray(x, dtype=float)
     if x.shape != (params.d,):
         raise ValueError(f"expected a point in R^{params.d}")
     if not np.isfinite(x).all():
         raise ValueError("x must be finite")
-    return SpacetimePoint(x, float(energy(params, np.linalg.norm(x))))
+    with np.errstate(over="ignore"):
+        height = float(energy(params, np.linalg.norm(x)))
+    if not np.isfinite(height):
+        raise ValueError("the height of x on the sheet leaves the float range")
+    return SpacetimePoint(x, height)
 
 
 def minkowski_matrix(d: int) -> np.ndarray:
@@ -101,10 +105,26 @@ def minkowski_matrix(d: int) -> np.ndarray:
     return j
 
 
-def minkowski_sq(v: np.ndarray) -> float:
-    """tau^2 - |xi|^2 for a spacetime vector."""
-    v = np.asarray(v, dtype=float)
-    return float(v[-1] ** 2 - np.dot(v[:-1], v[:-1]))
+def invariant_mass(xi, tau):
+    """(tau, m2 = tau^2 - |xi|^2) as arrays; ValueError for a non-finite xi or tau.
+
+    xi holds its components on the last axis, at least one.  Rows where tau^2
+    or |xi|^2 overflows are redone in units of their largest coordinate, so
+    m2 is +-inf there only when m^2 itself overflows.
+    """
+    xi = np.asarray(xi, dtype=float)
+    tau = np.asarray(tau, dtype=float)
+    if xi.shape[-1:] in ((), (0,)):
+        raise ValueError("xi must have one or more components on its last axis")
+    if not (np.isfinite(xi).all() and np.isfinite(tau).all()):
+        raise ValueError("xi and tau must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        m2 = tau**2 - norm_sq(xi)
+        if not np.isfinite(m2).all():
+            c = np.maximum(np.abs(tau), np.max(np.abs(xi), axis=-1))
+            unit = (tau / c) ** 2 - norm_sq(xi / c[..., None])
+            m2 = np.where(np.isfinite(m2), m2, unit * c * c)
+    return tau, m2
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,7 +194,7 @@ def compose(*maps: LorentzMap) -> LorentzMap:
 
 
 def normal_form(params: HyperboloidParams, p: SpacetimePoint) -> tuple[LorentzMap, float]:
-    """Map a future timelike point to (0, m), m = sqrt(tau^2 - |xi|^2).
+    """Map a future timelike point, its m^2 = tau^2 - |xi|^2 finite, to (0, m).
 
     Returns (L, m) with L.apply(p) = (0, m): L = [[1 + u u^T / (1 + gamma), -u],
     [-u^T, gamma]], the boost by the point's own four-velocity (u, gamma) =
@@ -183,9 +203,9 @@ def normal_form(params: HyperboloidParams, p: SpacetimePoint) -> tuple[LorentzMa
     d = params.d
     if p.xi.shape != (d,):
         raise ValueError("point dimension mismatch")
-    msq = minkowski_sq(p.vector)
-    if p.tau <= 0 or msq <= 0:
-        raise ValueError("normal form requires a future timelike point")
+    msq = invariant_mass(p.xi, p.tau)[1]
+    if not (p.tau > 0 and 0 < msq < np.inf):
+        raise ValueError("normal form requires a future timelike point with a finite m^2")
     m = float(np.sqrt(msq))
     u, gamma = p.xi / m, p.tau / m
     lm = np.empty((d + 1, d + 1))

@@ -45,10 +45,9 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import HyperboloidParams, energy, norm_sq, unit_circle
+from .geometry import HyperboloidParams, energy, invariant_mass, norm_sq, unit_circle
 from .quadrature import (
-    BudgetError, QuadResult, QuadSpec, check_budget, gl_nodes, gl_panels, trapezoid_angles,
-    two_resolution,
+    BudgetError, QuadResult, QuadSpec, check_budget, gl_panels, trapezoid_angles, two_resolution,
 )
 
 SHEETS = ("plus", "minus", "both")
@@ -95,7 +94,7 @@ def _polar_order(n_angular: int) -> int:
 
 def _polar_rule(n_angular: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights in cos(polar) for the d = 3 sphere rule."""
-    return gl_nodes(-1.0, 1.0, _polar_order(n_angular))
+    return gl_panels([-1.0, 1.0], _polar_order(n_angular))
 
 
 def _sphere_nodes(d: int, n_angular: int) -> tuple[np.ndarray, np.ndarray]:
@@ -222,28 +221,6 @@ def _sheet_integrals(spec: MeasureSpec, fs, quad: QuadSpec) -> list[QuadResult]:
     return results
 
 
-def _invariant_mass(xi, tau):
-    """(tau, m2 = tau^2 - |xi|^2) as arrays; ValueError for a non-finite xi or tau.
-
-    xi holds its components on the last axis, at least one.  Rows where tau^2
-    or |xi|^2 overflows are redone in units of their largest coordinate, so
-    m2 is +-inf there only when m^2 itself overflows.
-    """
-    xi = np.asarray(xi, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    if xi.shape[-1:] in ((), (0,)):
-        raise ValueError("xi must have one or more components on its last axis")
-    if not (np.isfinite(xi).all() and np.isfinite(tau).all()):
-        raise ValueError("xi and tau must be finite")
-    with np.errstate(over="ignore", invalid="ignore"):
-        m2 = tau**2 - norm_sq(xi)
-        if not np.isfinite(m2).all():
-            c = np.maximum(np.abs(tau), np.max(np.abs(xi), axis=-1))
-            unit = (tau / c) ** 2 - norm_sq(xi / c[..., None])
-            m2 = np.where(np.isfinite(m2), m2, unit * c * c)
-    return tau, m2
-
-
 def conv_support(form: ConvClosedForm, xi, tau):
     """Closed support of the closed density at (xi, tau), and the invariant mass.
 
@@ -255,7 +232,7 @@ def conv_support(form: ConvClosedForm, xi, tau):
     xi = np.asarray(xi, dtype=float)
     if xi.shape[-1:] != (form.d,):
         raise ValueError(f"xi must have {form.d} components")
-    tau, m2 = _invariant_mass(xi, tau)
+    tau, m2 = invariant_mass(xi, tau)
     return (tau > 0) & (m2 >= (form.n * form.s) ** 2), m2
 
 
@@ -264,7 +241,12 @@ def conv_closed(form: ConvClosedForm, xi, tau):
 
     Vectorized: xi may be (N, d) with tau (N,).
     """
-    inside, m2 = conv_support(form, xi, tau)
+    out = _closed_density(form, *conv_support(form, xi, tau))
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def _closed_density(form: ConvClosedForm, inside, m2):
+    """The closed density as a function of the invariant mass m2; 0 off `inside`."""
     # Outside points get m^2 = oo, finite in every formula below.
     m2_safe = np.where(inside, m2, np.inf)
     if form.d == 2 and form.n == 2:
@@ -273,8 +255,7 @@ def conv_closed(form: ConvClosedForm, xi, tau):
         vals = (2.0 * np.pi) ** 2 * (1.0 - 3.0 * form.s / np.sqrt(m2_safe))
     else:  # (3, 2)
         vals = 2.0 * np.pi * np.sqrt(1.0 - 4.0 * form.s**2 / m2_safe)
-    out = np.where(inside, vals, 0.0)
-    return float(out) if np.ndim(out) == 0 else out
+    return np.where(inside, vals, 0.0)
 
 
 def conv_reduced_integral(form: ConvClosedForm, f: Callable, tau, tau_w, n_rho: int) -> float:
@@ -282,16 +263,15 @@ def conv_reduced_integral(form: ConvClosedForm, f: Callable, tau, tau_w, n_rho: 
 
     sum_tau tau_w rho_max sum_rho w_rho dens f rho^{d-1}, times |S^{d-1}| by the
     caller; n_rho Gauss-Legendre nodes on [0, rho_max = sqrt(tau^2 - (n s)^2)],
-    dens the closed density at (rho e_1, tau), one conv_closed call on the grid.
+    dens the closed density of m^2 = tau^2 - rho^2, with conv_support's test.
     """
     base = form.n * form.s
     rho_max = np.sqrt(np.maximum(tau * tau - base * base, 0.0))
-    r, r_w = gl_nodes(0.0, 1.0, n_rho)
+    r, r_w = gl_panels([0.0, 1.0], n_rho)
     rho = rho_max[:, None] * r
     tau = np.broadcast_to(tau[:, None], rho.shape)
-    xi = np.zeros(rho.shape + (form.d,))
-    xi[..., 0] = rho
-    dens = conv_closed(form, xi, tau)
+    m2 = tau**2 - rho * rho
+    dens = _closed_density(form, (tau > 0) & (m2 >= base**2), m2)
     vals = r_w * dens * f(rho, tau, dens) * rho ** (form.d - 1)
     return float(np.sum(tau_w * (rho_max * np.sum(vals, axis=1))))
 
@@ -374,7 +354,7 @@ def conv_point_oracle(form: ConvClosedForm, xi, tau: float) -> QuadResult:
         return QuadResult(value, floor * value)
 
     def chord_integral(n_nodes: int) -> float:
-        phi, w = gl_nodes(-0.5 * np.pi, 0.5 * np.pi, n_nodes)
+        phi, w = gl_panels([-0.5 * np.pi, 0.5 * np.pi], n_nodes)
         # Extended precision: near the boundary both factors below are tiny
         # differences of order-one squares, outside double's reach at the
         # outermost nodes.
@@ -533,7 +513,7 @@ def sum_support_predicate(s: float, sheets: tuple, xi, tau):
     sheets is a tuple of "plus"/"minus" of length 2 or 3.  Returns whether
     (xi, tau) can lie in the closed region guaranteed to contain the support
     of the corresponding convolution, read from m2 = tau^2 - |xi|^2 of
-    _invariant_mass and the sign of tau, with b = (n s)^2:
+    invariant_mass and the sign of tau, with b = (n s)^2:
 
         n = 2:  (+,+) tau > 0 and m2 >= b,   (+,-) m2 <= b,
                 (-,-) tau < 0 and m2 >= b
@@ -548,7 +528,7 @@ def sum_support_predicate(s: float, sheets: tuple, xi, tau):
     n = len(sheets)
     if n not in (2, 3) or any(sh not in ("plus", "minus") for sh in sheets):
         raise ValueError("sheets must be 2 or 3 entries of 'plus'/'minus'")
-    tau, m2 = _invariant_mass(xi, tau)
+    tau, m2 = invariant_mass(xi, tau)
     b = (n * s) ** 2
     plus = sheets.count("plus")
     if plus == n:

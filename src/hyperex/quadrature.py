@@ -82,13 +82,6 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
-def gl_nodes(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [a, b]."""
-    x, w = _leggauss(n)
-    half = 0.5 * (b - a)
-    return a + half * (x + 1.0), half * w
-
-
 def _spans(edges) -> tuple[np.ndarray, np.ndarray]:
     """Left ends and half-widths, each (..., panels, 1), of the consecutive
     panels along the last axis of `edges`."""
@@ -151,7 +144,7 @@ def gk_panels(edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def gl_sqrt_panels(edges, n_per: int) -> tuple[np.ndarray, np.ndarray]:
     """gl_panels over 1-D `edges`, the first panel taken in v = sqrt(x - edges[0]),
     where a sqrt(x - edges[0]) kink at the left edge is analytic again."""
-    v, w_v = gl_nodes(0.0, np.sqrt(edges[1] - edges[0]), n_per)
+    v, w_v = gl_panels([0.0, np.sqrt(edges[1] - edges[0])], n_per)
     x, w = gl_panels(edges[1:], n_per)
     return np.concatenate([edges[0] + v * v, x]), np.concatenate([2.0 * v * w_v, w])
 
@@ -171,6 +164,14 @@ def gl_panels_to_inf(edges, n_per: int) -> tuple[np.ndarray, np.ndarray]:
     w_v /= v * v
     np.divide(1.0, v, out=v)
     return x, w
+
+
+def doubling_edges(first: float, end: float) -> np.ndarray:
+    """Panel edges 0, first, 2 first, 4 first, ..., end; first > 0, or first = end."""
+    edges = [0.0, first]
+    while edges[-1] < end:
+        edges.append(min(2.0 * edges[-1], end))
+    return np.array(edges)
 
 
 def trapezoid_angles(n: int) -> tuple[np.ndarray, np.ndarray]:

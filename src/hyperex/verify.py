@@ -26,6 +26,7 @@ from .functionals import (
     scaling_check,
     sup_norm_bound,
     two_sheeted_combiner_check,
+    _radial_mass,
 )
 from .geometry import (
     HyperboloidParams,
@@ -551,6 +552,9 @@ def _suite_oracle(rng, samples, grid=None):
 # (d, p, s, a) of the scaling-identity check, one per supported pair.
 _SCALING_INPUTS = ((2, 4, 3.1, 0.9), (2, 6, 3.1, 0.9), (3, 4, 3.1, 0.9))
 
+# (a, R, s) of the d = 2 mass-fraction check: escape, middle, vertex, s != 1.
+_MASS_FRACTION_INPUTS = ((1e-3, 10.0, 1.0), (1.0, 1.0, 1.0), (100.0, 1.0, 1.0), (0.3, 2.0, 2.5))
+
 
 def _suite_functional(rng, samples, grid=None):
     out = []
@@ -613,6 +617,14 @@ def _suite_functional(rng, samples, grid=None):
                       abs(mf - 0.0179), 5e-4))
     out.append(_check("functional", "mass-fraction-vertex",
                       abs(mass_fraction(2, 1.0, 100.0, 1.0) - 1.0), 1e-3))
+    # The closed d = 2 share against the radial quadrature in u = s + v^2, the
+    # ball out to v^2 = u_ball - s, the sheet truncated at e^{-2a(u - s)} = e^{-100}.
+    rows = [(mass_fraction(2, s, a, radius),
+             _radial_mass(2, a, s, math.sqrt(radius * radius / (math.hypot(s, radius) + s)))
+             / _radial_mass(2, a, s, math.sqrt(50.0 / a)), 0.0)
+            for a, radius, s in _MASS_FRACTION_INPUTS]
+    out.append(_within_bars("functional", "mass-fraction-vs-quadrature", rows, 1e-12, 1.0,
+                            1e-13, note="4 (a, R, s)"))
     return out
 
 

@@ -535,6 +535,16 @@ REFUSALS = {
                     "need 0 < a-min < a-max"),
     "curve-ratio": (["curve", "--d", "2", "--p", "4", "--a-min", "1e299", "--a-max", "1e300",
                      "--points", "2"], "ratio 1.0 >= 1 at a = 1e+299"),
+    # a s underflows to 0 or overflows; these named exp_scaled_en or exp_scaled_k1.
+    "curve-a-s-zero-2-6": (["curve", "--d", "2", "--p", "6", "--s", "1e-200", "--a-min",
+                            "1e-200", "--a-max", "1e-199", "--points", "2"],
+                           "a s = 0 is outside the closed route's float range"),
+    "curve-a-s-zero-3-4": (["curve", "--d", "3", "--p", "4", "--s", "1e-200", "--a-min",
+                            "1e-200", "--a-max", "1e-199", "--points", "2"],
+                           "a s = 0 is outside the closed route's float range"),
+    "curve-a-s-inf-3-4": (["curve", "--d", "3", "--p", "4", "--s", "1e300", "--a-min", "1e10",
+                           "--a-max", "1e11", "--points", "2"],
+                          "a s = inf is outside the closed route's float range"),
     "conv-pair": (["conv", "--d", "3", "--n", "3", "--xi", "0,0,0", "--tau", "4"],
                   "no closed convolution form for (d, n) = (3, 3)"),
     "conv-xi": (["conv", "--d", "2", "--n", "2", "--xi", "1,2,3", "--tau", "4"],

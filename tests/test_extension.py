@@ -33,7 +33,7 @@ from hyperex.extension import (
 )
 from hyperex.geometry import HyperboloidParams
 from hyperex.quadrature import (
-    BudgetError, QuadResult, QuadSpec, gk_panels, gl_nodes, gl_panels, gl_panels_to_inf,
+    BudgetError, QuadResult, QuadSpec, doubling_edges, gk_panels, gl_panels, gl_panels_to_inf,
 )
 from hyperex.specfun import bessel_j0, exp_integral_ei
 
@@ -281,10 +281,7 @@ def test_ridge_time_edges_of_all_nodes_match_per_panel_calls(a, s):
     # tail panel's nodes in 1/rho included, on the unit sheet at z = a s;
     # each row's kept prefix must be the row a call on its own panel returns.
     z = a * s
-    r_tail = 16.0 * max(1.0 / z, 1.0, z)
-    radial = [0.0, 0.25 * min(1.0 / z, 1.0)]
-    while radial[-1] < r_tail:
-        radial.append(min(2.0 * radial[-1], r_tail))
+    radial = doubling_edges(0.25 * min(1.0 / z, 1.0), 16.0 * max(1.0 / z, 1.0, z))
     rho, _ = gl_panels_to_inf(radial, 20)
     edges, count = _ridge_time_edges(rho, z)
     for lo in range(0, rho.size, 20):
@@ -295,11 +292,11 @@ def test_ridge_time_edges_of_all_nodes_match_per_panel_calls(a, s):
 
 
 @pytest.mark.parametrize("rho", [0.0, 0.1, 1.0, 8.0])
-def test_gl_panels_equals_per_panel_gl_nodes(rho):
+def test_gl_panels_equals_one_panel_at_a_time(rho):
     edges, count = _ridge_time_edges(np.array([rho]), 0.3)
     edges = edges[0, : count[0]]
     x, w = gl_panels(edges, 20)
-    panels = [gl_nodes(lo, hi, 20) for lo, hi in zip(edges[:-1], edges[1:])]
+    panels = [gl_panels([lo, hi], 20) for lo, hi in zip(edges[:-1], edges[1:])]
     assert np.array_equal(x, np.concatenate([p[0] for p in panels]))
     assert np.array_equal(w, np.concatenate([p[1] for p in panels]))
 

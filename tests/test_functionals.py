@@ -154,6 +154,28 @@ def test_q_ratio_closed_rejects_d3():
         q_ratio_closed(2, 4, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("d, p, a, s", [
+    (2, 6, 1e-200, 1e-200), (2, 4, 1e-200, 1e-200), (3, 4, 1e-200, 1e-200),
+    (3, 4, 4e-301, 1.0), (3, 4, 1e10, 1e300), (2, 4, 1e8, 1e300), (2, 6, 3.1e307, 1.0),
+])
+def test_q_ratio_closed_refuses_an_a_s_outside_the_float_range(d, p, a, s):
+    # These named exp_scaled_en or exp_scaled_k1, which the caller never called.
+    with pytest.raises(ValueError, match="a s = .* is outside the closed route's float range"):
+        q_ratio_closed(d, p, a, s)
+
+
+@pytest.mark.parametrize("d, p, z", [(2, 6, 5e-324), (2, 4, 5e-324), (3, 4, 5e-301),
+                                     (2, 4, 4.4e307), (2, 6, 2.9e307), (3, 4, 4.4e307)])
+def test_q_ratio_closed_accepts_the_edges_of_its_range(d, p, z):
+    assert 0.0 < q_ratio_closed(d, p, z, 1.0) < math.inf
+
+
+@pytest.mark.parametrize("a, s", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (-1.0, 1.0)])
+def test_q_ratio_closed_refuses_a_or_s_like_the_profile(a, s):
+    with pytest.raises(ValueError, match="must be finite and positive"):
+        q_ratio_closed(2, 4, a, s)
+
+
 def _mp_q_ratio(d, p, z):
     # Q at s = 1 from mpmath's E_3 and K_1; a s = z carries all of Q for p = 6
     # and d = 3 (scaling exponent 0).
@@ -379,6 +401,13 @@ def test_mass_fraction_quadrature_d3():
         )
         got = mass_fraction(3, s, a, radius)
         assert got == pytest.approx(inner / (inner + outer), rel=1e-12)
+
+
+@pytest.mark.parametrize("a, s, v_max", [(1e-3, 1.0, 3.0), (1.0, 2.5, 0.7), (100.0, 0.5, 0.1)])
+def test_d2_radial_mass_is_its_closed_integral(a, s, v_max):
+    # e^{2as} int_s^{s + v^2} e^{-2au} du = (1 - e^{-2a v^2}) / (2a).
+    want = -math.expm1(-2.0 * a * v_max * v_max) / (2.0 * a)
+    assert hyperex.functionals._radial_mass(2, a, s, v_max) == pytest.approx(want, rel=1e-14)
 
 
 def test_mass_fraction_limits():

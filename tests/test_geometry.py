@@ -14,9 +14,9 @@ from hyperex.geometry import (
     boost,
     compose,
     energy,
+    invariant_mass,
     lift,
     minkowski_matrix,
-    minkowski_sq,
     normal_form,
     quasi_distance,
     rotation_embed,
@@ -60,7 +60,7 @@ def test_energy_and_lift():
     assert np.allclose(energy(P2, r), np.sqrt(1.0 + r**2))
     p = lift(P3, [1.0, 2.0, 2.0])
     assert p.tau == pytest.approx(math.sqrt(10.0))
-    assert minkowski_sq(p.vector) == pytest.approx(P3.s**2)
+    assert invariant_mass(p.xi, p.tau)[1] == pytest.approx(P3.s**2)
     with pytest.raises(ValueError):
         lift(P2, [1.0, 2.0, 3.0])
 
@@ -70,6 +70,29 @@ def test_lift_refuses_non_finite_point(x):
     # Used to return a point with tau = inf or nan.
     with pytest.raises(ValueError, match="finite"):
         lift(P2, x)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("params, x", [(P2, [1e160, 0.0]), (P3, [0.0, -1.4e154, 0.0])])
+def test_lift_refuses_a_height_past_the_float_range(params, x):
+    # lift(P2, [1e160, 0]) used to return tau = inf after an overflow warning.
+    with pytest.raises(ValueError, match="height of x on the sheet leaves the float range"):
+        lift(params, x)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("xi, tau", [([1e200, 0.0], 2e200), ([0.0, -3e200], 5e200)])
+def test_normal_form_refuses_an_m_squared_past_the_float_range(xi, tau):
+    # m^2 = 3e400 is past the float range: this used to return m = nan and an
+    # all-NaN map.
+    with pytest.raises(ValueError, match="finite m\\^2"):
+        normal_form(P2, SpacetimePoint(xi, tau))
+
+
+def test_normal_form_of_a_large_point_inside_the_float_range():
+    L, m = normal_form(P2, SpacetimePoint([1e150, 0.0], 2e150))
+    assert m == pytest.approx(math.sqrt(3.0) * 1e150, rel=1e-15)
+    assert L.apply(SpacetimePoint([1e150, 0.0], 2e150)).tau == pytest.approx(m, rel=1e-14)
 
 
 def test_boost_worked_example():
@@ -106,8 +129,9 @@ def test_random_composites_preserve_minkowski_square(d, seed):
     rng = np.random.default_rng(1000 + seed)
     for _ in range(10):
         v = rng.uniform(-5, 5, size=d + 1)
-        assert minkowski_sq(L.matrix @ v) == pytest.approx(
-            minkowski_sq(v), rel=1e-9, abs=1e-9
+        w = L.matrix @ v
+        assert invariant_mass(w[:-1], w[-1])[1] == pytest.approx(
+            invariant_mass(v[:-1], v[-1])[1], rel=1e-9, abs=1e-9
         )
 
 
@@ -121,7 +145,7 @@ def test_normal_form_reaches_axis(d, seed):
     p = SpacetimePoint(xi, tau)
     L, m = normal_form(params, p)
     out = L.apply(p)
-    assert m == pytest.approx(math.sqrt(minkowski_sq(p.vector)), rel=1e-13)
+    assert m == pytest.approx(math.sqrt(invariant_mass(p.xi, p.tau)[1]), rel=1e-13)
     assert np.max(np.abs(out.xi)) < 1e-10 * max(1.0, tau)
     assert out.tau == pytest.approx(m, rel=1e-12)
     # The boost by the point's own four-velocity: symmetric and proper.

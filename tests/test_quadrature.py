@@ -8,7 +8,7 @@ import pytest
 
 from hyperex.quadrature import (
     _G12_WEIGHTS, _GK25_NODES, _GK25_WEIGHTS, GL_ORDER_BUDGET, NODE_BUDGET, BudgetError,
-    QuadResult, QuadSpec, _leggauss, check_budget, gk_panels, gl_nodes, gl_panels,
+    QuadResult, QuadSpec, _leggauss, check_budget, doubling_edges, gk_panels, gl_panels,
     gl_panels_to_inf, gl_sqrt_panels, two_resolution,
 )
 
@@ -164,15 +164,33 @@ def test_quad_result_is_a_named_pair():
     assert two_resolution(lambda n: 1.0 / n, 2, 4) == QuadResult(0.25, 0.25)
 
 
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-1.0, 1.0), (-0.5 * math.pi, 0.5 * math.pi)])
+def test_gl_panels_on_one_interval_is_the_affine_map_of_the_rule(lo, hi):
+    x, w = _leggauss(24)
+    half = 0.5 * (hi - lo)
+    got_x, got_w = gl_panels([lo, hi], 24)
+    assert np.array_equal(got_x, lo + half * (x + 1.0)) and np.array_equal(got_w, half * w)
+
+
+@pytest.mark.parametrize("first, end, want", [
+    (0.25, 16.0, [0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0]),
+    (0.3, 1.0, [0.0, 0.3, 0.6, 1.0]),
+    (2.0, 2.0, [0.0, 2.0]),
+    (0.0, 0.0, [0.0, 0.0]),
+])
+def test_doubling_edges(first, end, want):
+    assert doubling_edges(first, end).tolist() == want
+
+
 def test_orders_and_samples_past_the_budget_are_refused():
     with pytest.raises(BudgetError, match="Gauss-Legendre"):
-        gl_nodes(0.0, 1.0, 10**12)
+        gl_panels([0.0, 1.0], 10**12)
     with pytest.raises(BudgetError, match="Gauss-Legendre"):
         gl_panels(np.array([0.0, 1.0]), 10**12)
     with pytest.raises(BudgetError, match="Monte-Carlo samples"):
         QuadSpec(rule="montecarlo", samples=10**12)
     QuadSpec(rule="montecarlo", samples=NODE_BUDGET)
-    gl_nodes(0.0, 1.0, GL_ORDER_BUDGET)
+    gl_panels([0.0, 1.0], GL_ORDER_BUDGET)
 
 
 @pytest.mark.parametrize("count, shown", [

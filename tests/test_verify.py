@@ -36,7 +36,7 @@ def all_checks():
 
 
 def test_all_suites_pass_at_default_seed(all_checks):
-    assert len(all_checks) == 35
+    assert len(all_checks) == 36
     assert [f"{c.suite}/{c.name}" for c in all_checks if not c.passed] == []
 
 
@@ -73,10 +73,8 @@ _PERTURBATIONS = [
     pytest.param(hyperex.verify, "extension_closed",
                  lambda profile, x, t: extension_closed(profile, x, -np.asarray(t)),
                  "specfun", "extension-closed-vs-quadrature", id="extension_closed-conjugated"),
-    # Its checks compare it with the typed constants 0.0179 +- 5e-4 and 1 +- 1e-3.
     pytest.param(hyperex.verify, "mass_fraction", _times(mass_fraction, 1e-4),
-                 "functional", "mass-fraction-escape", id="mass_fraction",
-                 marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=_NO_ORACLE)),
+                 "functional", "mass-fraction-vs-quadrature", id="mass_fraction"),
     # Only constants-table fails, and it evaluates the same module's
     # expression strings; the combiner check never reads best_constant, and
     # no check computes a two-sheet norm.
