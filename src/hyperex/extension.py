@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import HyperboloidParams, unit_circle
+from .geometry import HyperboloidParams, energy, unit_circle
 from .measures import SPHERE_AREA, ConvClosedForm, conv_reduced_integral
 from .quadrature import (
     BudgetError, QuadResult, check_budget, doubling_edges, gk_panels, gl_panels_to_inf,
@@ -64,7 +64,10 @@ def extension_closed(profile: ExpProfile, x, t):
 
     x is the spatial point (shape (..., 2)) and t the time; the result is
     complex 2 pi e^{-s w}/w with w the principal sqrt((a - i t)^2 + |x|^2).
-    Raises ValueError for a non-finite x or t.
+    Where w^2 leaves the normal float range it is formed again in units of
+    c = max(a, |t|, |x_k|), w = c sqrt(w^2 / c^2), as invariant_mass redoes its
+    rows.  Raises ValueError for a non-finite x or t, and where the value
+    itself leaves the float range.
     """
     if profile.params.d != 2:
         raise ValueError("closed extension form exists for d = 2 only")
@@ -74,11 +77,20 @@ def extension_closed(profile: ExpProfile, x, t):
     if not (np.isfinite(x).all() and np.isfinite(t).all()):
         raise ValueError("extension_closed requires finite x and t")
     lam = a - 1j * t
-    arg = lam * lam + np.sum(x * x, axis=-1)
-    # Re(lam) = a > 0 keeps arg off the cut, where numpy's sqrt is the
+    # Re(lam) = a > 0 keeps w^2 off the cut, where numpy's sqrt is the
     # principal branch.
-    w = np.sqrt(arg.astype(complex))
-    return 2.0 * np.pi * np.exp(-s * w) / w
+    with np.errstate(over="ignore", invalid="ignore"):
+        arg = lam * lam + np.sum(x * x, axis=-1)
+        w = np.sqrt(arg.astype(complex))
+        redo = ~(np.abs(arg) >= sys.float_info.min) | ~np.isfinite(arg)
+        if redo.any():
+            c = np.maximum(np.maximum(a, np.abs(t)), np.max(np.abs(x), axis=-1))
+            unit = (lam / c) ** 2 + np.sum((x / c[..., None]) ** 2, axis=-1)
+            w = np.where(redo, c * np.sqrt(unit), w)
+        value = 2.0 * np.pi * np.exp(-s * w) / w
+    if not np.isfinite(value).all():
+        raise ValueError("the extension value leaves the float range")
+    return value
 
 
 def extension_quadrature(profile: ExpProfile, x, t: float) -> QuadResult:
@@ -95,15 +107,17 @@ def extension_quadrature(profile: ExpProfile, x, t: float) -> QuadResult:
     period of e^{i omega r} is (2 pi)^24 (12!)^4 / (25 (24!)^3) ~ 1.3e-19 of
     the panel mean, under round-off.  They are capped where u would move by
     more than 3/a and at an eighth of the range [0, r_max], cut where
-    e^{-a(u - s)} = e^{-45}.  The integrand is analytic at r = 0, but r / u has branch
-    points at r = +-i s: out of the vertex each panel is no wider than
-    hypot(r, s) at its left edge, growing geometrically until that reaches
-    the period width.  Each panel takes the 25-node Gauss-Kronrod rule
-    (quadrature.gk_panels) on one set of integrand values: the value is the
-    K25 sum, exact to degree 37, and the error |K25 - G12| against the
-    embedded 12-point Gauss sum, which measures the G12 error and so bounds
-    the K25 one.  Works for d = 2 and d = 3.  The real factor comes first;
-    cos and sin of t u (and sin(|x| r)) come from geometry.unit_circle.
+    e^{-a(u - s)} = e^{-45}; call that width w.  The integrand is analytic at
+    r = 0, but r / u has branch points at r = +-i s, so [0, w] is graded by
+    quadrature.doubling_edges(min(s, w), w): each of its panels is no wider
+    than hypot(r, s) at its left edge r.  Each panel takes the 25-node
+    Gauss-Kronrod rule (quadrature.gk_panels) on one set of integrand values:
+    the value is the K25 sum, exact to degree 37, and the error |K25 - G12|
+    against the embedded 12-point Gauss sum, which measures the G12 error and
+    so bounds the K25 one.  Works for d = 2 and d = 3.  The real factor comes
+    first; cos and sin of t u (and sin(|x| r)) come from geometry.unit_circle.
+    An s whose square underflows to 0, where u reads 0 at the first nodes, is
+    refused with ValueError.
     """
     a, s, d = profile.a, profile.params.s, profile.params.d
     x = np.asarray(x, dtype=float)
@@ -117,23 +131,23 @@ def extension_quadrature(profile: ExpProfile, x, t: float) -> QuadResult:
     r_max = math.sqrt(45.0 / a * (s + u_max))
     # u moves by at most r_max / u_max per unit r, so a width of
     # (3 / a) u_max / r_max lets e^{-a u} fall by at most e^{-3} per panel.
-    panel = min(2.0 * np.pi / (abs(t) + x_norm + 1e-9), 3.0 / a * u_max / r_max, r_max / 8.0)
-    graded = [0.0]
-    while (step := math.hypot(graded[-1], s)) < panel:
-        graded.append(graded[-1] + step)
-    if not (panel > 0.0 and math.isfinite(span := (r_max - graded[-1]) / panel)):
+    width = min(2.0 * np.pi / (abs(t) + x_norm + 1e-9), 3.0 / a * u_max / r_max, r_max / 8.0)
+    if not (width > 0.0 and math.isfinite(span := (r_max - width) / width)):
         raise BudgetError("extension-quadrature nodes exceed every finite budget")
+    graded = doubling_edges(min(s, width), width)
     n_panels = math.ceil(span)
-    check_budget((len(graded) - 1 + n_panels) * 32, "extension-quadrature nodes")
-    edges = np.concatenate([graded[:-1], np.linspace(graded[-1], r_max, n_panels + 1)])
+    check_budget((graded.size - 1 + n_panels) * 32, "extension-quadrature nodes")
+    edges = np.concatenate([graded[:-1], np.linspace(width, r_max, n_panels + 1)])
 
     r, w_kronrod, w_gauss = gk_panels(edges)
+    u = energy(profile.params, r)
+    if u[0] == 0.0:  # the height at the smallest node
+        raise ValueError(f"s^2 = {s!r}^2 underflows to 0; the sheet height at r = 0 reads 0")
     if x_norm == 0.0:
         mag = np.full_like(r, 2.0 * np.pi) if d == 2 else 4.0 * np.pi * r
     else:
         mag = bessel_j0(x_norm * r) if d == 2 else unit_circle(x_norm * r)[1]
         mag *= 2.0 * np.pi if d == 2 else 4.0 * np.pi / x_norm
-    u = np.sqrt(r * r + s * s)
     mag *= np.divide(r, u, out=r)
     mag *= np.exp(-a * u)
     # e^{-(a - i t) u} = e^{-a u} (cos t u + i sin t u).

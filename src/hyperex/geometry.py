@@ -6,6 +6,8 @@ form tau^2 - |xi|^2, i.e. the form matrix is diag(-1, ..., -1, +1).
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,8 +49,15 @@ class SpacetimePoint:
 
 
 def energy(params: HyperboloidParams, r):
-    """sqrt(s^2 + r^2), the height of the sheet over radius r; elementwise."""
-    return np.sqrt(params.s**2 + np.square(r))
+    """sqrt(s^2 + r^2), the height of the sheet over radius r; elementwise.
+
+    ValueError where s^2 leaves the float range, which HyperboloidParams allows.
+    """
+    try:
+        s2 = params.s**2
+    except OverflowError:
+        raise ValueError(f"s^2 = {params.s!r}^2 leaves the float range") from None
+    return np.sqrt(s2 + np.square(r))
 
 
 def norm_sq(xi):
@@ -220,11 +229,15 @@ def _radicand(params: HyperboloidParams, x: np.ndarray, y: np.ndarray) -> float:
     # can never fall below 4 s^2 through rounding:
     #   psi psi' - (s^2 + AB) = s^2 (A - B)^2 / (psi psi' + s^2 + AB)
     #   AB - x.y >= 0 (Cauchy-Schwarz)
+    # inf where s^4, the scale of s^2 (A - B)^2, is below the normal float
+    # range or a term overflows.
     s = params.s
     a = float(np.linalg.norm(x))
     b = float(np.linalg.norm(y))
-    pp = float(energy(params, a) * energy(params, b))
-    u = s * s * (a - b) ** 2 / (pp + s * s + a * b)
+    den = float(energy(params, a) * energy(params, b)) + s * s + a * b
+    if not (s * s * s * s >= sys.float_info.min and den < math.inf and abs(a - b) < 1e154):
+        return math.inf
+    u = s * s * (a - b) ** 2 / den
     v = max(a * b - float(np.dot(x, y)), 0.0)
     return 4.0 * s * s + 2.0 * (u + v)
 
@@ -236,10 +249,27 @@ def quasi_distance(params: HyperboloidParams, x, y) -> float:
     Lorentz map L preserving the upper sheet d_s(L(p).xi, L(q).xi) = d_s(x, y).
     Vanishes iff x = y; symmetric.  The radicand is assembled from nonnegative
     pieces so the result is >= 0 in floating point, not just in exact arithmetic.
+    d_s is unchanged when s, x and y share a scale, so where s^4 or a term of
+    the radicand leaves the float range it is formed again with all three
+    scaled by the power of two that takes s to about 2^-250 (x = y reads 0
+    there); ValueError where even that overflows, or for a non-finite point.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != (params.d,) or y.shape != (params.d,):
         raise ValueError(f"expected points in R^{params.d}")
-    return float(np.sqrt(_radicand(params, x, y)) / (2.0 * params.s) - 1.0)
-
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("x and y must be finite")
+    s, k = params.s, 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        radicand = _radicand(params, x, y)
+        if radicand == math.inf:
+            if np.array_equal(x, y):
+                return 0.0
+            k = -250 - math.frexp(s)[1]
+            radicand = _radicand(HyperboloidParams(params.d, math.ldexp(s, k)),
+                                 np.ldexp(x, k), np.ldexp(y, k))
+        dist = float(np.sqrt(radicand) / (2.0 * math.ldexp(s, k)) - 1.0)
+    if dist == math.inf:
+        raise ValueError("the quasi-distance leaves the float range")
+    return dist

@@ -139,8 +139,8 @@ def _radial_nodes(params: HyperboloidParams, quad: QuadSpec):
     return r, r ** (params.d - 1) / psi * wr, psi
 
 
-# Most sheet nodes integrated at once by _sheet_integrals, so the
-# temporaries of an integrand stay cache-sized however fine the grid.
+# Most sheet nodes integrated at once by _sheet_integrals (one radial row at
+# least), so the temporaries of an integrand stay cache-sized however fine the grid.
 _SHEET_BLOCK_NODES = 2**14
 
 
@@ -172,10 +172,9 @@ def _check_sheet_budget(d: int, quad: QuadSpec) -> None:
 def _sheet_integrals(spec: MeasureSpec, fs, quad: QuadSpec) -> list[QuadResult]:
     """surface_integral of each integrand of fs, all on one grid per resolution.
 
-    The grid is cut into blocks of at most _SHEET_BLOCK_NODES nodes along
-    np.sum's pairwise split of the whole grid, and each block is summed as it
-    is built, so each value has the bits of one np.sum over a whole-grid
-    array that is never built.
+    The grid is walked in blocks of whole radial rows, as many as fit in
+    _SHEET_BLOCK_NODES nodes (at least one), and each block's sums are added
+    to the running totals, so no whole-grid array is built.
     """
     _check_sheet_budget(spec.params.d, quad)
     signs = {"plus": (1,), "minus": (-1,), "both": (1, -1)}[spec.sheet]
@@ -186,29 +185,21 @@ def _sheet_integrals(spec: MeasureSpec, fs, quad: QuadSpec) -> list[QuadResult]:
         r, wr, psi = _radial_nodes(spec.params, q)
         omega, wo = _sphere_nodes(spec.params.d, q.n_angular)
         m = wo.size
-        outer = q.n_radial * m  # the first node of the outer radial panel
-
-        def sums(lo: int, n: int) -> np.ndarray:
-            """Per integrand, the sums of nodes lo..lo+n-1 for each sign,
-            then their outer-half |.| tail."""
-            if n > _SHEET_BLOCK_NODES:
-                half = n // 2 - n // 2 % 8  # numpy's pairwise summation split
-                return sums(lo, half) + sums(lo + half, n - half)
-            # The radial rows that hold nodes lo..lo+n-1, then those nodes.
-            rows, nodes = slice(lo // m, -(-(lo + n) // m)), slice(lo % m, lo % m + n)
-            xi = np.kron(r[rows, None], omega)[nodes]
-            tau = np.repeat(psi[rows], m)[nodes]
-            w = np.outer(wr[rows], wo).ravel()[nodes]
-            tail = slice(max(0, outer - lo), None)
-            out = np.zeros((len(fs), len(signs) + 1))
+        step = max(1, _SHEET_BLOCK_NODES // m)
+        # Per integrand, the sum for each sign, then the |.| tail of rows >= q.n_radial.
+        out = np.zeros((len(fs), len(signs) + 1))
+        for lo in range(0, r.size, step):
+            rows = slice(lo, lo + step)
+            xi = np.kron(r[rows, None], omega)
+            tau = np.repeat(psi[rows], m)
+            w = np.outer(wr[rows], wo).ravel()
+            tail = slice(max(0, q.n_radial - lo) * m, None)
             for f, row in zip(fs, out):
                 for k, sign in enumerate(signs):
                     vals = w * f(xi, tau if sign > 0 else -tau)
-                    row[k] = np.sum(vals)
+                    row[k] += np.sum(vals)
                     row[-1] += np.sum(np.abs(vals[tail]))
-            return out
-
-        return [(sum(map(float, row[:-1])), float(row[-1])) for row in sums(0, r.size * m)]
+        return [(sum(map(float, row[:-1])), float(row[-1])) for row in out]
 
     results = []
     for (coarse, _), (fine, tail) in zip(run(1), run(2)):
@@ -471,8 +462,10 @@ def _pairing_montecarlo(
     rejection; the estimator is an i.i.d. mean with a clean error bar.
     cos and sin of theta come from unit_circle, within 2 ulp(1) of libm's.
     """
-    rng = np.random.Generator(np.random.PCG64(quad.seed if quad.seed is not None else 0))
     s = params.s
+    if not s * s < math.inf:
+        raise ValueError(f"s^2 = {s!r}^2 leaves the float range")
+    rng = np.random.Generator(np.random.PCG64(quad.seed if quad.seed is not None else 0))
     N = quad.samples
     blocks = [slice(b, b + _MC_BLOCK) for b in range(0, N, _MC_BLOCK)]
     # Every step but the mean and the deviation is elementwise, so block by
@@ -521,15 +514,19 @@ def sum_support_predicate(s: float, sheets: tuple, xi, tau):
                 (+,-,-) tau <= 0 or m2 <= b,   (-,-,-) tau < 0 and m2 >= b
 
     The all-plus rows are conv_support's decision.  Vectorized over
-    (xi, tau); raises ValueError for a non-finite xi or tau.
+    (xi, tau); raises ValueError for a non-finite xi or tau, or a b past the
+    float range.
     """
     if not s > 0:
         raise ValueError("s must be positive")
     n = len(sheets)
     if n not in (2, 3) or any(sh not in ("plus", "minus") for sh in sheets):
         raise ValueError("sheets must be 2 or 3 entries of 'plus'/'minus'")
+    try:
+        b = (n * s) ** 2
+    except OverflowError:
+        raise ValueError(f"(n s)^2 = ({n} * {s!r})^2 leaves the float range") from None
     tau, m2 = invariant_mass(xi, tau)
-    b = (n * s) ** 2
     plus = sheets.count("plus")
     if plus == n:
         out = (tau > 0) & (m2 >= b)

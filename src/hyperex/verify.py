@@ -32,6 +32,7 @@ from .geometry import (
     HyperboloidParams,
     boost,
     compose,
+    energy,
     lift,
     normal_form,
     quasi_distance,
@@ -334,7 +335,7 @@ def _random_sheet_points(rng, s, sign, xi, tau):
     n = tau.size
     r = rng.exponential(scale=2.0, size=n)
     c, sn = unit_circle(rng.uniform(0.0, 2.0 * np.pi, size=n))
-    tau += sign * np.sqrt(s * s + r * r)
+    tau += sign * energy(HyperboloidParams(xi.shape[0], s), r)
     if xi.shape[0] == 3:
         z = rng.uniform(-1.0, 1.0, size=n)
         xi[2] += r * z
@@ -376,7 +377,7 @@ def _suite_support(rng, samples, grid=None):
     bad = 0
     for d in (2, 3):
         xi = rng.normal(size=(per, d)) * 3.0
-        b = np.sqrt((2.0) ** 2 + np.sum(xi * xi, axis=-1))
+        b = energy(HyperboloidParams(d, 2.0), np.linalg.norm(xi, axis=-1))
         tau = b * (1.0 - rng.uniform(0.01, 0.5, size=per))
         inside = sum_support_predicate(1.0, ("plus", "plus"), xi, tau)
         bad += int(np.count_nonzero(inside))

@@ -91,6 +91,52 @@ def test_closed_refuses_non_finite_point(x, t):
             extension_closed(PROF2, np.array(x), np.array(t))
 
 
+def test_closed_at_the_edges_of_the_float_range():
+    # (a - i t)^2 + |x|^2 used to leave the normal float range: nan+nanj at
+    # t = 1e160, inf+nanj where a^2 underflows, 0 after an overflow warning
+    # at |x| = 1e200.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = extension_closed(PROF2, np.zeros(2), 1e160)
+        with mpmath.workdps(200):
+            w = mpmath.mpc(1, -1e160)
+            want = complex(2 * mpmath.pi * mpmath.exp(-w) / w)
+        assert abs(got - want) <= 1e-12 * abs(want)
+        prof = ExpProfile(a=1e-300, params=HyperboloidParams(d=2, s=1e300))
+        got = extension_closed(prof, np.zeros(2), 0.0)
+        assert got == pytest.approx(2 * math.pi * math.exp(-1.0) * 1e300, rel=1e-14)
+        assert extension_closed(PROF2, np.array([1e200, 0.0]), 0.0) == 0.0
+        # Rows in range keep the direct arithmetic beside a redone one.
+        x = np.array([[0.3, 0.4], [1e200, 0.0], [-2.0, 1.5]])
+        t = np.array([0.7, 0.0, -3.0])
+        lam = 1.0 - 1j * t[[0, 2]]
+        w = np.sqrt(lam * lam + np.sum(x[[0, 2]] ** 2, axis=-1))
+        got = extension_closed(PROF2, x, t)
+        assert np.array_equal(got[[0, 2]], 2.0 * np.pi * np.exp(-w) / w)
+        # 2 pi / a past the float range is refused, not returned as inf.
+        with pytest.raises(ValueError, match="float range"):
+            extension_closed(ExpProfile(a=1e-320, params=P2), np.zeros(2), 0.0)
+
+
+@pytest.mark.parametrize("s", [1e-150, 1e-161])
+def test_quadrature_of_a_tiny_sheet_is_its_cone_limit(s):
+    # At s -> 0, d = 3, x = e1, t = a = 1: 4 pi / ((1 - i)^2 + 1) = 4 pi (1 + 2i) / 5.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        val, err = extension_quadrature(ExpProfile(1.0, HyperboloidParams(3, s)),
+                                        np.array([1.0, 0.0, 0.0]), 1.0)
+    assert abs(val - 4 * math.pi * (1 + 2j) / 5) <= err + 1e-14
+
+
+def test_quadrature_of_an_s_whose_square_underflows_is_refused():
+    # Used to return (inf+nanj, nan): u = sqrt(r^2 + s^2) read 0 at the first nodes.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="underflows"):
+            extension_quadrature(ExpProfile(1.0, HyperboloidParams(3, 1e-300)),
+                                 np.array([1.0, 0.0, 0.0]), 1.0)
+
+
 def test_closed_worked_values():
     # At the origin w = a, so T = 2 pi e^{-s a} / a.
     v = extension_closed(PROF2, np.array([0.0, 0.0]), 0.0)
@@ -198,6 +244,28 @@ def _count_gk_nodes(monkeypatch):
 
     monkeypatch.setattr(hyperex.extension, "gk_panels", counting)
     return nodes
+
+
+@pytest.mark.parametrize("t", [0.5, 30.0])
+@pytest.mark.parametrize("s", [1e-3, 0.1, 1.0, 10.0])
+def test_quadrature_panels_keep_off_the_branch_points(monkeypatch, s, t):
+    # r / u has branch points at r = +-i s: every panel is no wider than
+    # hypot(r, s) at its left edge r, the graded ones from r = 0 included.
+    edges = []
+
+    def recording(e):
+        edges.append(np.asarray(e))
+        return gk_panels(e)
+
+    monkeypatch.setattr(hyperex.extension, "gk_panels", recording)
+    prof = ExpProfile(a=0.3, params=HyperboloidParams(d=2, s=s))
+    x = np.array([1.0, -2.0])
+    val, err = extension_quadrature(prof, x, t)
+    (e,) = edges
+    assert e[0] == 0.0 and np.all(np.diff(e) > 0.0)
+    assert np.all(np.diff(e) <= np.hypot(e[:-1], s))
+    floor = 1e-13 * abs(extension_closed(prof, np.zeros(2), 0.0))
+    assert abs(val - extension_closed(prof, x, t)) <= err + floor
 
 
 def test_quadrature_corner_takes_a_quarter_of_the_u_rule_nodes(monkeypatch):

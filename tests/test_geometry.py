@@ -1,6 +1,7 @@
 """Geometry invariants: form preservation, normal forms, quasi-distance."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -187,6 +188,60 @@ def test_quasi_distance_scale():
     params = HyperboloidParams(d=2, s=s)
     d = quasi_distance(params, [2 * s, 0.0], [0.0, 0.0])
     assert d == pytest.approx(math.sqrt(2 * (1 + math.sqrt(5.0))) / 2 - 1, rel=1e-13)
+
+
+def test_an_s_whose_square_overflows_is_refused_without_warnings():
+    # HyperboloidParams accepts s = 1e200 (constants --s 1e200 runs); energy
+    # used to raise OverflowError from s**2, and lift and quasi_distance with it.
+    params = HyperboloidParams(2, 1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: energy(params, 0.0), lambda: lift(params, [0.0, 0.0]),
+                     lambda: quasi_distance(params, [0.0, 0.0], [1.0, 0.0])):
+            with pytest.raises(ValueError, match="float range"):
+                call()
+        s = 1.3e154  # s^2 is finite: the height keeps its formula
+        assert energy(HyperboloidParams(2, s), 3.0) == np.sqrt(s**2 + 9.0)
+
+
+@pytest.mark.parametrize("x, y, want", [
+    ([1e200, 0.0], [1e200, 0.0], 0.0),
+    ([1e200, 0.0], [2e200, 0.0], math.sqrt(4.5) / 2 - 1),
+    ([1e160, 0.0], [-1e160, 0.0], 1e160),
+])
+def test_quasi_distance_of_points_past_the_square_range(x, y, want):
+    # Used to return nan after "overflow encountered in dot".
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert quasi_distance(P2, x, y) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("c", [1e-200, 1e-100, 1e-40, 1e60, 1e100, 1e150])
+def test_quasi_distance_is_unchanged_by_a_common_scale(c):
+    # s^4 or a term of the radicand leaves the float range at most of these
+    # scales; d_s(x, y) depends on s, x and y only through x / s and y / s.
+    rng = np.random.default_rng(7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for d in (2, 3):
+            x, y = rng.normal(size=d), rng.normal(size=d)
+            want = quasi_distance(HyperboloidParams(d, 0.8), x, y)
+            got = quasi_distance(HyperboloidParams(d, 0.8 * c), x * c, y * c)
+            assert got == pytest.approx(want, rel=1e-12)
+            assert quasi_distance(HyperboloidParams(d, 0.8 * c), x * c, x * c) == 0.0
+
+
+@pytest.mark.parametrize("s, x, y", [
+    (1.0, [1e300, 0.0], [-1e300, 0.0]),
+    (1e-300, [1e10, 0.0], [-1e10, 0.0]),
+    (1.0, [math.nan, 0.0], [0.0, 0.0]),
+    (1.0, [0.0, 0.0], [math.inf, 0.0]),
+])
+def test_quasi_distance_past_the_float_range_is_refused(s, x, y):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="float range|finite"):
+            quasi_distance(HyperboloidParams(2, s), x, y)
 
 
 @pytest.mark.parametrize("d", [2, 3])

@@ -240,6 +240,24 @@ def test_sheet_integrals_are_the_lone_surface_integrals(params, sheet):
         _sheet_integrals(spec, (_tilted_gaussian, _slow_tail), quad)
 
 
+@pytest.mark.parametrize("rows", [3.5, 1.0, 0.5], ids=["rows", "one-row", "part-row"])
+@pytest.mark.parametrize("params", [P2, P3], ids=["d2", "d3"])
+def test_surface_integral_in_blocks_of_whole_rows_is_the_grid_sum(monkeypatch, params, rows):
+    # Blocks hold several rows, one row, or (less than one row fits) one row
+    # each of the fine grid, whose rows hold 48 (d = 2) or 1,152 (d = 3) nodes.
+    quad = QuadSpec(radius=30.0, n_radial=20, n_angular=24)
+    row = 48 if params.d == 2 else 48 * 24
+    monkeypatch.setattr("hyperex.measures._SHEET_BLOCK_NODES", int(rows * row))
+    want, refused = _grid_sum(params, "both", _tilted_gaussian, quad)
+    assert not refused
+    got = surface_integral(MeasureSpec(params, "both"), _tilted_gaussian, quad)
+    assert got.value == pytest.approx(want.value, rel=1e-14)
+    assert abs(got.error - want.error) <= 1e-14 * abs(want.value)
+    # The outer-half tail is every row at or past n_radial, whatever the block.
+    with pytest.raises(BudgetError, match="outer-half contribution"):
+        surface_integral(MeasureSpec(params, "both"), _slow_tail, quad)
+
+
 def test_surface_integral_leaves_the_grid_it_passes_unchanged():
     # An integrand may return its tau argument; an in-place multiply of that
     # return value would write the weights into the grid.
@@ -830,6 +848,28 @@ def test_overflowing_rows_are_decided_without_overflow():
                                     for x, t in zip(xi, tau)]
         assert sum_support_predicate(1.0, ("plus", "minus"), [1e300, 1e300], 1e300)
         assert not sum_support_predicate(1.0, ("plus", "plus"), [1e300, 1e300], 1.4e300)
+
+
+def test_an_s_whose_square_overflows_is_refused_without_warnings():
+    # HyperboloidParams accepts s = 1e200 (constants --s 1e200 runs); these
+    # calls used to raise OverflowError, or return QuadResult(nan, nan) after
+    # two RuntimeWarnings on the Monte-Carlo route.
+    spec = MeasureSpec(HyperboloidParams(2, 1e200))
+    g = lambda r, tau: np.exp(-r - np.abs(tau))  # noqa: E731
+    calls = [
+        lambda: surface_integral(spec, lambda xi, tau: np.exp(-np.sum(xi * xi, axis=-1))),
+        lambda: conv_pairing_oracle(spec, 2, g, QuadSpec(n_radial=8, n_angular=8)),
+        lambda: conv_pairing_oracle(spec, 2, g, QuadSpec(rule="montecarlo", samples=1000)),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(ValueError, match="float range"):
+                call()
+        with pytest.raises(ValueError, match="float range"):
+            sum_support_predicate(1e200, ("plus", "plus"), [0.0, 0.0], 1e300)
+        # The largest s whose (n s)^2 is finite still decides.
+        assert sum_support_predicate(6e153, ("plus", "plus"), [0.0, 0.0], 1.3e154)
 
 
 def test_in_range_rows_keep_the_direct_arithmetic():
